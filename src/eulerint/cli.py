@@ -107,8 +107,8 @@ def build_spec(obj: dict) -> IntegrandSpec:
             q = LaurentPoly(nvars, {tuple(e) + (0,) * (nvars - q.nvars): c
                                     for e, c in q.terms.items()})
         polys.append(q)
-    s = [parse_scalar(v, "s") for v in obj.get("s", [Fraction(1, 2)] * len(polys))]
-    nu = [parse_scalar(v, "nu") for v in obj.get("nu", [Fraction(1, 2)] * nvars)]
+    s = [parse_scalar(v, "s") for v in obj.get("s", ["1/2"] * len(polys))]
+    nu = [parse_scalar(v, "nu") for v in obj.get("nu", ["1/2"] * nvars)]
     try:
         return IntegrandSpec(polys, s, nu)
     except ValueError as exc:
@@ -126,7 +126,10 @@ def build_cycles(obj: dict, spec: IntegrandSpec):
             raise InputError(f"cycle missing vertex {exc}") from None
         phi = item.get("phi", "principal")
         if phi == "principal":
-            phi = twisted.principal_branch_value(spec, A)
+            try:
+                phi = twisted.principal_branch_value(spec, A)
+            except ValueError:   # log of 0: A is a root of x * prod f_j
+                raise InputError(f"cycle vertex {A} lies on a singularity") from None
         else:
             phi = complex(parse_scalar(phi, "phi"))
         try:
@@ -149,20 +152,26 @@ def build_cocycles(obj: dict):
 def build_forms(obj: dict, spec: IntegrandSpec):
     forms = []
     for item in obj.get("forms", []):
-        terms = []
-        for t in item.get("terms", []):
-            g = parse_polynomial(t["g"], spec.nvars)
-            terms.append((int(t.get("k", 1)), g,
-                          tuple(int(v) for v in t.get("a", (0,) * spec.npolys)),
-                          tuple(int(v) for v in t.get("b", (0,) * spec.nvars))))
-        if "function" in item:
-            g = parse_polynomial(item["function"], spec.nvars)
-            forms.append(relations.LogForm.from_function(
-                g, tuple(int(v) for v in item.get("a", (0,) * spec.npolys)),
-                tuple(int(v) for v in item.get("b", (0,) * spec.nvars))))
-        else:
-            forms.append(relations.LogForm(spec.nvars, terms))
+        try:
+            forms.append(_build_form(item, spec))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"bad form {item!r}: {exc}") from None
     return forms
+
+
+def _build_form(item: dict, spec: IntegrandSpec):
+    if "function" in item:
+        g = parse_polynomial(item["function"], spec.nvars)
+        return relations.LogForm.from_function(
+            g, tuple(int(v) for v in item.get("a", (0,) * spec.npolys)),
+            tuple(int(v) for v in item.get("b", (0,) * spec.nvars)))
+    terms = []
+    for t in item.get("terms", []):
+        g = parse_polynomial(t["g"], spec.nvars)
+        terms.append((int(t.get("k", 1)), g,
+                      tuple(int(v) for v in t.get("a", (0,) * spec.npolys)),
+                      tuple(int(v) for v in t.get("b", (0,) * spec.nvars))))
+    return relations.LogForm(spec.nvars, terms)
 
 
 def build_operators(obj: dict, spec: IntegrandSpec):
@@ -175,6 +184,39 @@ def build_operators(obj: dict, spec: IntegrandSpec):
             raise InputError(f"operator missing field {exc}") from None
         ops.append(relations.AnnOperator(p, q))
     return ops
+
+
+def node_count(obj: dict, args) -> int:
+    """Quadrature nodes per segment: --nodes, else settings.nodes, else the default."""
+    n = args.nodes
+    if n is None:
+        settings = obj.get("settings", {})
+        if not isinstance(settings, dict):
+            raise InputError("\"settings\" must be a JSON object")
+        n = settings.get("nodes", twisted.DEFAULT_NODES)
+    try:
+        n = int(n)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"nodes: expected an integer, got {n!r}") from None
+    if n < 2:
+        raise InputError(f"nodes: need at least two nodes per segment, got {n}")
+    return n
+
+
+def tracked(fn, *args, **kwargs):
+    """Run a branch-tracking computation with its failures mapped to exit codes.
+
+    Tracking and closure failures are numerical (exit 2).  Every ValueError it
+    raises concerns its input: irrational exponents, a cycle vertex on a
+    singularity, or a cocycle of the wrong length (exit 3).
+    """
+    try:
+        return fn(*args, **kwargs)
+    except (twisted.SegmentError, twisted.CycleClosureError,
+            NotImplementedError) as exc:
+        raise NumericalError(str(exc)) from None
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 # -- serialization ----------------------------------------------------------
@@ -236,13 +278,8 @@ def cmd_integrate(obj: dict, args) -> dict:
     cocycles = build_cocycles(obj)
     if not cycles or not cocycles:
         raise InputError("integrate needs \"cycles\" and \"cocycles\"")
-    N = args.nodes or int(obj.get("settings", {}).get("nodes",
-                                                      twisted.DEFAULT_NODES))
-    try:
-        M = twisted.pairing_matrix(cycles, cocycles, N, spec)
-    except (twisted.SegmentError, twisted.CycleClosureError,
-            NotImplementedError) as exc:
-        raise NumericalError(str(exc)) from None
+    N = node_count(obj, args)
+    M = tracked(twisted.pairing_matrix, cycles, cocycles, N, spec)
     kernel = twisted.nullspace(M)
     return {"matrix": [[jnum(z) for z in row] for row in M.entries],
             "cocycles": [{"a": list(c.a), "b": c.b} for c in M.cocycles],
@@ -283,15 +320,10 @@ def cmd_relations(obj: dict, args) -> dict:
 
     cycles = build_cycles(obj, spec)
     cocycles = build_cocycles(obj)
-    N = args.nodes or int(obj.get("settings", {}).get("nodes",
-                                                      twisted.DEFAULT_NODES))
+    N = node_count(obj, args) if cycles else None
     if cycles and cocycles:
-        try:
-            M = twisted.pairing_matrix(cycles, cocycles, N, spec)
-            kernel = twisted.nullspace(M, rel_tol=args.tol or 1e-6)
-        except (twisted.SegmentError, twisted.CycleClosureError,
-                NotImplementedError) as exc:
-            raise NumericalError(str(exc)) from None
+        M = tracked(twisted.pairing_matrix, cycles, cocycles, N, spec)
+        kernel = twisted.nullspace(M, rel_tol=args.tol or 1e-6)
         out["kernel"] = [
             {"vector": [jnum(z) for z in kv.vector],
              "rational": None if kv.rational is None else
@@ -302,10 +334,7 @@ def cmd_relations(obj: dict, args) -> dict:
         for source, r in produced:
             per_cycle = []
             for cyc in cycles:
-                try:
-                    res = relations.verify_numeric(r, cyc, spec, N)
-                except (twisted.SegmentError, twisted.CycleClosureError) as exc:
-                    raise NumericalError(str(exc)) from None
+                res = tracked(relations.verify_numeric, r, cyc, spec, N)
                 per_cycle.append(abs(res))
             residuals.append({"source": source, "residuals": per_cycle})
         out["residuals"] = residuals

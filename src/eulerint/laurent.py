@@ -163,24 +163,33 @@ class LaurentPoly:
             exps = np.array(sorted(self.terms.keys()), dtype=np.int64).reshape(-1, self.nvars)
             coeffs = np.array([coeff_to_complex(self.terms[tuple(e)]) for e in exps],
                               dtype=np.complex128)
-            cached = (exps, coeffs)
+            negative = np.array(self.min_exponents()) < 0
+            cached = (exps, coeffs, negative)
             object.__setattr__(self, "_arrays", cached)
         return cached
 
-    def evaluate(self, x) -> complex:
-        """Evaluate at a point with all coordinates nonzero."""
+    def evaluate(self, x):
+        """Evaluate at a point of shape (n,), or at each row of a batch (P, n).
+
+        A point gives a complex number, a batch a complex array of shape (P,).
+        A zero coordinate is allowed only in variables without negative
+        exponents; the check is made for every point of a batch.
+        """
         x = np.asarray(x, dtype=np.complex128)
-        if x.shape != (self.nvars,):
-            raise ValueError(f"point has dimension {x.shape}, expected ({self.nvars},)")
+        if x.ndim not in (1, 2) or x.shape[-1] != self.nvars:
+            raise ValueError(f"point has dimension {x.shape}, expected "
+                             f"({self.nvars},) or (P, {self.nvars})")
         if not self.terms:
-            return 0j
-        mins = self.min_exponents()
-        for i, xi in enumerate(x):
-            if xi == 0 and mins[i] < 0:
-                raise ZeroDivisionError(f"coordinate {i + 1} is zero but appears "
-                                        "with negative exponent")
-        exps, coeffs = self._eval_arrays()
-        return complex(coeffs @ np.prod(x[None, :] ** exps, axis=1))
+            return 0j if x.ndim == 1 else np.zeros(len(x), dtype=np.complex128)
+        exps, coeffs, negative = self._eval_arrays()
+        bad = (x == 0) & negative
+        if bad.any():
+            i = int(np.nonzero(bad)[-1][0])
+            raise ZeroDivisionError(f"coordinate {i + 1} is zero but appears "
+                                    "with negative exponent")
+        if x.ndim == 1:
+            return complex(coeffs @ np.prod(x[None, :] ** exps, axis=1))
+        return np.prod(x[:, None, :] ** exps, axis=2) @ coeffs
 
 
 @dataclass(frozen=True)
@@ -230,22 +239,27 @@ class OutsideDomainError(ValueError):
 
 
 def omega_components(spec: IntegrandSpec, x) -> np.ndarray:
-    """Components of dlog(f^s x^nu): sum_j s_j (d_i f_j)/f_j + nu_i/x_i."""
+    """Components of dlog(f^s x^nu): sum_j s_j (d_i f_j)/f_j + nu_i/x_i.
+
+    x is a point of shape (n,) or a batch of points (P, n); the result has the
+    same shape.  Every point must lie off V(f) and the coordinate hyperplanes.
+    """
     x = np.asarray(x, dtype=np.complex128)
     n = spec.nvars
-    if x.shape != (n,):
-        raise ValueError(f"point has dimension {x.shape}, expected ({n},)")
+    if x.ndim not in (1, 2) or x.shape[-1] != n:
+        raise ValueError(f"point has dimension {x.shape}, expected ({n},) "
+                         f"or (P, {n})")
     if np.any(x == 0):
         raise OutsideDomainError("point has a zero coordinate")
     fvals = [p.evaluate(x) for p in spec.f]
-    if any(v == 0 for v in fvals):
+    if any(np.any(v == 0) for v in fvals):
         raise OutsideDomainError("point lies on the vanishing locus of f")
-    out = np.zeros(n, dtype=np.complex128)
+    out = np.zeros(x.shape, dtype=np.complex128)
     for i in range(n):
         acc = 0j
         for sj, p, fv in zip(spec.s, spec.f, fvals):
             acc += coeff_to_complex(sj) * p.partial(i + 1).evaluate(x) / fv
-        out[i] = acc + coeff_to_complex(spec.nu[i]) / x[i]
+        out[..., i] = acc + coeff_to_complex(spec.nu[i]) / x[..., i]
     return out
 
 

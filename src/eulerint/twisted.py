@@ -29,7 +29,7 @@ CLOSURE_TOL = 1e-6          # branch must return to itself within this
 
 
 class SegmentError(RuntimeError):
-    """A quadrature node is on or too close to a singularity."""
+    """A quadrature node is too close to a singularity, or the branch collapsed."""
 
 
 class CycleClosureError(RuntimeError):
@@ -115,12 +115,17 @@ class BranchCurve:
         return cls(spec=spec, k=k,
                    ks=tuple(int(v * k) for v in s), knu=int(nu * k))
 
-    def rhs(self, x: complex) -> complex:
-        """The single-valued side prod_j f_j(x)^{k s_j} x^{k nu}."""
-        out = complex(x) ** self.knu
+    def rhs(self, x):
+        """The single-valued side prod_j f_j(x)^{k s_j} x^{k nu}.
+
+        x is a point or an array of points; the result is a complex number
+        or an array of the same shape.
+        """
+        x = np.asarray(x, dtype=np.complex128)
+        out = x ** self.knu
         for fj, e in zip(self.spec.f, self.ks):
-            out *= fj.evaluate([x]) ** e
-        return out
+            out = out * fj.evaluate(x[..., None]) ** e
+        return complex(out) if x.ndim == 0 else out
 
     def defining(self, x: complex, y: complex) -> complex:
         """F(x, y) = y^k - prod f^{ks} x^{k nu}; zero along any branch."""
@@ -173,7 +178,9 @@ def track_line_segment(Sx: complex, Sy: complex, Tx: complex, N: int,
     """Branch values at N equidistant nodes from Sx to Tx.
 
     The first value is Sy; each later node applies one Euler predictor step
-    and a fixed number of Newton corrections onto the curve.  Returns
+    and a fixed number of Newton corrections onto the curve.  omega and the
+    curve's right-hand side depend on x alone, so both are evaluated once
+    over all nodes; only the recurrence in y runs node by node.  Returns
     (nodes, values) as complex arrays.
     """
     _require_univariate(spec)
@@ -187,16 +194,22 @@ def track_line_segment(Sx: complex, Sy: complex, Tx: complex, N: int,
             f"segment hits singularity: a node is within {POLE_GUARD_RADIUS} "
             "of a root of x * prod f_j")
     dx = (Tx - Sx) / (N - 1)
-    values = np.empty(N, dtype=np.complex128)
-    values[0] = Sy
+    # Euler factor 1 + omega(x_{i-1}) dx and Newton target rhs(x_i) per step
+    growth = (1.0 + omega_components(spec, nodes[:-1, None])[:, 0] * dx).tolist()
+    targets = curve.rhs(nodes[1:]).tolist()
+    k = curve.k
     y = complex(Sy)
-    om = lambda z: omega_scalar(spec, z)
-    for i in range(1, N):
-        _, y = euler_step(complex(nodes[i - 1]), y, dx, om)
-        for _ in range(NEWTON_CORRECTIONS):
-            y = newton_step(y, complex(nodes[i]), curve)
-        values[i] = y
-    return nodes, values
+    values = [y]
+    try:
+        for g, r in zip(growth, targets):
+            y = g * y
+            for _ in range(NEWTON_CORRECTIONS):
+                y = y - (y ** k - r) / (k * y ** (k - 1))
+            values.append(y)
+    except ZeroDivisionError:
+        raise SegmentError(
+            "branch collapse: y = 0 on a k-sheeted curve") from None
+    return nodes, np.array(values, dtype=np.complex128)
 
 
 def integrate_trapezoidal(values, h: complex) -> complex:
@@ -215,14 +228,9 @@ def integrate_line_segment(A: complex, phi_at_A: complex, B: complex, N: int,
     Each cocycle (a, b) contributes the trapezoidal sum of
     phi(x) * prod f_j(x)^{a_j} * x^{b-1} with step (B-A)/(N-1).
     """
-    if complex(A) == complex(B):
-        nodes = np.full(max(N, 2), complex(A), dtype=np.complex128)
-        values = np.full(max(N, 2), complex(phi_at_A), dtype=np.complex128)
-        return np.zeros(len(list(cocycles)), dtype=np.complex128), values
     nodes, values = track_line_segment(A, phi_at_A, B, N, spec, curve, poles)
     h = (B - A) / (N - 1)
-    fvals = np.array([[fj.evaluate([x]) for x in nodes] for fj in spec.f],
-                     dtype=np.complex128)
+    fvals = [fj.evaluate(nodes[:, None]) for fj in spec.f]
     out = np.empty(len(cocycles), dtype=np.complex128)
     for j, coc in enumerate(cocycles):
         integrand = values * nodes ** (coc.b - 1)
@@ -246,6 +254,10 @@ def integrate_loop(cycle: TwistedCycle, N: int, spec: IntegrandSpec,
     """Sum of the segment integrals AB + BC + CA with chained branch values."""
     _require_univariate(spec)
     cocycles = [c if isinstance(c, Cocycle) else Cocycle(*c) for c in cocycles]
+    for c in cocycles:
+        if len(c.a) != spec.npolys:
+            raise ValueError(f"cocycle a = {list(c.a)} has length {len(c.a)}, "
+                             f"expected one entry per f ({spec.npolys})")
     poles = singular_points(spec)
     for v in cycle.vertices:
         if abs(v) < POLE_GUARD_RADIUS or (
@@ -259,7 +271,7 @@ def integrate_loop(cycle: TwistedCycle, N: int, spec: IntegrandSpec,
         total += part
         y = complex(values[-1])
     closure = abs(y - cycle.phi_at_A)
-    if require_closure and closure > closure_tol:
+    if require_closure and not closure <= closure_tol:   # NaN fails too
         raise CycleClosureError(
             f"not a twisted cycle / branch tracking failed: closure residual "
             f"{closure:.3e} exceeds {closure_tol:.1e}")

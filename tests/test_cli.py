@@ -147,3 +147,98 @@ def test_integrate_multivariate_exit_2(tmp_path, capsys):
     bad.write_text(json.dumps(obj))
     code, out = run(capsys, ["integrate", bad])
     assert code == 2
+
+
+# -- exit codes of the pairing path ----------------------------------------
+
+def _two_points(tmp_path, **changes):
+    obj = json.loads((PROBLEMS / "two_points.json").read_text())
+    for key, value in changes.items():
+        if value is None:
+            del obj[key]
+        else:
+            obj[key] = value
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def test_single_node_setting_exit_3(tmp_path, capsys):
+    path = _two_points(tmp_path, settings={"nodes": 1})
+    for command in ("integrate", "relations"):
+        code, out = run(capsys, [command, path])
+        assert code == 3
+        assert out["error"]["type"] == "invalid-input"
+
+
+def test_single_node_option_exit_3(capsys):
+    code, out = run(capsys, ["integrate", PROBLEMS / "two_points.json",
+                             "--nodes", "1"])
+    assert code == 3
+    assert out["error"]["type"] == "invalid-input"
+
+
+def test_non_integer_nodes_exit_3(tmp_path, capsys):
+    path = _two_points(tmp_path, settings={"nodes": "many"})
+    code, out = run(capsys, ["integrate", path])
+    assert code == 3
+
+
+def test_irrational_exponent_exit_3(tmp_path, capsys):
+    path = _two_points(tmp_path, s=[0.1, "1/2"])
+    for command in ("integrate", "relations"):
+        code, out = run(capsys, [command, path])
+        assert code == 3
+        assert out["error"]["type"] == "invalid-input"
+
+
+def test_form_term_without_g_exit_3(tmp_path, capsys):
+    path = _two_points(tmp_path, forms=[{"terms": [{"k": 1, "a": [0, 0],
+                                                    "b": [0]}]}])
+    code, out = run(capsys, ["relations", path])
+    assert code == 3
+    assert out["error"]["type"] == "invalid-input"
+
+
+def test_default_exponents_are_one_half(tmp_path, capsys):
+    # two_points.json spells out s = (1/2, 1/2) and nu = 1/2, the defaults
+    code, full = run(capsys, ["integrate", PROBLEMS / "two_points.json"])
+    assert code == 0
+    code, out = run(capsys, ["integrate", _two_points(tmp_path, s=None,
+                                                      nu=None)])
+    assert code == 0
+    assert out["matrix"] == full["matrix"]
+
+
+@pytest.mark.parametrize("a", [[-1], [-1, 0, 5]])
+def test_cocycle_wrong_length_exit_3(tmp_path, capsys, a):
+    path = _two_points(tmp_path, cocycles=[{"a": a, "b": 1}])
+    code, out = run(capsys, ["integrate", path])
+    assert code == 3
+    assert out["error"]["type"] == "invalid-input"
+
+
+def test_branch_collapse_exit_2(tmp_path, capsys):
+    path = _two_points(tmp_path, cycles=[{"A": [0.5, 1.0], "B": [0.5, -1.0],
+                                          "C": [3.0, 0.0], "phi": 0}])
+    code, out = run(capsys, ["integrate", path])
+    assert code == 2
+    assert out["error"]["type"] == "numerical-failure"
+
+
+@pytest.mark.parametrize("phi", ["principal", 1.0])
+def test_vertex_on_singularity_exit_3(tmp_path, capsys, phi):
+    path = _two_points(tmp_path, cycles=[{"A": [1.0, 0.0], "B": [0.5, -1.0],
+                                          "C": [3.0, 0.0], "phi": phi}])
+    code, out = run(capsys, ["integrate", path])
+    assert code == 3
+    assert out["error"]["type"] == "invalid-input"
+
+
+def test_overflowing_branch_exit_2(tmp_path, capsys):
+    # y^2 overflows, the tracked values turn NaN and cannot close
+    path = _two_points(tmp_path, cycles=[{"A": [0.5, 1.0], "B": [0.5, -1.0],
+                                          "C": [3.0, 0.0], "phi": [1e300, 0]}])
+    code, out = run(capsys, ["integrate", path])
+    assert code == 2
+    assert out["error"]["type"] == "numerical-failure"

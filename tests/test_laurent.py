@@ -133,6 +133,59 @@ def test_omega_outside_domain(two_point_spec):
         omega_components(two_point_spec, [0.0])
 
 
+BATCH = np.array([[0.7 + 0.3j, -1.2 + 0.1j], [2.0, 0.5j], [-0.4 - 1j, 3.0]])
+
+
+def test_evaluate_batch_matches_pointwise(hexagon_poly):
+    p = hexagon_poly + parse_poly("x^-2*y + 5*y^-1")
+    got = p.evaluate(BATCH)
+    assert got.shape == (3,)
+    want = np.array([p.evaluate(x) for x in BATCH])
+    assert np.allclose(got, want, rtol=1e-14, atol=0)
+
+
+def test_evaluate_batch_checks_every_point():
+    p = parse_poly("x^-1 + y")
+    batch = BATCH.copy()
+    batch[2, 0] = 0
+    with pytest.raises(ZeroDivisionError):
+        p.evaluate(batch)
+    # a zero coordinate is fine in a variable without negative exponents
+    batch = BATCH.copy()
+    batch[1, 1] = 0
+    assert p.evaluate(batch)[1] == 1 / BATCH[1, 0]
+
+
+def test_evaluate_rejects_wrong_shape(hexagon_poly):
+    with pytest.raises(ValueError):
+        hexagon_poly.evaluate([1.0])
+    with pytest.raises(ValueError):
+        hexagon_poly.evaluate(np.ones((2, 3)))
+
+
+def test_evaluate_zero_poly_batch():
+    assert np.array_equal(LaurentPoly.zero(2).evaluate(BATCH), np.zeros(3))
+
+
+def test_omega_batch_matches_pointwise(hexagon_poly):
+    spec = IntegrandSpec([hexagon_poly, parse_poly("x - y^2")],
+                         (Fraction(1, 2), Fraction(-1, 3)),
+                         (Fraction(1, 4), 0.75))
+    got = omega_components(spec, BATCH)
+    assert got.shape == BATCH.shape
+    want = np.array([omega_components(spec, x) for x in BATCH])
+    assert np.allclose(got, want, rtol=1e-14, atol=0)
+
+
+def test_omega_batch_outside_domain(two_point_spec):
+    xs = np.array([[3.0], [0.5 + 1j], [0.0], [4.0]])
+    with pytest.raises(OutsideDomainError):
+        omega_components(two_point_spec, xs)
+    xs[2, 0] = 2.0    # a root of f
+    with pytest.raises(OutsideDomainError):
+        omega_components(two_point_spec, xs)
+
+
 # -- JSON ------------------------------------------------------------------
 
 def test_json_round_trip(hexagon_poly):

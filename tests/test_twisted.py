@@ -3,10 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from eulerint import twisted
 from eulerint.laurent import IntegrandSpec, parse_poly
-from eulerint.twisted import (BranchCurve, Cocycle, CycleClosureError,
-                              SegmentError, TwistedCycle, euler_step,
-                              integrate_loop, integrate_trapezoidal,
+from eulerint.twisted import (NEWTON_CORRECTIONS, BranchCurve, Cocycle,
+                              CycleClosureError, SegmentError, TwistedCycle,
+                              euler_step, integrate_loop, integrate_trapezoidal,
                               newton_step, nullspace, omega_scalar,
                               pairing_matrix, principal_branch_value,
                               singular_points, track_line_segment)
@@ -140,6 +141,75 @@ def test_track_pole_guard(two_point_spec):
         track_line_segment(-1.0, 1.0, 1.0, 3, two_point_spec, curve)
 
 
+def _per_node_track(Sx, Sy, Tx, N, spec, curve, corrections):
+    """The tracker written node by node from the tested primitives."""
+    nodes = Sx + (Tx - Sx) * np.arange(N) / (N - 1)
+    dx = (Tx - Sx) / (N - 1)
+    om = lambda z: omega_scalar(spec, z)
+    y = complex(Sy)
+    values = [y]
+    for i in range(1, N):
+        _, y = euler_step(complex(nodes[i - 1]), y, dx, om)
+        for _ in range(corrections):
+            y = newton_step(y, complex(nodes[i]), curve)
+        values.append(y)
+    return nodes, np.array(values)
+
+
+def _assert_same_track(Sx, Tx, N, spec, corrections=NEWTON_CORRECTIONS):
+    curve = BranchCurve.from_spec(spec)
+    Sy = principal_branch_value(spec, Sx)
+    nodes, values = track_line_segment(Sx, Sy, Tx, N, spec, curve)
+    ref_nodes, ref_values = _per_node_track(Sx, Sy, Tx, N, spec, curve,
+                                            corrections)
+    assert np.array_equal(nodes, ref_nodes)
+    assert (np.max(np.abs(values - ref_values))
+            <= 1e-12 * np.max(np.abs(ref_values)))
+
+
+# with no or one correction the predictor is not hidden by Newton convergence
+@pytest.mark.parametrize("corrections", [0, 1, NEWTON_CORRECTIONS])
+def test_track_matches_per_node_loop(two_point_spec, monkeypatch, corrections):
+    # first edge of the reference cycle around {1, 2}
+    monkeypatch.setattr(twisted, "NEWTON_CORRECTIONS", corrections)
+    _assert_same_track(CYCLE1[0], CYCLE1[1], 1000, two_point_spec, corrections)
+
+
+def test_track_matches_per_node_loop_six_sheets():
+    # three factors with denominators 2, 3 and 6: the curve has k = 6
+    spec = IntegrandSpec(
+        [parse_poly("x - 1"), parse_poly("x + 2"), parse_poly("x^2 + 1")],
+        (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 6)), (Fraction(5, 6),))
+    assert BranchCurve.from_spec(spec).k == 6
+    _assert_same_track(3.0 + 0.5j, -1.5 + 2.5j, 500, spec)
+
+
+def test_track_branch_collapse_is_segment_error(two_point_spec):
+    # y = 0 is a fixed point of the Euler step and Newton cannot leave it
+    curve = BranchCurve.from_spec(two_point_spec)
+    with pytest.raises(SegmentError):
+        track_line_segment(3.0, 0.0, 4.0 + 2.0j, 50, two_point_spec, curve)
+
+
+def test_newton_step_branch_collapse(two_point_spec):
+    curve = BranchCurve.from_spec(two_point_spec)
+    with pytest.raises(ZeroDivisionError):
+        newton_step(0j, 3.0, curve)
+
+
+def test_track_rejects_single_node(two_point_spec):
+    curve = BranchCurve.from_spec(two_point_spec)
+    with pytest.raises(ValueError):
+        track_line_segment(3.0, 1.0, 4.0, 1, two_point_spec, curve)
+
+
+def test_branch_rhs_on_array(two_point_spec):
+    curve = BranchCurve.from_spec(two_point_spec)
+    xs = np.array([3.0 + 0.7j, -1.0 + 0.2j, 0.5 - 2j])
+    assert np.allclose(curve.rhs(xs), [curve.rhs(complex(x)) for x in xs],
+                       rtol=1e-14, atol=0)
+
+
 def test_singular_points(two_point_spec):
     pts = sorted(singular_points(two_point_spec).real)
     assert np.allclose(pts, [0.0, 1.0, 2.0])
@@ -162,6 +232,14 @@ def test_open_loop_raises(two_point_spec):
                        principal_branch_value(two_point_spec, A))
     with pytest.raises(CycleClosureError):
         integrate_loop(cyc, 600, two_point_spec, curve, COCYCLES)
+
+
+@pytest.mark.parametrize("a", [(-1,), (-1, 0, 5)])
+def test_cocycle_length_checked(two_point_spec, a):
+    curve = BranchCurve.from_spec(two_point_spec)
+    cyc = _cycles(two_point_spec)[0]
+    with pytest.raises(ValueError):
+        integrate_loop(cyc, 100, two_point_spec, curve, [Cocycle(a, 1)])
 
 
 def test_vertex_on_singularity_rejected(two_point_spec):
