@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -50,6 +51,21 @@ def parse_scalar(v, what="number"):
                      f"got {v!r}")
 
 
+def parse_integer(v, what):
+    """Accept an int or an integral float; reject bools, strings and fractions."""
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise InputError(f"{what}: expected an integer, got {v!r}")
+
+
+def parse_exponents(exp):
+    if not isinstance(exp, (list, tuple)):
+        raise InputError(f"exponent vector: expected a list, got {exp!r}")
+    return tuple(parse_integer(e, "exponent") for e in exp)
+
+
 def parse_polynomial(v, nvars=None):
     if isinstance(v, str):
         try:
@@ -57,7 +73,12 @@ def parse_polynomial(v, nvars=None):
         except ParseError as exc:
             raise InputError(f"bad polynomial {v!r}: {exc}") from None
     if isinstance(v, dict):
-        return poly_from_json(v)
+        try:
+            for t in v["terms"]:
+                parse_exponents(t["exp"])
+            return poly_from_json(v)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"bad polynomial {v!r}: {exc}") from None
     if isinstance(v, list):
         # term list: [[exp...], coeff] pairs
         terms = {}
@@ -65,11 +86,13 @@ def parse_polynomial(v, nvars=None):
             if not (isinstance(item, (list, tuple)) and len(item) == 2):
                 raise InputError(f"bad term {item!r}: expected [[exp..], coeff]")
             exp, coeff = item
-            key = tuple(int(e) for e in exp)
-            terms[key] = parse_scalar(coeff, "coefficient")
+            terms[parse_exponents(exp)] = parse_scalar(coeff, "coefficient")
         if not terms:
             raise InputError("empty term list")
-        return LaurentPoly(len(next(iter(terms))), terms)
+        try:
+            return LaurentPoly(len(next(iter(terms))), terms)
+        except ValueError as exc:
+            raise InputError(f"bad polynomial {v!r}: {exc}") from None
     raise InputError(f"bad polynomial entry {v!r}")
 
 
@@ -182,25 +205,31 @@ def build_operators(obj: dict, spec: IntegrandSpec):
             q = parse_polynomial(item["q"], spec.nvars)
         except KeyError as exc:
             raise InputError(f"operator missing field {exc}") from None
-        ops.append(relations.AnnOperator(p, q))
+        try:
+            ops.append(relations.AnnOperator(p, q))
+        except ValueError as exc:
+            raise InputError(f"bad operator {item!r}: {exc}") from None
     return ops
+
+
+def setting(obj: dict, key: str, default, least: int) -> int:
+    """Integer settings.<key> of the problem file, at least `least`."""
+    settings = obj.get("settings", {})
+    if not isinstance(settings, dict):
+        raise InputError("\"settings\" must be a JSON object")
+    n = parse_integer(settings.get(key, default), key)
+    if n < least:
+        raise InputError(f"{key}: need at least {least}, got {n}")
+    return n
 
 
 def node_count(obj: dict, args) -> int:
     """Quadrature nodes per segment: --nodes, else settings.nodes, else the default."""
-    n = args.nodes
-    if n is None:
-        settings = obj.get("settings", {})
-        if not isinstance(settings, dict):
-            raise InputError("\"settings\" must be a JSON object")
-        n = settings.get("nodes", twisted.DEFAULT_NODES)
-    try:
-        n = int(n)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"nodes: expected an integer, got {n!r}") from None
-    if n < 2:
-        raise InputError(f"nodes: need at least two nodes per segment, got {n}")
-    return n
+    if args.nodes is None:
+        return setting(obj, "nodes", twisted.DEFAULT_NODES, 2)
+    if args.nodes < 2:
+        raise InputError(f"nodes: need at least 2, got {args.nodes}")
+    return args.nodes
 
 
 def tracked(fn, *args, **kwargs):
@@ -222,13 +251,10 @@ def tracked(fn, *args, **kwargs):
 # -- serialization ----------------------------------------------------------
 
 def jnum(z):
-    """Complex number as [re, im]; real scalars stay scalars."""
-    if isinstance(z, (int, Fraction)):
-        return float(z) if isinstance(z, Fraction) else z
-    z = complex(z)
-    if z.imag == 0:
-        return z.real
-    return [z.real, z.imag]
+    """Complex values as [re, im], even when real; other scalars as numbers."""
+    if isinstance(z, complex):
+        return [z.real, z.imag]
+    return z if isinstance(z, int) else float(z)
 
 
 def relation_to_json(r: relations.Relation):
@@ -251,7 +277,7 @@ def emit(payload: dict, out_path: str | None) -> None:
 def cmd_chi(obj: dict, args) -> dict:
     spec = build_spec(obj)
     settings = critical.TrackerSettings(seed=args.seed)
-    draws = int(obj.get("settings", {}).get("draws", 2))
+    draws = setting(obj, "draws", 2, 1)
     try:
         chi, count, certified = critical.euler_characteristic(
             spec, settings, draws=draws)
@@ -313,7 +339,8 @@ def cmd_relations(obj: dict, args) -> dict:
             agreement.append({
                 "i": i, "j": j,
                 "agree": relations.relations_agree(
-                    produced[i][1], produced[j][1], tol=args.tol or 1e-9)})
+                    produced[i][1], produced[j][1],
+                    tol=1e-9 if args.tol is None else args.tol)})
     for source, r in produced:
         rels.append({"source": source, "terms": relation_to_json(r)})
     out = {"relations": rels, "agreement": agreement, "seed": args.seed}
@@ -323,7 +350,8 @@ def cmd_relations(obj: dict, args) -> dict:
     N = node_count(obj, args) if cycles else None
     if cycles and cocycles:
         M = tracked(twisted.pairing_matrix, cycles, cocycles, N, spec)
-        kernel = twisted.nullspace(M, rel_tol=args.tol or 1e-6)
+        kernel = twisted.nullspace(
+            M, rel_tol=1e-6 if args.tol is None else args.tol)
         out["kernel"] = [
             {"vector": [jnum(z) for z in kv.vector],
              "rational": None if kv.rational is None else
@@ -346,7 +374,8 @@ def cmd_gkz(obj: dict, args) -> dict:
     cfg = gkz.cayley_matrix(spec)
     kernel = gkz.lattice_kernel(cfg)
     ops = gkz.euler_operators(cfg)
-    report = gkz.is_nonresonant(cfg, tol=args.tol or 1e-9)
+    report = gkz.is_nonresonant(
+        cfg, tol=1e-9 if args.tol is None else args.tol)
     return {"matrix": [list(r) for r in cfg.matrix],
             "blocks": list(cfg.blocks),
             "kappa": [jnum(v) for v in cfg.kappa],
@@ -387,6 +416,8 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
+        if args.tol is not None and not 0 <= args.tol < math.inf:
+            raise InputError(f"--tol: expected a finite value >= 0, got {args.tol}")
         obj = load_problem(args.problem)
         payload = COMMANDS[args.command](obj, args)
     except InputError as exc:

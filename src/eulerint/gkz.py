@@ -55,7 +55,7 @@ def cayley_matrix(spec: IntegrandSpec) -> CayleyConfig:
 
 
 def _negate(v):
-    if isinstance(v, (int, Fraction)):
+    if isinstance(v, (int, float, Fraction)):
         return -v
     return -complex(v)
 
@@ -147,8 +147,7 @@ class ResonanceReport:
     lattice_rank: int
 
 
-def is_nonresonant(cfg: CayleyConfig, facet_normals=None,
-                   tol: float = 1e-9) -> ResonanceReport:
+def is_nonresonant(cfg: CayleyConfig, tol: float = 1e-9) -> ResonanceReport:
     """Facet-by-facet resonance test for the parameter vector kappa.
 
     For each facet of the cone over the columns, with primitive inner normal
@@ -158,13 +157,10 @@ def is_nonresonant(cfg: CayleyConfig, facet_normals=None,
     """
     cols = cfg.columns()
     rank = ila.rank([list(c) for c in cols])
-    if facet_normals is None:
-        pts = polytope.LatticePointSet(cfg.nvars + cfg.npolys, cols)
-        facet_normals = polytope.facets(pts)
+    pts = polytope.LatticePointSet(cfg.nvars + cfg.npolys, cols)
     certs = []
     all_good = True
-    for normal in facet_normals:
-        u = normal[0] if isinstance(normal[0], (tuple, list)) else normal
+    for u in polytope.facets(pts):
         g = 0
         for c in cols:
             g = gcd(g, abs(sum(a * b for a, b in zip(u, c))))

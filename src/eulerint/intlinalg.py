@@ -144,14 +144,19 @@ def det_bareiss(m):
     return sign * a[-1][-1]
 
 
-def rational_nullspace(m):
-    """Basis of the rational (right) nullspace of a matrix with int/Fraction entries."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    a = [[Fraction(x) for x in row] for row in m]
+def _rref(a, cols):
+    """Gauss-Jordan elimination of the Fraction rows `a` to reduced echelon form.
+
+    Works in place and returns the pivot columns, pivot i in row i.  Pivots
+    are taken from the first `cols` columns only; an augmented right-hand side
+    is carried along.
+    """
+    rows = len(a)
     pivots = []
-    r = 0
     for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
         piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
         if piv is None:
             continue
@@ -163,9 +168,14 @@ def rational_nullspace(m):
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
+    return pivots
+
+
+def rational_nullspace(m):
+    """Basis of the rational (right) nullspace of a matrix with int/Fraction entries."""
+    cols = len(m[0]) if m else 0
+    a = [[Fraction(x) for x in row] for row in m]
+    pivots = _rref(a, cols)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
@@ -178,30 +188,16 @@ def rational_nullspace(m):
 
 
 def solve_rational(m, rhs):
-    """Solve m @ x == rhs exactly; returns list of Fractions or None if inconsistent."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+    """Solve m @ x == rhs exactly; returns list of Fractions or None if inconsistent.
+
+    An underdetermined system gets the particular solution whose free
+    variables are 0.
+    """
+    cols = len(m[0]) if m else 0
     a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(m)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if a[i][cols] != 0:
-            return None
+    pivots = _rref(a, cols)
+    if any(row[cols] != 0 for row in a[len(pivots):]):
+        return None
     x = [Fraction(0)] * cols
     for i, pc in enumerate(pivots):
         x[pc] = a[i][cols]

@@ -8,7 +8,7 @@ Values are immutable after construction and safe to share between workers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 

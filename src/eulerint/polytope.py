@@ -51,47 +51,30 @@ def cayley_support(spec: IntegrandSpec) -> LatticePointSet:
     return LatticePointSet(n + ell, pts)
 
 
-def _affine_rank_points(points):
-    if len(points) <= 1:
-        return 0
-    p0 = points[0]
-    diffs = [[a - b for a, b in zip(p, p0)] for p in points[1:]]
-    return ila.rank(diffs)
+def _cone_facets(vectors):
+    """Facets of the cone spanned by integer vectors of full rank r in Z^r.
 
-
-def _hull_facets(points):
-    """Facets of the full-dimensional polytope conv(points) in Z^r.
-
-    Returns a list of (normal, offset, vertex_index_tuple) with normal.p >= offset
-    for all points and equality exactly on the facet.
+    Returns (primitive inner normal, indices of the vectors on the facet)
+    pairs sorted by normal.  Every r - 1 of the vectors with a one-dimensional
+    integer kernel give a candidate normal, which is primitive because the
+    kernel basis is saturated; it is a facet normal when it pairs with one
+    sign against all the vectors.
     """
-    r = len(points[0])
-    m = len(points)
-    if r == 1:
-        lo = min(range(m), key=lambda i: points[i][0])
-        hi = max(range(m), key=lambda i: points[i][0])
-        return [((1,), points[lo][0], (lo,)), ((-1,), -points[hi][0], (hi,))]
-    facets = {}
-    for sub in combinations(range(m), r):
-        base = points[sub[0]]
-        diffs = [[points[i][k] - base[k] for k in range(r)] for i in sub[1:]]
-        null = ila.rational_nullspace(diffs)
-        if len(null) != 1:
+    r = len(vectors[0])
+    found = {}
+    for sub in combinations(range(len(vectors)), r - 1):
+        # r = 1: no rows, and the kernel is all of Z
+        kernel = ila.kernel_basis([vectors[i] for i in sub] or [[0]])
+        if len(kernel) != 1:
             continue
-        normal = ila.primitive_integer(null[0])
-        offset = sum(a * b for a, b in zip(normal, base))
-        vals = [sum(a * b for a, b in zip(normal, p)) - offset for p in points]
-        if all(v >= 0 for v in vals):
-            pass
-        elif all(v <= 0 for v in vals):
-            normal = tuple(-x for x in normal)
-            offset = -offset
-            vals = [-v for v in vals]
-        else:
+        u = kernel[0]
+        vals = [sum(a * b for a, b in zip(u, v)) for v in vectors]
+        if all(v <= 0 for v in vals):
+            u, vals = [-x for x in u], [-v for v in vals]
+        elif any(v < 0 for v in vals):
             continue
-        on = tuple(i for i, v in enumerate(vals) if v == 0)
-        facets[(tuple(normal), offset)] = on
-    return [(n, o, on) for (n, o), on in sorted(facets.items())]
+        found[tuple(u)] = tuple(i for i, v in enumerate(vals) if v == 0)
+    return sorted(found.items())
 
 
 def _triangulate(points):
@@ -108,7 +91,8 @@ def _triangulate(points):
         hi = max(range(len(points)), key=lambda i: points[i][0])
         return [(v0, hi)] if points[hi] != points[v0] else []
     simplices = []
-    for normal, offset, on in _hull_facets(points):
+    # the facets of conv(points) are the cone facets of the points (p, 1)
+    for _, on in _cone_facets([tuple(p) + (1,) for p in points]):
         if v0 in on:
             continue
         fpts = [points[i] for i in on]
@@ -168,66 +152,15 @@ def normalized_volume(pts: LatticePointSet) -> VolumeReport:
 def facets(pts: LatticePointSet):
     """Irredundant facet description of the cone spanned by the points.
 
-    Returns (primitive integer inner normal, offset) pairs with offset 0 and
-    normal . p >= 0 for every point.
+    Returns the primitive integer inner normals, sorted, with normal . p >= 0
+    for every point.
     """
     gens = [list(p) for p in pts.points]
-    d = pts.dim
-    r = ila.rank(gens)
-    if r == 0:
+    basis = ila.lattice_basis(gens)  # rows span the rational span
+    if not basis:
         raise ValueError("zero-dimensional cone")
-    basis = ila.lattice_basis(gens)  # r x d, rows span the rational span
-    coords = []
-    for g in gens:
-        c = ila.solve_rational([[basis[i][k] for i in range(r)] for k in range(d)], g)
-        coords.append(c)
-    if r == 1:
-        # a single ray: its unique facet functional in the span is the ray itself
-        out = [_lift_normal([Fraction(1)], basis, d)]
-        return sorted(out)
-    found = {}
-    for sub in combinations(range(len(gens)), r - 1):
-        mat = [coords[i] for i in sub]
-        null = ila.rational_nullspace(mat)
-        if len(null) != 1:
-            continue
-        u = null[0]
-        vals = [sum(a * b for a, b in zip(u, c)) for c in coords]
-        if all(v >= 0 for v in vals):
-            pass
-        elif all(v <= 0 for v in vals):
-            u = [-x for x in u]
-            vals = [-v for v in vals]
-        else:
-            continue
-        # equality set must span a (r-1)-dimensional subspace
-        on = [coords[i] for i, v in enumerate(vals) if v == 0]
-        if _frac_rank(on) != r - 1:
-            continue
-        found[tuple(ila.primitive_integer(u))] = True
-    out = [_lift_normal(list(u), basis, d) for u in found]
-    return sorted(out)
-
-
-def _frac_rank(m):
-    if not m:
-        return 0
-    rows = [[Fraction(x) for x in row] for row in m]
-    cols = len(rows[0])
-    rank = 0
-    for c in range(cols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][c]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+    coords = [ila.lattice_coords(basis, g) for g in gens]
+    return sorted(_lift_normal(u, basis, pts.dim) for u, _ in _cone_facets(coords))
 
 
 def _lift_normal(u_coords, basis, d):

@@ -242,3 +242,70 @@ def test_overflowing_branch_exit_2(tmp_path, capsys):
     code, out = run(capsys, ["integrate", path])
     assert code == 2
     assert out["error"]["type"] == "numerical-failure"
+
+
+# -- input validation ------------------------------------------------------
+
+def _problem(tmp_path, obj):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+_QUADRATIC = json.loads((PROBLEMS / "quadratic_operator.json").read_text())
+
+
+@pytest.mark.parametrize("command, obj", [
+    ("vol", {"f": [[[[1.5], 1], [[0], 1]]]}),
+    ("vol", {"f": [[[["a"], 1], [[0], 1]]]}),
+    ("vol", {"f": [[[[True], 1], [[0], 1]]]}),
+    ("vol", {"f": [[[[1, 0], 1], [[0], 1]]]}),
+    ("vol", {"f": [{"nvars": 1, "terms": [{"exp": [1.5], "re": 1},
+                                          {"exp": [0], "re": 1}]}]}),
+    ("vol", {"f": [{"nvars": 1, "terms": [{"exp": ["a"], "re": 1}]}]}),
+    ("relations", dict(_QUADRATIC, operators=[
+        {"p": ["x^2 - 3*x + 2", "x"], "q": "-x + 3/2"}])),
+    ("chi", {"f": ["x*y - 1"], "settings": {"draws": "many"}}),
+    ("chi", {"f": ["x*y - 1"], "settings": 5}),
+    ("chi", {"f": ["x*y - 1"], "settings": {"draws": 0}}),
+])
+def test_invalid_input_exit_3(tmp_path, capsys, command, obj):
+    code, out = run(capsys, [command, _problem(tmp_path, obj)])
+    assert code == 3
+    assert out["error"]["type"] == "invalid-input"
+
+
+def test_integral_float_exponent_accepted(tmp_path, capsys):
+    code, out = run(capsys, ["vol", _problem(tmp_path,
+                                             {"f": [[[[2.0], 1], [[0], 1]]]})])
+    assert code == 0
+    assert out["normalized_volume"] == 1
+
+
+@pytest.mark.parametrize("command, problem", [
+    ("relations", "quadratic_operator"), ("gkz", "hexagon")])
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_bad_tolerance_exit_3(capsys, command, problem, tol):
+    code, out = run(capsys, [command, PROBLEMS / f"{problem}.json",
+                             f"--tol={tol}"])
+    assert code == 3
+    assert out["error"]["type"] == "invalid-input"
+
+
+def test_zero_tolerance_is_used(tmp_path, capsys):
+    # u . kappa lies 1e-12 from the subgroup on both facets: resonant at the
+    # default 1e-9, nonresonant at an exact comparison
+    path = _problem(tmp_path, {"f": ["x - 1"], "s": [1], "nu": [1e-12]})
+    code, out = run(capsys, ["gkz", path])
+    assert code == 0 and out["nonresonant"] is False
+    assert out["kappa"] == [-1e-12, 1]    # real inputs stay numbers
+    code, out = run(capsys, ["gkz", path, "--tol", "0"])
+    assert code == 0 and out["nonresonant"] is True
+
+
+def test_complex_results_are_pairs(capsys):
+    code, out = run(capsys, ["integrate", PROBLEMS / "two_points.json"])
+    assert code == 0
+    entries = [v for row in out["matrix"] for v in row]
+    entries += [v for k in out["kernel"] for v in k["vector"]]
+    assert all(isinstance(v, list) and len(v) == 2 for v in entries)

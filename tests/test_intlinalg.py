@@ -119,6 +119,9 @@ def test_index_in_saturation():
 def test_solve_rational_exact():
     x = ila.solve_rational([[2, 1], [1, 3]], [5, 10])
     assert x == [Fraction(1), Fraction(3)]
+    # underdetermined but consistent: the free variable x3 is set to 0
+    x = ila.solve_rational([[1, 2, 1], [0, 1, 1]], [3, 1])
+    assert x == [Fraction(1), Fraction(1), Fraction(0)]
 
 
 def test_solve_rational_inconsistent():

@@ -1,9 +1,10 @@
-import numpy as np
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eulerint import polytope
-from eulerint.laurent import IntegrandSpec, parse_poly
+from eulerint import intlinalg as ila
+from eulerint.laurent import IntegrandSpec
 from eulerint.polytope import (LatticePointSet, cayley_support, facets,
                                normalized_volume, pointset_from_json,
                                pointset_to_json)
@@ -102,6 +103,9 @@ def test_facets_pyramid_cone(two_point_spec):
 def test_facets_single_ray():
     fs = facets(LatticePointSet(2, [(1, 1), (2, 2)]))
     assert len(fs) == 1
+    # the inner normal of a ray is the ray's own direction; a line has none
+    assert facets(LatticePointSet(2, [(-1, -1)])) == [(-1, -1)]
+    assert facets(LatticePointSet(2, [(1, 1), (-1, -1)])) == []
 
 
 # -- JSON ------------------------------------------------------------------
@@ -135,7 +139,6 @@ def test_volume_nonnegative_and_translation_invariant(pts):
 def test_volume_matches_float_hull(pts):
     """Cross-oracle: for full-dimensional 2-d input, compare with the shoelace
     area of the convex hull of {0} + pts (saturated difference lattice)."""
-    from eulerint import intlinalg as ila
     ps = LatticePointSet(2, pts)
     all_pts = [(0, 0)] + list(ps.points)
     diffs = [[p[0] - all_pts[0][0], p[1] - all_pts[0][1]] for p in all_pts]
@@ -147,6 +150,47 @@ def test_volume_matches_float_hull(pts):
     rep = normalized_volume(ps)
     hull = _hull_area(all_pts)
     assert rep.normalized_volume == round(2 * hull)
+
+
+points3d = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                              st.integers(1, 3)), min_size=3, max_size=8)
+
+
+@given(points3d)
+@settings(max_examples=40, deadline=None)
+def test_facet_normals_are_primitive_supporting_and_span_a_facet(pts):
+    ps = LatticePointSet(3, pts)
+    if ila.rank([list(p) for p in ps.points]) != 3:
+        return
+    fs = facets(ps)
+    assert fs
+    for u in fs:
+        assert gcd(*u) == 1
+        vals = [sum(a * b for a, b in zip(u, p)) for p in ps.points]
+        assert all(v >= 0 for v in vals)
+        on = [list(p) for p, v in zip(ps.points, vals) if v == 0]
+        assert ila.rank(on) == 2
+
+
+# elementary row operations (i, j, k): row_j += k * row_i, each unimodular
+row_ops = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                             st.integers(-2, 2)).filter(lambda t: t[0] != t[1]),
+                   max_size=4)
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                          st.integers(0, 3)), min_size=1, max_size=7), row_ops)
+@settings(max_examples=30, deadline=None)
+def test_volume_3d_invariant_under_unimodular_map(pts, ops):
+    u = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    for i, j, k in ops:
+        u[j] = [a + k * b for a, b in zip(u[j], u[i])]
+    mapped = [tuple(sum(u[r][c] * p[c] for c in range(3)) for r in range(3))
+              for p in pts]
+    before = normalized_volume(LatticePointSet(3, pts))
+    after = normalized_volume(LatticePointSet(3, mapped))
+    assert after.normalized_volume == before.normalized_volume
+    assert after.affine_dim == before.affine_dim
 
 
 def _hull_area(points):
