@@ -114,6 +114,16 @@ def load_problem(path: str) -> dict:
     return obj
 
 
+def list_field(obj: dict, key: str, default=(), objects=False) -> list:
+    """The list obj[key], or `default` when absent; with `objects`, of JSON objects."""
+    value = obj.get(key, list(default))
+    if not isinstance(value, list):
+        raise InputError(f"\"{key}\" must be a list, got {value!r}")
+    if objects and not all(isinstance(item, dict) for item in value):
+        raise InputError(f"\"{key}\" must be a list of objects, got {value!r}")
+    return value
+
+
 def build_spec(obj: dict) -> IntegrandSpec:
     try:
         raw = obj["f"]
@@ -130,8 +140,8 @@ def build_spec(obj: dict) -> IntegrandSpec:
             q = LaurentPoly(nvars, {tuple(e) + (0,) * (nvars - q.nvars): c
                                     for e, c in q.terms.items()})
         polys.append(q)
-    s = [parse_scalar(v, "s") for v in obj.get("s", ["1/2"] * len(polys))]
-    nu = [parse_scalar(v, "nu") for v in obj.get("nu", ["1/2"] * nvars)]
+    s = [parse_scalar(v, "s") for v in list_field(obj, "s", ["1/2"] * len(polys))]
+    nu = [parse_scalar(v, "nu") for v in list_field(obj, "nu", ["1/2"] * nvars)]
     try:
         return IntegrandSpec(polys, s, nu)
     except ValueError as exc:
@@ -140,7 +150,7 @@ def build_spec(obj: dict) -> IntegrandSpec:
 
 def build_cycles(obj: dict, spec: IntegrandSpec):
     cycles = []
-    for item in obj.get("cycles", []):
+    for item in list_field(obj, "cycles", objects=True):
         try:
             A = complex(parse_scalar(item["A"], "A"))
             B = complex(parse_scalar(item["B"], "B"))
@@ -164,9 +174,10 @@ def build_cycles(obj: dict, spec: IntegrandSpec):
 
 def build_cocycles(obj: dict):
     out = []
-    for item in obj.get("cocycles", []):
+    for item in list_field(obj, "cocycles", objects=True):
         try:
-            out.append(twisted.Cocycle(tuple(item["a"]), int(item["b"])))
+            out.append(twisted.Cocycle(parse_exponents(item["a"]),
+                                       parse_integer(item["b"], "b")))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad cocycle {item!r}: {exc}") from None
     return out
@@ -174,7 +185,7 @@ def build_cocycles(obj: dict):
 
 def build_forms(obj: dict, spec: IntegrandSpec):
     forms = []
-    for item in obj.get("forms", []):
+    for item in list_field(obj, "forms", objects=True):
         try:
             forms.append(_build_form(item, spec))
         except (KeyError, TypeError, ValueError) as exc:
@@ -186,22 +197,22 @@ def _build_form(item: dict, spec: IntegrandSpec):
     if "function" in item:
         g = parse_polynomial(item["function"], spec.nvars)
         return relations.LogForm.from_function(
-            g, tuple(int(v) for v in item.get("a", (0,) * spec.npolys)),
-            tuple(int(v) for v in item.get("b", (0,) * spec.nvars)))
+            g, parse_exponents(item.get("a", [0] * spec.npolys)),
+            parse_exponents(item.get("b", [0] * spec.nvars)))
     terms = []
-    for t in item.get("terms", []):
+    for t in list_field(item, "terms", objects=True):
         g = parse_polynomial(t["g"], spec.nvars)
-        terms.append((int(t.get("k", 1)), g,
-                      tuple(int(v) for v in t.get("a", (0,) * spec.npolys)),
-                      tuple(int(v) for v in t.get("b", (0,) * spec.nvars))))
+        terms.append((parse_integer(t.get("k", 1), "k"), g,
+                      parse_exponents(t.get("a", [0] * spec.npolys)),
+                      parse_exponents(t.get("b", [0] * spec.nvars))))
     return relations.LogForm(spec.nvars, terms)
 
 
 def build_operators(obj: dict, spec: IntegrandSpec):
     ops = []
-    for item in obj.get("operators", []):
+    for item in list_field(obj, "operators", objects=True):
         try:
-            p = [parse_polynomial(v, spec.nvars) for v in item["p"]]
+            p = [parse_polynomial(v, spec.nvars) for v in list_field(item, "p")]
             q = parse_polynomial(item["q"], spec.nvars)
         except KeyError as exc:
             raise InputError(f"operator missing field {exc}") from None
@@ -325,7 +336,10 @@ def cmd_relations(obj: dict, args) -> dict:
     rels = []
     produced = []
     for phi in forms:
-        r = relations.nabla_apply(phi, spec)
+        try:
+            r = relations.nabla_apply(phi, spec)
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
         produced.append(("form", r))
     for P in operators:
         try:
@@ -350,8 +364,7 @@ def cmd_relations(obj: dict, args) -> dict:
     N = node_count(obj, args) if cycles else None
     if cycles and cocycles:
         M = tracked(twisted.pairing_matrix, cycles, cocycles, N, spec)
-        kernel = twisted.nullspace(
-            M, rel_tol=1e-6 if args.tol is None else args.tol)
+        kernel = twisted.nullspace(M)
         out["kernel"] = [
             {"vector": [jnum(z) for z in kv.vector],
              "rational": None if kv.rational is None else

@@ -29,6 +29,15 @@ class PolySystem:
     def nvars(self) -> int:
         return self.spec.nvars
 
+    def evaluate(self, x):
+        """The values F(x) and the Jacobian J(x) at a point x of shape (n,)."""
+        rows = np.array([eq.value_and_gradient(x) for eq in self.equations])
+        return rows[:, 0], rows[:, 1:]
+
+    def magnitude(self, x):
+        """Per-equation sum of |c_k| |x|^{e_k} at x: the natural residual scale."""
+        return np.array([eq.magnitude(x) for eq in self.equations])
+
 
 @dataclass(frozen=True)
 class TrackerSettings:
@@ -96,93 +105,39 @@ def build_system(spec: IntegrandSpec) -> PolySystem:
     return PolySystem(tuple(eqs), tuple(factors), spec)
 
 
-class _FastSystem:
-    """Stacked exponent/coefficient arrays for fast evaluation of F and its Jacobian."""
-
-    def __init__(self, equations, n):
-        self.n = n
-        self.eq_data = []
-        for eq in equations:
-            exps = np.array(eq.support(), dtype=np.float64).reshape(-1, n)
-            coeffs = np.array([complex(c) if not hasattr(c, "denominator")
-                               else complex(float(c))
-                               for c in (eq.terms[tuple(int(x) for x in e)]
-                                         for e in exps)], dtype=np.complex128)
-            jexps = []
-            jcoeffs = []
-            for k in range(n):
-                je = exps.copy()
-                jc = coeffs * exps[:, k]
-                je[:, k] -= 1
-                keep = jc != 0
-                jexps.append(je[keep])
-                jcoeffs.append(jc[keep])
-            self.eq_data.append((exps, coeffs, jexps, jcoeffs))
-
-    def eval(self, x):
-        out = np.empty(self.n, dtype=np.complex128)
-        for i, (exps, coeffs, _, _) in enumerate(self.eq_data):
-            out[i] = coeffs @ np.prod(x[None, :] ** exps, axis=1)
-        return out
-
-    def eval_abs(self, x):
-        """Per-equation sum of |c_k| |x|^{e_k}: the natural residual scale."""
-        ax = np.abs(x)
-        out = np.empty(self.n, dtype=np.float64)
-        for i, (exps, coeffs, _, _) in enumerate(self.eq_data):
-            out[i] = np.abs(coeffs) @ np.prod(ax[None, :] ** exps, axis=1)
-        return out
-
-    def jac(self, x):
-        out = np.empty((self.n, self.n), dtype=np.complex128)
-        for i, (_, _, jexps, jcoeffs) in enumerate(self.eq_data):
-            for k in range(self.n):
-                if len(jcoeffs[k]) == 0:
-                    out[i, k] = 0
-                else:
-                    out[i, k] = jcoeffs[k] @ np.prod(x[None, :] ** jexps[k], axis=1)
-        return out
-
-
-def _track_path(fast, start, gamma, degrees, roots, settings):
+def _track_path(system, start, gamma, degrees, roots, settings):
     """Track one path of H(x,t) = gamma (1-t) G(x) + t F(x) from t=0 to t=1."""
-    n = fast.n
 
-    def h_eval(x, t):
+    def h(x, t):
+        # H, dH/dx and dH/dt from one evaluation of the target system
+        f, jac = system.evaluate(x)
         g = x ** degrees - roots
-        return gamma * (1 - t) * g + t * fast.eval(x)
-
-    def h_jac(x, t):
-        jg = np.diag(degrees * x ** (degrees - 1))
-        return gamma * (1 - t) * jg + t * fast.jac(x)
-
-    def h_dt(x, t):
-        g = x ** degrees - roots
-        return fast.eval(x) - gamma * g
+        hx = gamma * (1 - t) * np.diag(degrees * x ** (degrees - 1)) + t * jac
+        return gamma * (1 - t) * g + t * f, hx, f - gamma * g
 
     def h_scale(x, t):
         # backward-error scale: sum of |term| over both homotopy parts
-        ax = np.abs(x)
-        gs = ax ** degrees + np.abs(roots)
-        return (1 - t) * gs + t * fast.eval_abs(x)
+        gs = np.abs(x) ** degrees + np.abs(roots)
+        return (1 - t) * gs + t * system.magnitude(x)
 
     x = np.array(start, dtype=np.complex128)
     t = 0.0
+    _, hx, ht = h(x, t)
     dt = settings.initial_step
     successes = 0
     while t < 1.0:
         dt = min(dt, 1.0 - t)
         # Euler predictor
         try:
-            dx = np.linalg.solve(h_jac(x, t), -h_dt(x, t)) * dt
+            dx = np.linalg.solve(hx, -ht) * dt
         except np.linalg.LinAlgError:
             return "stalled", x, t
         xp = x + dx
         tp = t + dt
-        # Newton corrector
+        # Newton corrector; on success hxp, htp are the derivatives at (xp, tp)
         ok = False
         for _ in range(settings.max_newton):
-            r = h_eval(xp, tp)
+            r, hxp, htp = h(xp, tp)
             if not np.all(np.isfinite(r)):
                 break
             if np.all(np.abs(r) < settings.newton_tol
@@ -190,7 +145,7 @@ def _track_path(fast, start, gamma, degrees, roots, settings):
                 ok = True
                 break
             try:
-                xp = xp + np.linalg.solve(h_jac(xp, tp), -r)
+                xp = xp + np.linalg.solve(hxp, -r)
             except np.linalg.LinAlgError:
                 break
         # guard against path jumping: the corrected point must stay within the
@@ -199,7 +154,7 @@ def _track_path(fast, start, gamma, degrees, roots, settings):
                 1.0 + np.linalg.norm(x)):
             ok = False
         if ok:
-            x, t = xp, tp
+            x, t, hx, ht = xp, tp, hxp, htp
             successes += 1
             if successes >= 3:
                 dt = min(dt * 2, 0.1)
@@ -214,44 +169,36 @@ def _track_path(fast, start, gamma, degrees, roots, settings):
     return "ok", x, t
 
 
-def _term_magnitude(poly, x):
-    """Sum of |c_k| |x|^{e_k} over the terms of a Laurent polynomial."""
-    ax = np.abs(np.asarray(x, dtype=np.complex128))
-    total = 0.0
-    for exps, coeff in poly.terms.items():
-        total += abs(complex(coeff)) * float(np.prod(ax ** np.array(exps)))
-    return total
-
-
-def _converged(fast, x, tol=1e-10):
-    r = fast.eval(x)
+def _converged(system, x, tol=1e-10):
+    r, _ = system.evaluate(x)
     return bool(np.all(np.isfinite(r))
-                and np.all(np.abs(r) < tol * np.maximum(1.0, fast.eval_abs(x))))
+                and np.all(np.abs(r) < tol * np.maximum(1.0, system.magnitude(x))))
 
 
-def _polish(fast, x, iters=30, tol=1e-13):
+def _polish(system, x, iters=30, tol=1e-13):
     for _ in range(iters):
-        r = fast.eval(x)
+        r, jac = system.evaluate(x)
         if not np.all(np.isfinite(r)):
             return None
-        if np.all(np.abs(r) < tol * np.maximum(1.0, fast.eval_abs(x))):
+        if np.all(np.abs(r) < tol * np.maximum(1.0, system.magnitude(x))):
             return x
         try:
-            x = x + np.linalg.solve(fast.jac(x), -r)
+            x = x + np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
             return None
     return x
 
 
-def _run_tracking(fast, degrees, rng, settings):
+def _run_tracking(system, degrees, rng, settings):
     """One full total-degree tracking run with fresh random constants and gamma.
 
-    Returns (endpoints, converged, failed, unresolved).  `failed` counts
-    mid-domain stalls; `unresolved` counts near-t=1 stalls whose endpoint could
-    not be polished (usually boundary/infinity divergences, but occasionally a
-    badly conditioned path toward a genuine solution).
+    Returns (endpoints, converged, failed, unresolved, paths).  `failed`
+    counts mid-domain stalls; `unresolved` counts near-t=1 stalls whose
+    endpoint could not be polished (usually boundary/infinity divergences, but
+    occasionally a badly conditioned path toward a genuine solution); `paths`
+    is the number of start paths tracked.
     """
-    n = fast.n
+    n = system.nvars
     angles = rng.uniform(0, 2 * math.pi, size=n)
     radii = rng.uniform(0.5, 1.5, size=n)
     roots_const = radii * np.exp(1j * angles)
@@ -270,7 +217,7 @@ def _run_tracking(fast, degrees, rng, settings):
     converged = 0
     endpoints = []
     for sp in start_points:
-        status, x, t = _track_path(fast, sp, gamma, degrees, roots_const, settings)
+        status, x, t = _track_path(system, sp, gamma, degrees, roots_const, settings)
         if status == "diverged":
             continue
         if status == "stalled":
@@ -279,8 +226,8 @@ def _run_tracking(fast, degrees, rng, settings):
             # recovered by Newton polish from the stall point; a failed polish
             # that close to t = 1 means the path has no finite regular limit.
             # Only mid-domain stalls count as genuine tracking failures.
-            polished = _polish(fast, x)
-            if polished is not None and _converged(fast, polished):
+            polished = _polish(system, x)
+            if polished is not None and _converged(system, polished):
                 converged += 1
                 endpoints.append(polished)
             elif t > 1 - 1e-2:
@@ -288,8 +235,8 @@ def _run_tracking(fast, degrees, rng, settings):
             else:
                 failed += 1
             continue
-        polished = _polish(fast, x)
-        if polished is None or not _converged(fast, polished):
+        polished = _polish(system, x)
+        if polished is None or not _converged(system, polished):
             failed += 1
             continue
         converged += 1
@@ -311,7 +258,6 @@ def solve(system: PolySystem, settings: TrackerSettings | None = None) -> Soluti
     if len(system.equations) != n:
         raise ValueError("system must be square")
     rng = np.random.default_rng(settings.seed)
-    fast = _FastSystem(system.equations, n)
     degrees = np.array([max(1, eq.total_degree()) for eq in system.equations],
                        dtype=np.float64)
 
@@ -324,7 +270,7 @@ def solve(system: PolySystem, settings: TrackerSettings | None = None) -> Soluti
     converged = 0
     failed = 0
     for attempt in range(3):
-        ep, conv, fail, unresolved, paths = _run_tracking(fast, degrees, rng, settings)
+        ep, conv, fail, unresolved, paths = _run_tracking(system, degrees, rng, settings)
         endpoints.extend(ep)
         raw += paths
         converged += conv
@@ -335,18 +281,17 @@ def solve(system: PolySystem, settings: TrackerSettings | None = None) -> Soluti
     # filter to the torus complement and check the original rational equations;
     # all thresholds are relative to the term magnitudes at x, so badly scaled
     # but genuine solutions are not rejected
-    partials = [[fj.partial(i + 1) for i in range(n)] for fj in spec.f]
     kept = []
     for x in endpoints:
         if np.any(np.abs(x) < 1e-8):
             continue
-        if any(abs(fj.evaluate(x)) < 1e-8 * max(1.0, _term_magnitude(fj, x))
-               for fj in spec.f):
+        grads = [fj.value_and_gradient(x) for fj in spec.f]
+        if any(abs(g[0]) < 1e-8 * max(1.0, fj.magnitude(x))
+               for fj, g in zip(spec.f, grads)):
             continue
         omega = omega_components(spec, x)
         scale = np.array([
-            sum(abs(spec.s[j]) * abs(partials[j][i].evaluate(x))
-                / abs(spec.f[j].evaluate(x)) for j in range(len(spec.f)))
+            sum(abs(sj) * abs(g[i + 1]) / abs(g[0]) for sj, g in zip(spec.s, grads))
             + abs(spec.nu[i]) / abs(x[i])
             for i in range(n)])
         resid = float(np.max(np.abs(omega) / np.maximum(1.0, scale)))

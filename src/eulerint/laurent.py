@@ -36,7 +36,7 @@ def coeff_to_complex(c) -> complex:
 class LaurentPoly:
     """A finite map from integer exponent vectors to nonzero coefficients."""
 
-    __slots__ = ("nvars", "terms", "_arrays")
+    __slots__ = ("nvars", "terms", "_arrays", "_gradient_arrays")
 
     def __init__(self, nvars: int, terms: Mapping[tuple, object]):
         if nvars < 1:
@@ -52,6 +52,7 @@ class LaurentPoly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_arrays", None)
+        object.__setattr__(self, "_gradient_arrays", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -163,33 +164,72 @@ class LaurentPoly:
             exps = np.array(sorted(self.terms.keys()), dtype=np.int64).reshape(-1, self.nvars)
             coeffs = np.array([coeff_to_complex(self.terms[tuple(e)]) for e in exps],
                               dtype=np.complex128)
-            negative = np.array(self.min_exponents()) < 0
+            negative = np.flatnonzero(np.array(self.min_exponents()) < 0)
             cached = (exps, coeffs, negative)
             object.__setattr__(self, "_arrays", cached)
         return cached
+
+    def _stacked_arrays(self):
+        """Stacked exponents of f, d_1 f, ..., d_n f; each one's rows and coefficients."""
+        cached = self._gradient_arrays
+        if cached is None:
+            parts = [self] + [self.partial(i + 1) for i in range(self.nvars)]
+            arrays = [p._eval_arrays() for p in parts]
+            exps = np.concatenate([a[0] for a in arrays])
+            ends = np.cumsum([len(a[1]) for a in arrays])
+            blocks = [(slice(end - len(a[1]), end), a[1]) for end, a in zip(ends, arrays)]
+            cached = (exps, blocks)
+            object.__setattr__(self, "_gradient_arrays", cached)
+        return cached
+
+    def _points(self, x):
+        """x as a complex point (n,) or batch (P, n) off the zeros of negative powers."""
+        x = np.asarray(x, dtype=np.complex128)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.nvars:
+            raise ValueError(f"point has dimension {x.shape}, expected "
+                             f"({self.nvars},) or (P, {self.nvars})")
+        negative = self._eval_arrays()[2]   # variables with a negative exponent
+        if len(negative) and (x[..., negative] == 0).any():
+            i = int(negative[np.nonzero(x[..., negative] == 0)[-1][0]])
+            raise ZeroDivisionError(f"coordinate {i + 1} is zero but appears "
+                                    "with negative exponent")
+        return x
 
     def evaluate(self, x):
         """Evaluate at a point of shape (n,), or at each row of a batch (P, n).
 
         A point gives a complex number, a batch a complex array of shape (P,).
-        A zero coordinate is allowed only in variables without negative
-        exponents; the check is made for every point of a batch.
+        A zero in a variable with a negative exponent raises ZeroDivisionError.
         """
-        x = np.asarray(x, dtype=np.complex128)
-        if x.ndim not in (1, 2) or x.shape[-1] != self.nvars:
-            raise ValueError(f"point has dimension {x.shape}, expected "
-                             f"({self.nvars},) or (P, {self.nvars})")
-        if not self.terms:
-            return 0j if x.ndim == 1 else np.zeros(len(x), dtype=np.complex128)
-        exps, coeffs, negative = self._eval_arrays()
-        bad = (x == 0) & negative
-        if bad.any():
-            i = int(np.nonzero(bad)[-1][0])
-            raise ZeroDivisionError(f"coordinate {i + 1} is zero but appears "
-                                    "with negative exponent")
+        x = self._points(x)
+        exps, coeffs, _ = self._eval_arrays()
+        mon = np.prod(x[..., None, :] ** exps, axis=-1)
         if x.ndim == 1:
-            return complex(coeffs @ np.prod(x[None, :] ** exps, axis=1))
-        return np.prod(x[:, None, :] ** exps, axis=2) @ coeffs
+            return complex(coeffs @ mon)
+        return mon @ coeffs
+
+    def value_and_gradient(self, x):
+        """f, d_1 f, ..., d_n f on the last axis: shape (n + 1,) or (P, n + 1).
+
+        Each entry equals `evaluate` of that polynomial bit for bit at a point;
+        one power table over the stacked exponents serves all of them.
+        """
+        x = self._points(x)
+        exps, blocks = self._stacked_arrays()
+        mon = np.prod(x[..., None, :] ** exps, axis=-1)
+        out = np.empty(x.shape[:-1] + (self.nvars + 1,), dtype=np.complex128)
+        for k, (cols, coeffs) in enumerate(blocks):
+            out[..., k] = coeffs @ mon[cols] if x.ndim == 1 else mon[:, cols] @ coeffs
+        return out
+
+    def magnitude(self, x):
+        """Sum of |c_k| |x|^{e_k} over the terms, the scale of rounding in f(x).
+
+        A point gives a float, a batch a float array of shape (P,).
+        """
+        x = self._points(x)
+        exps, coeffs, _ = self._eval_arrays()
+        return np.prod(np.abs(x)[..., None, :] ** exps, axis=-1) @ np.abs(coeffs)
 
 
 @dataclass(frozen=True)
@@ -251,16 +291,12 @@ def omega_components(spec: IntegrandSpec, x) -> np.ndarray:
                          f"or (P, {n})")
     if np.any(x == 0):
         raise OutsideDomainError("point has a zero coordinate")
-    fvals = [p.evaluate(x) for p in spec.f]
-    if any(np.any(v == 0) for v in fvals):
+    grads = [p.value_and_gradient(x) for p in spec.f]
+    if any(np.any(g[..., 0] == 0) for g in grads):
         raise OutsideDomainError("point lies on the vanishing locus of f")
-    out = np.zeros(x.shape, dtype=np.complex128)
-    for i in range(n):
-        acc = 0j
-        for sj, p, fv in zip(spec.s, spec.f, fvals):
-            acc += coeff_to_complex(sj) * p.partial(i + 1).evaluate(x) / fv
-        out[..., i] = acc + coeff_to_complex(spec.nu[i]) / x[..., i]
-    return out
+    out = sum(coeff_to_complex(sj) * g[..., 1:] / g[..., :1]
+              for sj, g in zip(spec.s, grads))
+    return out + np.array([coeff_to_complex(v) for v in spec.nu]) / x
 
 
 # -- text grammar ----------------------------------------------------------

@@ -69,7 +69,7 @@ class LogForm:
         """
         if g.nvars != 1:
             raise ValueError("from_function applies to one variable only")
-        return cls(1, [(1, g, tuple(a), (int(b[0]) + 1,))])
+        return cls(1, [(1, g, tuple(a), tuple(int(v) + 1 for v in b))])
 
     def __add__(self, other: "LogForm") -> "LogForm":
         if self.nvars != other.nvars:

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eulerint.cli import main
 
@@ -253,6 +257,7 @@ def _problem(tmp_path, obj):
 
 
 _QUADRATIC = json.loads((PROBLEMS / "quadratic_operator.json").read_text())
+_TWO_POINTS = json.loads((PROBLEMS / "two_points.json").read_text())
 
 
 @pytest.mark.parametrize("command, obj", [
@@ -268,7 +273,21 @@ _QUADRATIC = json.loads((PROBLEMS / "quadratic_operator.json").read_text())
     ("chi", {"f": ["x*y - 1"], "settings": {"draws": "many"}}),
     ("chi", {"f": ["x*y - 1"], "settings": 5}),
     ("chi", {"f": ["x*y - 1"], "settings": {"draws": 0}}),
-])
+    # a string is not a list: "3" used to be read as ["3"], kappa = (-2, 3)
+    ("gkz", {"f": ["x - 1"], "s": "3", "nu": "2"}),
+    ("integrate", dict(_TWO_POINTS, cocycles=[{"a": "00", "b": 1}])),
+    ("integrate", dict(_TWO_POINTS, cocycles=[{"a": [0, 0], "b": 1.5}])),
+    ("relations", dict(_TWO_POINTS, forms=[{"function": "1", "b": []}])),
+    ("relations", dict(_TWO_POINTS, forms=[{"function": "1", "a": [0]}])),
+    ("relations", dict(_QUADRATIC, operators=[{"p": None, "q": "x"}])),
+] + [(command, dict(_TWO_POINTS, **{key: value}))
+     for command in ("vol", "gkz", "integrate", "relations")
+     for key in ("s", "nu") for value in (5, None)
+] + [(command, dict(_TWO_POINTS, **{key: value}))
+     for command, key in (("integrate", "cycles"), ("integrate", "cocycles"),
+                          ("relations", "cycles"), ("relations", "cocycles"),
+                          ("relations", "forms"), ("relations", "operators"))
+     for value in (5, None, "ab", {"a": 1}, [5], [[1]])])
 def test_invalid_input_exit_3(tmp_path, capsys, command, obj):
     code, out = run(capsys, [command, _problem(tmp_path, obj)])
     assert code == 3
@@ -309,3 +328,67 @@ def test_complex_results_are_pairs(capsys):
     entries = [v for row in out["matrix"] for v in row]
     entries += [v for k in out["kernel"] for v in k["vector"]]
     assert all(isinstance(v, list) and len(v) == 2 for v in entries)
+
+
+def test_tol_leaves_kernel_cutoff_alone(capsys):
+    # --tol sets the agreement tolerance only; the kernel keeps its cutoff
+    path = PROBLEMS / "two_points.json"
+    code, integrated = run(capsys, ["integrate", path, "--tol", "1"])
+    assert code == 0
+    code, related = run(capsys, ["relations", path, "--tol", "1"])
+    assert code == 0
+    assert len(integrated["kernel"]) == 1
+    assert related["kernel"] == integrated["kernel"]
+
+
+# -- the exit-code contract for arbitrary problem objects --------------------
+
+# Integers and floats stay within +-3: an integer can land in settings.nodes
+# or a cocycle exponent, where a large one asks for millions of quadrature
+# nodes or overflows a power.  The contract concerns types and shapes.
+_SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3)
+    | st.floats(-3, 3, allow_nan=False) | st.text("xy12/-^ ", max_size=5)
+    | st.sampled_from(["principal", "x - 1", "1/2"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=8)
+_SHIPPED = [json.loads(p.read_text()) for p in sorted(PROBLEMS.glob("*.json"))]
+_KEYS = ["f", "s", "nu", "cycles", "cocycles", "forms", "operators",
+         "settings"]
+
+
+def _mutated(entry):
+    """A shipped entry with some of its fields replaced by small JSON."""
+    return st.fixed_dictionaries(
+        {}, optional={key: _SMALL_JSON for key in entry}).map(
+            lambda changes: {**entry, **changes})
+
+
+def _field(key):
+    if key == "settings":
+        return _SMALL_JSON | _mutated({"nodes": 1000})
+    entries = [e for obj in _SHIPPED for e in obj.get(key, [])
+               if isinstance(e, dict)]
+    items = st.sampled_from(entries).flatmap(_mutated) if entries else _SMALL_JSON
+    return _SMALL_JSON | st.lists(items, min_size=1, max_size=3)
+
+
+# a shipped problem with up to two of its fields replaced
+_PROBLEM_OBJECTS = st.builds(
+    lambda base, changes: {**base, **changes},
+    st.sampled_from(_SHIPPED),
+    st.lists(st.sampled_from(_KEYS), max_size=2, unique=True).flatmap(
+        lambda keys: st.fixed_dictionaries({k: _field(k) for k in keys})))
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["vol", "gkz", "integrate", "relations"]),
+       obj=_PROBLEM_OBJECTS | _SMALL_JSON)
+def test_any_problem_exits_cleanly(command, obj):
+    stdout = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(obj))), \
+            contextlib.redirect_stdout(stdout):
+        code = main([command, "-"])
+    assert code in (0, 2, 3)
+    assert isinstance(json.loads(stdout.getvalue()), dict)

@@ -50,6 +50,29 @@ def test_two_point_count(two_point_spec):
     assert sol.distinct == 2
 
 
+def test_system_jacobian_matches_central_differences(hexagon_poly):
+    spec = IntegrandSpec([hexagon_poly], (0.5 + 0.1j,), (0.3 - 0.2j, 0.7 + 0.4j))
+    system = build_system(spec)
+    x = np.array([0.8 + 0.3j, -1.1 + 0.6j])
+    f, jac = system.evaluate(x)
+    assert f.shape == (2,) and jac.shape == (2, 2)
+    assert np.array_equal(f, [eq.evaluate(x) for eq in system.equations])
+    h = 1e-5
+    scale = np.max(system.magnitude(x))
+    for k in range(2):
+        step = h * np.eye(2)[k]
+        diff = (system.evaluate(x + step)[0] - system.evaluate(x - step)[0]) / (2 * h)
+        assert np.max(np.abs(jac[:, k] - diff)) <= 1e-7 * scale
+
+
+def test_system_magnitude_is_per_equation(hexagon_poly):
+    spec = IntegrandSpec([hexagon_poly], (0.5,), (0.3, 0.7))
+    system = build_system(spec)
+    x = np.array([0.8 + 0.3j, -1.1 + 0.6j])
+    assert np.array_equal(system.magnitude(x),
+                          [eq.magnitude(x) for eq in system.equations])
+
+
 # -- reported solutions satisfy the rational equations ---------------------
 
 def test_solutions_satisfy_omega(hexagon_poly):

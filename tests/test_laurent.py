@@ -157,10 +157,12 @@ def test_evaluate_batch_checks_every_point():
 
 
 def test_evaluate_rejects_wrong_shape(hexagon_poly):
-    with pytest.raises(ValueError):
-        hexagon_poly.evaluate([1.0])
-    with pytest.raises(ValueError):
-        hexagon_poly.evaluate(np.ones((2, 3)))
+    for method in (hexagon_poly.evaluate, hexagon_poly.value_and_gradient,
+                   hexagon_poly.magnitude):
+        with pytest.raises(ValueError):
+            method([1.0])
+        with pytest.raises(ValueError):
+            method(np.ones((2, 3)))
 
 
 def test_evaluate_zero_poly_batch():
@@ -184,6 +186,39 @@ def test_omega_batch_outside_domain(two_point_spec):
     xs[2, 0] = 2.0    # a root of f
     with pytest.raises(OutsideDomainError):
         omega_components(two_point_spec, xs)
+
+
+# -- value, gradient and term magnitude ------------------------------------
+
+def test_value_and_gradient_zero_coordinate_raises():
+    p = parse_poly("x^-1 + y")
+    with pytest.raises(ZeroDivisionError):
+        p.evaluate([0.0, 1.0])
+    with pytest.raises(ZeroDivisionError):
+        p.value_and_gradient([0.0, 1.0])
+    with pytest.raises(ZeroDivisionError):
+        p.value_and_gradient(np.array([[1.0, 1.0], [0.0, 2.0]]))
+    # a zero coordinate is fine in a variable without negative exponents
+    assert np.array_equal(p.value_and_gradient([2.0, 0.0]), [0.5, -0.25, 1.0])
+
+
+def _term_magnitude(poly, x):
+    """Sum of |c_k| |x|^{e_k} term by term: the reference for `magnitude`."""
+    ax = np.abs(np.asarray(x, dtype=np.complex128))
+    total = 0.0
+    for exps, coeff in poly.terms.items():
+        total += abs(complex(coeff)) * float(np.prod(ax ** np.array(exps)))
+    return total
+
+
+def test_magnitude_matches_term_sum(hexagon_poly):
+    p = hexagon_poly + parse_poly("x^-2*y + 5/3*y^-1") + LaurentPoly.constant(2, 2.5j)
+    for x in BATCH:
+        want = _term_magnitude(p, x)
+        assert abs(p.magnitude(x) - want) <= 1e-14 * want
+    want = np.array([_term_magnitude(p, x) for x in BATCH])
+    assert np.allclose(p.magnitude(BATCH), want, rtol=1e-14, atol=0)
+    assert LaurentPoly.zero(2).magnitude(BATCH[0]) == 0
 
 
 # -- JSON ------------------------------------------------------------------
@@ -236,3 +271,28 @@ def test_format_parse_round_trip(p):
     if p.is_zero():
         return
     assert parse_poly(format_poly(p), 2) == p
+
+
+real_coeffs = st.one_of(coeffs, st.fractions(-20, 20, max_denominator=9),
+                        st.floats(-20, 20))
+laurent_polys = st.dictionaries(exps, real_coeffs, min_size=0, max_size=6).map(
+    lambda d: LaurentPoly(2, d))
+nonzero_points = st.tuples(
+    *[st.complex_numbers(min_magnitude=0.1, max_magnitude=3.0)] * 2)
+
+
+@given(laurent_polys, st.lists(nonzero_points, min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_value_and_gradient_matches_evaluate(p, points):
+    polys = [p] + [p.partial(i + 1) for i in range(p.nvars)]
+    for x in points:
+        got = p.value_and_gradient(x)
+        assert got.shape == (p.nvars + 1,)
+        # one power table for all entries, each summed as `evaluate` sums it
+        assert [complex(v) for v in got] == [q.evaluate(x) for q in polys]
+    batch = np.array(points, dtype=np.complex128)
+    got = p.value_and_gradient(batch)
+    assert got.shape == (len(points), p.nvars + 1)
+    for k, q in enumerate(polys):
+        for v, x in zip(got[:, k], points):
+            assert abs(v - q.evaluate(x)) <= 1e-13 * max(q.magnitude(x), 1e-300)
