@@ -16,6 +16,21 @@ import numpy as np
 
 from .laurent import IntegrandSpec, LaurentPoly, omega_components
 
+# Fixed thresholds of the tracker, the endpoint polish and the solution filter.
+# A scaled residual is |residual| / max(1, sum of |term|) at the point.
+INITIAL_STEP = 0.05      # first step in t of every path
+MAX_STEP = 0.1           # largest step in t
+MIN_STEP = 1e-7          # a path whose step shrinks below this has stalled
+STALL_WINDOW = 1e-2      # a stall after t = 1 - STALL_WINDOW is not a failure
+DIVERGENCE_RADIUS = 1e6  # a path with a coordinate beyond this has diverged
+NEWTON_TOL = 1e-10       # scaled residual accepted by the corrector and at t = 1
+MAX_NEWTON = 6           # corrector iterations per step
+POLISH_TOL = 1e-13       # scaled residual that ends the endpoint polish early
+POLISH_ITERS = 30        # Newton iterations of the endpoint polish
+RESIDUAL_TOL = 1e-8      # scaled residual of the rational equations at a solution
+BOUNDARY_TOL = 1e-8      # |x_i| or scaled |f_j| below this puts x off the torus
+DEDUP_DISTANCE = 1e-6    # max-norm distance below which two solutions are one
+
 
 @dataclass(frozen=True)
 class PolySystem:
@@ -41,21 +56,9 @@ class PolySystem:
 
 @dataclass(frozen=True)
 class TrackerSettings:
-    initial_step: float = 0.05
-    min_step: float = 1e-7
-    newton_tol: float = 1e-10
-    max_newton: int = 6
-    residual_tol: float = 1e-8
-    dedup_distance: float = 1e-6
-    seed: int = 0
+    """The random seed of a solve; its thresholds are the module constants."""
 
-    def __post_init__(self):
-        for name in ("initial_step", "min_step", "newton_tol", "residual_tol",
-                     "dedup_distance"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.dedup_distance <= self.residual_tol:
-            raise ValueError("dedup_distance must exceed residual_tol")
+    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,7 @@ def build_system(spec: IntegrandSpec) -> PolySystem:
     return PolySystem(tuple(eqs), tuple(factors), spec)
 
 
-def _track_path(system, start, gamma, degrees, roots, settings):
+def _track_path(system, start, gamma, degrees, roots):
     """Track one path of H(x,t) = gamma (1-t) G(x) + t F(x) from t=0 to t=1."""
 
     def h(x, t):
@@ -123,7 +126,7 @@ def _track_path(system, start, gamma, degrees, roots, settings):
     x = np.array(start, dtype=np.complex128)
     t = 0.0
     _, hx, ht = h(x, t)
-    dt = settings.initial_step
+    dt = INITIAL_STEP
     successes = 0
     while t < 1.0:
         dt = min(dt, 1.0 - t)
@@ -136,12 +139,11 @@ def _track_path(system, start, gamma, degrees, roots, settings):
         tp = t + dt
         # Newton corrector; on success hxp, htp are the derivatives at (xp, tp)
         ok = False
-        for _ in range(settings.max_newton):
+        for _ in range(MAX_NEWTON):
             r, hxp, htp = h(xp, tp)
             if not np.all(np.isfinite(r)):
                 break
-            if np.all(np.abs(r) < settings.newton_tol
-                      * np.maximum(1.0, h_scale(xp, tp))):
+            if np.all(np.abs(r) < NEWTON_TOL * np.maximum(1.0, h_scale(xp, tp))):
                 ok = True
                 break
             try:
@@ -157,46 +159,49 @@ def _track_path(system, start, gamma, degrees, roots, settings):
             x, t, hx, ht = xp, tp, hxp, htp
             successes += 1
             if successes >= 3:
-                dt = min(dt * 2, 0.1)
+                dt = min(dt * 2, MAX_STEP)
                 successes = 0
-            if np.max(np.abs(x)) > 1e6:
+            if np.max(np.abs(x)) > DIVERGENCE_RADIUS:
                 return "diverged", x, t
         else:
             successes = 0
             dt /= 2
-            if dt < settings.min_step:
+            if dt < MIN_STEP:
                 return "stalled", x, t
     return "ok", x, t
 
 
-def _converged(system, x, tol=1e-10):
-    r, _ = system.evaluate(x)
-    return bool(np.all(np.isfinite(r))
-                and np.all(np.abs(r) < tol * np.maximum(1.0, system.magnitude(x))))
+def _polish(system, x):
+    """Newton's method on the target system from x: the polished point or None.
 
-
-def _polish(system, x, iters=30, tol=1e-13):
-    for _ in range(iters):
+    It stops as soon as the scaled residual is below POLISH_TOL.  A point still
+    above that after POLISH_ITERS steps is kept only if it passes NEWTON_TOL.
+    """
+    for _ in range(POLISH_ITERS):
         r, jac = system.evaluate(x)
         if not np.all(np.isfinite(r)):
             return None
-        if np.all(np.abs(r) < tol * np.maximum(1.0, system.magnitude(x))):
+        if np.all(np.abs(r) < POLISH_TOL * np.maximum(1.0, system.magnitude(x))):
             return x
         try:
             x = x + np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
             return None
-    return x
+    r, _ = system.evaluate(x)
+    if np.all(np.isfinite(r)) and np.all(
+            np.abs(r) < NEWTON_TOL * np.maximum(1.0, system.magnitude(x))):
+        return x
+    return None
 
 
-def _run_tracking(system, degrees, rng, settings):
+def _run_tracking(system, degrees, rng):
     """One full total-degree tracking run with fresh random constants and gamma.
 
-    Returns (endpoints, converged, failed, unresolved, paths).  `failed`
-    counts mid-domain stalls; `unresolved` counts near-t=1 stalls whose
-    endpoint could not be polished (usually boundary/infinity divergences, but
-    occasionally a badly conditioned path toward a genuine solution); `paths`
-    is the number of start paths tracked.
+    Returns (endpoints, converged, failed, unresolved, paths).  `unresolved`
+    counts near-t=1 stalls whose endpoint could not be polished (usually
+    boundary/infinity divergences, but occasionally a badly conditioned path
+    toward a genuine solution); `failed` counts the other paths that did not
+    diverge and could not be polished; `paths` is the number of start paths.
     """
     n = system.nvars
     angles = rng.uniform(0, 2 * math.pi, size=n)
@@ -217,30 +222,22 @@ def _run_tracking(system, degrees, rng, settings):
     converged = 0
     endpoints = []
     for sp in start_points:
-        status, x, t = _track_path(system, sp, gamma, degrees, roots_const, settings)
+        status, x, t = _track_path(system, sp, gamma, degrees, roots_const)
         if status == "diverged":
             continue
-        if status == "stalled":
+        polished = _polish(system, x)
+        if polished is not None:
+            converged += 1
+            endpoints.append(polished)
+        elif status == "stalled" and t > 1 - STALL_WINDOW:
             # Paths heading to the toric boundary or to infinity stall with
             # shrinking steps just before t = 1.  Regular target solutions are
             # recovered by Newton polish from the stall point; a failed polish
             # that close to t = 1 means the path has no finite regular limit.
             # Only mid-domain stalls count as genuine tracking failures.
-            polished = _polish(system, x)
-            if polished is not None and _converged(system, polished):
-                converged += 1
-                endpoints.append(polished)
-            elif t > 1 - 1e-2:
-                unresolved += 1
-            else:
-                failed += 1
-            continue
-        polished = _polish(system, x)
-        if polished is None or not _converged(system, polished):
+            unresolved += 1
+        else:
             failed += 1
-            continue
-        converged += 1
-        endpoints.append(polished)
     return endpoints, converged, failed, unresolved, len(start_points)
 
 
@@ -270,7 +267,7 @@ def solve(system: PolySystem, settings: TrackerSettings | None = None) -> Soluti
     converged = 0
     failed = 0
     for attempt in range(3):
-        ep, conv, fail, unresolved, paths = _run_tracking(system, degrees, rng, settings)
+        ep, conv, fail, unresolved, paths = _run_tracking(system, degrees, rng)
         endpoints.extend(ep)
         raw += paths
         converged += conv
@@ -283,10 +280,10 @@ def solve(system: PolySystem, settings: TrackerSettings | None = None) -> Soluti
     # but genuine solutions are not rejected
     kept = []
     for x in endpoints:
-        if np.any(np.abs(x) < 1e-8):
+        if np.any(np.abs(x) < BOUNDARY_TOL):
             continue
         grads = [fj.value_and_gradient(x) for fj in spec.f]
-        if any(abs(g[0]) < 1e-8 * max(1.0, fj.magnitude(x))
+        if any(abs(g[0]) < BOUNDARY_TOL * max(1.0, fj.magnitude(x))
                for fj, g in zip(spec.f, grads)):
             continue
         omega = omega_components(spec, x)
@@ -295,7 +292,7 @@ def solve(system: PolySystem, settings: TrackerSettings | None = None) -> Soluti
             + abs(spec.nu[i]) / abs(x[i])
             for i in range(n)])
         resid = float(np.max(np.abs(omega) / np.maximum(1.0, scale)))
-        if resid <= settings.residual_tol:
+        if resid <= RESIDUAL_TOL:
             kept.append((x, resid))
     filtered = converged - len(kept)
 
@@ -303,8 +300,7 @@ def solve(system: PolySystem, settings: TrackerSettings | None = None) -> Soluti
     kept.sort(key=lambda p: tuple((round(c.real, 8), round(c.imag, 8)) for c in p[0]))
     distinct = []
     for x, resid in kept:
-        if all(np.max(np.abs(x - np.array(y))) > settings.dedup_distance
-               for y, _ in distinct):
+        if all(np.max(np.abs(x - np.array(y))) > DEDUP_DISTANCE for y, _ in distinct):
             distinct.append((tuple(x), resid))
 
     return SolutionSet(
@@ -344,8 +340,7 @@ def euler_characteristic(spec_or_polys, settings: TrackerSettings | None = None,
         s = _random_parameters(rng, ell)
         nu = _random_parameters(rng, n)
         spec = IntegrandSpec(polys, s, nu)
-        sub = TrackerSettings(**{**settings.__dict__, "seed": settings.seed + 1000 + d})
-        sol = solve(build_system(spec), sub)
+        sol = solve(build_system(spec), TrackerSettings(seed=settings.seed + 1000 + d))
         counts.append(sol.distinct)
         certified = certified and sol.certified
     if len(set(counts)) != 1:

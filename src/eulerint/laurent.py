@@ -270,9 +270,6 @@ class IntegrandSpec:
     def npolys(self) -> int:
         return len(self.f)
 
-    def with_parameters(self, s, nu) -> "IntegrandSpec":
-        return IntegrandSpec(self.f, s, nu)
-
 
 class OutsideDomainError(ValueError):
     """Raised when a point lies on V(f) or a coordinate hyperplane."""

@@ -18,6 +18,8 @@ import numpy as np
 from .laurent import IntegrandSpec, LaurentPoly, coeff_to_complex
 from . import twisted as tw
 
+ANNIHILATOR_TOL = 1e-9   # |coefficient| of s sum p_i df/dx_i + q f counted as 0
+
 
 def _is_exact(c) -> bool:
     return isinstance(c, (int, Fraction))
@@ -223,7 +225,7 @@ class AnnOperator:
     def nvars(self) -> int:
         return len(self.p)
 
-    def annihilates(self, spec: IntegrandSpec, tol: float = 1e-9) -> bool:
+    def annihilates(self, spec: IntegrandSpec) -> bool:
         """Check s * sum_i p_i df/dx_i + q f == 0 for the single f of spec."""
         if spec.npolys != 1:
             raise ValueError("operator check requires a single f")
@@ -235,7 +237,8 @@ class AnnOperator:
         acc = acc + self.q * f
         if acc.is_zero():
             return True
-        return all(abs(coeff_to_complex(c)) <= tol for c in acc.terms.values())
+        return all(abs(coeff_to_complex(c)) <= ANNIHILATOR_TOL
+                   for c in acc.terms.values())
 
 
 def operator_form(P: AnnOperator) -> LogForm:

@@ -26,6 +26,9 @@ NEWTON_CORRECTIONS = 4      # fixed corrector iterations per node
 DEFAULT_NODES = 1000        # quadrature nodes per triangle edge
 POLE_GUARD_RADIUS = 1e-8    # minimum allowed node distance to a singularity
 CLOSURE_TOL = 1e-6          # branch must return to itself within this
+KERNEL_REL_TOL = 1e-6       # kernel: sigma <= KERNEL_REL_TOL * sigma_max
+RATIONAL_MAX_DEN = 64       # largest denominator of a recognized rational
+RATIONAL_TOL = 1e-2         # largest distance to the recognized rational
 
 
 class SegmentError(RuntimeError):
@@ -248,9 +251,7 @@ class LoopIntegral:
 
 
 def integrate_loop(cycle: TwistedCycle, N: int, spec: IntegrandSpec,
-                   curve: BranchCurve, cocycles,
-                   closure_tol: float = CLOSURE_TOL,
-                   require_closure: bool = True) -> LoopIntegral:
+                   curve: BranchCurve, cocycles) -> LoopIntegral:
     """Sum of the segment integrals AB + BC + CA with chained branch values."""
     _require_univariate(spec)
     cocycles = [c if isinstance(c, Cocycle) else Cocycle(*c) for c in cocycles]
@@ -271,10 +272,10 @@ def integrate_loop(cycle: TwistedCycle, N: int, spec: IntegrandSpec,
         total += part
         y = complex(values[-1])
     closure = abs(y - cycle.phi_at_A)
-    if require_closure and not closure <= closure_tol:   # NaN fails too
+    if not closure <= CLOSURE_TOL:   # NaN fails too
         raise CycleClosureError(
             f"not a twisted cycle / branch tracking failed: closure residual "
-            f"{closure:.3e} exceeds {closure_tol:.1e}")
+            f"{closure:.3e} exceeds {CLOSURE_TOL:.1e}")
     return LoopIntegral(values=tuple(complex(v) for v in total),
                         closure_residual=closure)
 
@@ -291,8 +292,7 @@ class PairingMatrix:
         return np.array(self.entries, dtype=np.complex128)
 
 
-def pairing_matrix(cycles, cocycles, N: int, spec: IntegrandSpec,
-                   closure_tol: float = CLOSURE_TOL) -> PairingMatrix:
+def pairing_matrix(cycles, cocycles, N: int, spec: IntegrandSpec) -> PairingMatrix:
     """Matrix of integrals I_{a(j), b(j)} over cycle i."""
     _require_univariate(spec)
     cycles = tuple(cycles)
@@ -304,8 +304,7 @@ def pairing_matrix(cycles, cocycles, N: int, spec: IntegrandSpec,
     rows = []
     residuals = []
     for cyc in cycles:
-        loop = integrate_loop(cyc, N, spec, curve, cocycles,
-                              closure_tol=closure_tol)
+        loop = integrate_loop(cyc, N, spec, curve, cocycles)
         rows.append(loop.values)
         residuals.append(loop.closure_residual)
     return PairingMatrix(entries=tuple(rows), cycles=cycles,
@@ -319,25 +318,25 @@ class KernelVector:
     rational: tuple | None   # (Fraction re, Fraction im) pairs when recognized
 
 
-def _rationalize(vector, tol=1e-2, max_den=64):
+def _rationalize(vector):
     out = []
     for z in vector:
-        re = Fraction(z.real).limit_denominator(max_den)
-        im = Fraction(z.imag).limit_denominator(max_den)
-        if abs(float(re) - z.real) > tol or abs(float(im) - z.imag) > tol:
+        re = Fraction(z.real).limit_denominator(RATIONAL_MAX_DEN)
+        im = Fraction(z.imag).limit_denominator(RATIONAL_MAX_DEN)
+        if max(abs(float(re) - z.real), abs(float(im) - z.imag)) > RATIONAL_TOL:
             return None
         out.append((re, im))
     return tuple(out)
 
 
-def nullspace(M, rel_tol: float = 1e-6):
+def nullspace(M):
     """Right-kernel basis of the pairing matrix via SVD.
 
-    Singular directions with sigma <= rel_tol * sigma_max (directions beyond
-    the row count count as sigma = 0) form the kernel.  Each basis vector is
-    scaled so its largest-magnitude entry is exactly 1 and, when all entries
-    are close to rationals with denominator at most 64, reported in exact
-    rational form alongside the floats.
+    Singular directions with sigma <= KERNEL_REL_TOL * sigma_max (directions
+    beyond the row count count as sigma = 0) form the kernel.  Each basis
+    vector is scaled so its largest-magnitude entry is exactly 1 and, when all
+    entries are within RATIONAL_TOL of rationals with denominator at most
+    RATIONAL_MAX_DEN, reported in exact rational form alongside the floats.
     """
     a = M.as_array() if isinstance(M, PairingMatrix) else np.asarray(
         M, dtype=np.complex128)
@@ -349,7 +348,7 @@ def nullspace(M, rel_tol: float = 1e-6):
     out = []
     for i in range(n):
         sigma = sing[i] if i < len(sing) else 0.0
-        if sigma <= rel_tol * max(smax, 1e-300):
+        if sigma <= KERNEL_REL_TOL * max(smax, 1e-300):
             v = vh[i].conj()
             pivot = v[int(np.argmax(np.abs(v)))]
             v = v / pivot

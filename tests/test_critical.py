@@ -8,18 +8,46 @@ from eulerint.critical import (PolySystem, SolutionSet, TrackerSettings,
 from eulerint.laurent import IntegrandSpec, LaurentPoly, omega_components, parse_poly
 
 
-# -- settings validation ---------------------------------------------------
+# -- fixed thresholds ------------------------------------------------------
 
 def test_settings_reject_nonpositive():
-    with pytest.raises(ValueError):
-        TrackerSettings(initial_step=0)
-    with pytest.raises(ValueError):
-        TrackerSettings(newton_tol=-1)
+    for name in ("INITIAL_STEP", "MAX_STEP", "MIN_STEP", "STALL_WINDOW",
+                 "DIVERGENCE_RADIUS", "NEWTON_TOL", "MAX_NEWTON", "POLISH_TOL",
+                 "POLISH_ITERS", "RESIDUAL_TOL", "BOUNDARY_TOL", "DEDUP_DISTANCE"):
+        assert getattr(critical, name) > 0, name
 
 
 def test_settings_dedup_exceeds_residual():
-    with pytest.raises(ValueError):
-        TrackerSettings(dedup_distance=1e-9, residual_tol=1e-8)
+    assert critical.DEDUP_DISTANCE > critical.RESIDUAL_TOL
+
+
+# -- endpoint polish -------------------------------------------------------
+
+class _ConstantSystem:
+    """F(x) = r everywhere, with a Jacobian so large that Newton keeps x."""
+
+    def __init__(self, r):
+        self.r = r
+        self.evaluations = 0
+
+    def evaluate(self, x):
+        self.evaluations += 1
+        return np.array([self.r], dtype=complex), np.array([[1e300]], dtype=complex)
+
+    def magnitude(self, x):
+        return np.array([1.0])
+
+
+@pytest.mark.parametrize("r, kept, evaluations", [
+    (0.0, True, 1),                                # passes POLISH_TOL at once
+    (1e-12, True, critical.POLISH_ITERS + 1),      # passes NEWTON_TOL after the cap
+    (1e-6, False, critical.POLISH_ITERS + 1),      # fails both
+])
+def test_polish_final_test(r, kept, evaluations):
+    system = _ConstantSystem(r)
+    out = critical._polish(system, np.array([1.0 + 0j]))
+    assert (out is not None) == kept
+    assert system.evaluations == evaluations
 
 
 # -- cleared system --------------------------------------------------------
@@ -48,6 +76,8 @@ def test_two_point_count(two_point_spec):
     # chi of C minus {0, 1, 2} is -2: two critical points
     sol = solve(build_system(two_point_spec), TrackerSettings(seed=1))
     assert sol.distinct == 2
+    assert (sol.raw_paths, sol.converged, sol.filtered,
+            sol.failed_paths) == (4, 4, 0, 0)
 
 
 def test_system_jacobian_matches_central_differences(hexagon_poly):
@@ -79,6 +109,8 @@ def test_solutions_satisfy_omega(hexagon_poly):
     spec = IntegrandSpec([hexagon_poly], (0.5 + 0.1j,), (0.3 - 0.2j, 0.7 + 0.4j))
     sol = solve(build_system(spec), TrackerSettings(seed=5))
     assert sol.distinct == 6
+    assert (sol.raw_paths, sol.converged, sol.filtered,
+            sol.failed_paths) == (50, 46, 34, 0)
     for x in sol.solutions:
         w = omega_components(spec, np.array(x))
         assert np.max(np.abs(w)) <= 1e-6 * max(1.0, np.max(np.abs(np.array(x))))
