@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 numerical failure, 3 invalid input.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -31,24 +32,34 @@ class NumericalError(RuntimeError):
 
 # -- problem file parsing ---------------------------------------------------
 
+def finite(v) -> bool:
+    """Whether the number v is finite as a (complex) float."""
+    try:
+        return cmath.isfinite(complex(v))
+    except OverflowError:   # an int or Fraction beyond the float range
+        return False
+
+
 def parse_scalar(v, what="number"):
-    """Accept int, float, "p/q" strings, and [re, im] pairs."""
+    """Accept finite int, float, "p/q" strings, and [re, im] pairs."""
     if isinstance(v, bool):
         raise InputError(f"{what}: booleans are not numbers")
-    if isinstance(v, int):
-        return v
-    if isinstance(v, float):
-        return v
-    if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"{what}: bad rational {v!r}: {exc}") from None
     if isinstance(v, (list, tuple)) and len(v) == 2:
         re, im = (parse_scalar(u, what) for u in v)
         return complex(float(re), float(im))
-    raise InputError(f"{what}: expected int, float, \"p/q\", or [re, im], "
-                     f"got {v!r}")
+    if isinstance(v, str):
+        try:
+            value = Fraction(v)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"{what}: bad rational {v!r}: {exc}") from None
+    elif isinstance(v, (int, float)):
+        value = v
+    else:
+        raise InputError(f"{what}: expected int, float, \"p/q\", or [re, im], "
+                         f"got {v!r}")
+    if not finite(value):
+        raise InputError(f"{what}: {v!r} is not a finite float")
+    return value
 
 
 def parse_integer(v, what):
@@ -69,17 +80,17 @@ def parse_exponents(exp):
 def parse_polynomial(v, nvars=None):
     if isinstance(v, str):
         try:
-            return parse_poly(v, nvars)
+            poly = parse_poly(v, nvars)
         except ParseError as exc:
             raise InputError(f"bad polynomial {v!r}: {exc}") from None
-    if isinstance(v, dict):
+    elif isinstance(v, dict):
         try:
             for t in v["terms"]:
                 parse_exponents(t["exp"])
-            return poly_from_json(v)
-        except (KeyError, TypeError, ValueError) as exc:
+            poly = poly_from_json(v)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"bad polynomial {v!r}: {exc}") from None
-    if isinstance(v, list):
+    elif isinstance(v, list):
         # term list: [[exp...], coeff] pairs
         terms = {}
         for item in v:
@@ -90,10 +101,15 @@ def parse_polynomial(v, nvars=None):
         if not terms:
             raise InputError("empty term list")
         try:
-            return LaurentPoly(len(next(iter(terms))), terms)
+            poly = LaurentPoly(len(next(iter(terms))), terms)
         except ValueError as exc:
             raise InputError(f"bad polynomial {v!r}: {exc}") from None
-    raise InputError(f"bad polynomial entry {v!r}")
+    else:
+        raise InputError(f"bad polynomial entry {v!r}")
+    # text and JSON objects can spell 1e400 or NaN, and equal terms add up
+    if not all(finite(c) for c in poly.terms.values()):
+        raise InputError(f"bad polynomial {v!r}: a coefficient is not a finite float")
+    return poly
 
 
 def load_problem(path: str) -> dict:
@@ -268,6 +284,13 @@ def jnum(z):
     return z if isinstance(z, int) else float(z)
 
 
+def kernel_to_json(kernel):
+    return [{"vector": [jnum(z) for z in k.vector],
+             "rational": None if k.rational is None else
+             [[str(re), str(im)] for re, im in k.rational]}
+            for k in kernel]
+
+
 def relation_to_json(r: relations.Relation):
     return [{"a": list(a), "b": list(b),
              "re": float(complex(c).real), "im": float(complex(c).imag)}
@@ -317,15 +340,11 @@ def cmd_integrate(obj: dict, args) -> dict:
         raise InputError("integrate needs \"cycles\" and \"cocycles\"")
     N = node_count(obj, args)
     M = tracked(twisted.pairing_matrix, cycles, cocycles, N, spec)
-    kernel = twisted.nullspace(M)
     return {"matrix": [[jnum(z) for z in row] for row in M.entries],
             "cocycles": [{"a": list(c.a), "b": c.b} for c in M.cocycles],
             "nodes": M.nodes,
             "closure_residuals": list(M.closure_residuals),
-            "kernel": [{"vector": [jnum(z) for z in k.vector],
-                        "rational": None if k.rational is None else
-                        [[str(re), str(im)] for re, im in k.rational]}
-                       for k in kernel],
+            "kernel": kernel_to_json(twisted.nullspace(M)),
             "seed": args.seed}
 
 
@@ -364,12 +383,7 @@ def cmd_relations(obj: dict, args) -> dict:
     N = node_count(obj, args) if cycles else None
     if cycles and cocycles:
         M = tracked(twisted.pairing_matrix, cycles, cocycles, N, spec)
-        kernel = twisted.nullspace(M)
-        out["kernel"] = [
-            {"vector": [jnum(z) for z in kv.vector],
-             "rational": None if kv.rational is None else
-             [[str(re), str(im)] for re, im in kv.rational]}
-            for kv in kernel]
+        out["kernel"] = kernel_to_json(twisted.nullspace(M))
     if cycles and produced and spec.nvars == 1:
         residuals = []
         for source, r in produced:

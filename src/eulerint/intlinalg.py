@@ -1,18 +1,65 @@
 """Exact integer and rational linear algebra on small matrices.
 
 Everything here works on plain Python ints / Fractions, so results are exact.
-Matrices are lists of lists (rows).
+Matrices are lists of lists (rows).  The integer row Hermite normal form
+(`_echelon`) is the only elimination: determinants, rational solutions and
+nullspaces are all read off it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm, prod
 
 
-def mat_copy(m):
-    return [list(row) for row in m]
+def _echelon(a, cols):
+    """Bring the integer rows `a` to row Hermite normal form, in place.
+
+    Pivots are taken from the first `cols` columns; further columns are carried
+    along.  Zero rows are collected at the bottom; pivots are positive and
+    entries above a pivot are reduced modulo it.  Returns the determinant of
+    the row operations, +1 or -1 (row swaps and negations flip it).
+    """
+    rows = len(a)
+    sign = 1
+    pivot_row = 0
+    for col in range(cols):
+        if pivot_row == rows:
+            break
+        # find a nonzero entry at or below pivot_row
+        nz = [r for r in range(pivot_row, rows) if a[r][col] != 0]
+        if not nz:
+            continue
+        # euclidean elimination within the column
+        while len(nz) > 1:
+            nz.sort(key=lambda r: abs(a[r][col]))
+            r0 = nz[0]
+            for r in nz[1:]:
+                q = a[r][col] // a[r0][col]
+                a[r] = [x - q * y for x, y in zip(a[r], a[r0])]
+            nz = [r for r in range(pivot_row, rows) if a[r][col] != 0]
+        r0 = nz[0]
+        if r0 != pivot_row:
+            a[r0], a[pivot_row] = a[pivot_row], a[r0]
+            sign = -sign
+        if a[pivot_row][col] < 0:
+            a[pivot_row] = [-x for x in a[pivot_row]]
+            sign = -sign
+        p = a[pivot_row][col]
+        for r in range(pivot_row):
+            q = a[r][col] // p
+            if q:
+                a[r] = [x - q * y for x, y in zip(a[r], a[pivot_row])]
+        pivot_row += 1
+    return sign
+
+
+def _scaled(row):
+    """The rational row times the lcm of its denominators: integers, same kernel."""
+    fr = [Fraction(x) for x in row]
+    den = lcm(*(x.denominator for x in fr))
+    return [int(x * den) for x in fr]
 
 
 def hnf_row(m):
@@ -22,63 +69,22 @@ def hnf_row(m):
     collected at the bottom; pivots are positive and entries above a pivot are
     reduced modulo it.
     """
-    h = mat_copy(m)
-    rows = len(h)
-    cols = len(h[0]) if rows else 0
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    pivot_row = 0
-    pivot_cols = []
-    for col in range(cols):
-        # find a nonzero entry at or below pivot_row
-        nz = [r for r in range(pivot_row, rows) if h[r][col] != 0]
-        if not nz:
-            continue
-        # euclidean elimination within the column
-        while len(nz) > 1:
-            nz.sort(key=lambda r: abs(h[r][col]))
-            r0 = nz[0]
-            for r in nz[1:]:
-                q = h[r][col] // h[r0][col]
-                for c in range(cols):
-                    h[r][c] -= q * h[r0][c]
-                for c in range(rows):
-                    u[r][c] -= q * u[r0][c]
-            nz = [r for r in range(pivot_row, rows) if h[r][col] != 0]
-        r0 = nz[0]
-        if r0 != pivot_row:
-            h[r0], h[pivot_row] = h[pivot_row], h[r0]
-            u[r0], u[pivot_row] = u[pivot_row], u[r0]
-        if h[pivot_row][col] < 0:
-            h[pivot_row] = [-x for x in h[pivot_row]]
-            u[pivot_row] = [-x for x in u[pivot_row]]
-        p = h[pivot_row][col]
-        for r in range(pivot_row):
-            q = h[r][col] // p
-            if q:
-                for c in range(cols):
-                    h[r][c] -= q * h[pivot_row][c]
-                for c in range(rows):
-                    u[r][c] -= q * u[pivot_row][c]
-        pivot_cols.append(col)
-        pivot_row += 1
-        if pivot_row == rows:
-            break
-    return h, u
-
-
-def rank(m):
-    if not m or not m[0]:
-        return 0
-    h, _ = hnf_row(m)
-    return sum(1 for row in h if any(x != 0 for x in row))
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    # U is the identity carried along as extra columns
+    a = [list(row) + [0] * i + [1] + [0] * (rows - 1 - i) for i, row in enumerate(m)]
+    _echelon(a, cols)
+    return [row[:cols] for row in a], [row[cols:] for row in a]
 
 
 def lattice_basis(vectors):
     """Basis (list of rows) of the lattice generated by the given integer vectors."""
-    if not vectors:
-        return []
     h, _ = hnf_row(vectors)
-    return [row for row in h if any(x != 0 for x in row)]
+    return [row for row in h if any(row)]
+
+
+def rank(m):
+    return len(lattice_basis(m))
 
 
 def kernel_basis(m):
@@ -92,7 +98,7 @@ def kernel_basis(m):
         return []
     mt = [[m[r][c] for r in range(rows)] for c in range(cols)]
     h, u = hnf_row(mt)
-    return [list(u[i]) for i in range(cols) if all(x == 0 for x in h[i])]
+    return [u[i] for i in range(cols) if not any(h[i])]
 
 
 def lattice_coords(basis, v):
@@ -122,69 +128,18 @@ def in_lattice(basis, v):
 
 
 def det_bareiss(m):
-    """Exact determinant of a square integer matrix (Bareiss algorithm)."""
-    a = mat_copy(m)
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
+    """Exact determinant of a square integer matrix (the name stays for callers).
 
-
-def _rref(a, cols):
-    """Gauss-Jordan elimination of the Fraction rows `a` to reduced echelon form.
-
-    Works in place and returns the pivot columns, pivot i in row i.  Pivots
-    are taken from the first `cols` columns only; an augmented right-hand side
-    is carried along.
+    U @ m == H with det U = +-1, so det m = det U * det H, and the Hermite form
+    H of a square matrix is upper triangular.
     """
-    rows = len(a)
-    pivots = []
-    for c in range(cols):
-        r = len(pivots)
-        if r == rows:
-            break
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-    return pivots
+    a = [list(row) for row in m]
+    return _echelon(a, len(a)) * prod(a[i][i] for i in range(len(a)))
 
 
 def rational_nullspace(m):
-    """Basis of the rational (right) nullspace of a matrix with int/Fraction entries."""
-    cols = len(m[0]) if m else 0
-    a = [[Fraction(x) for x in row] for row in m]
-    pivots = _rref(a, cols)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -a[i][fc]
-        basis.append(v)
-    return basis
+    """Integer basis of the rational (right) nullspace of an int/Fraction matrix."""
+    return kernel_basis([_scaled(row) for row in m])
 
 
 def solve_rational(m, rhs):
@@ -194,29 +149,25 @@ def solve_rational(m, rhs):
     variables are 0.
     """
     cols = len(m[0]) if m else 0
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(m)]
-    pivots = _rref(a, cols)
-    if any(row[cols] != 0 for row in a[len(pivots):]):
-        return None
+    a = [_scaled(list(row) + [b]) for row, b in zip(m, rhs)]
+    _echelon(a, cols + 1)
     x = [Fraction(0)] * cols
-    for i, pc in enumerate(pivots):
-        x[pc] = a[i][cols]
+    # back-substitution from the last pivot; a pivot in rhs is inconsistent
+    for row in reversed(a):
+        pc = next((c for c, v in enumerate(row) if v != 0), None)
+        if pc == cols:
+            return None
+        if pc is not None:
+            rest = sum(row[c] * x[c] for c in range(pc + 1, cols))
+            x[pc] = Fraction(row[cols] - rest, row[pc])
     return x
 
 
 def primitive_integer(v):
     """Scale a rational vector to a primitive integer vector (same direction)."""
-    fr = [Fraction(x) for x in v]
-    den = 1
-    for x in fr:
-        den = den * x.denominator // gcd(den, x.denominator)
-    iv = [int(x * den) for x in fr]
-    g = 0
-    for x in iv:
-        g = gcd(g, abs(x))
-    if g > 1:
-        iv = [x // g for x in iv]
-    return iv
+    iv = _scaled(v)
+    g = gcd(*iv)
+    return [x // g for x in iv] if g > 1 else iv
 
 
 def lattice_index_in_saturation(vectors):

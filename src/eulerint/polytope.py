@@ -7,8 +7,8 @@ handled here are desk-scale (dimension <= 6, a few dozen points).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from . import intlinalg as ila
 from .laurent import IntegrandSpec
@@ -51,24 +51,28 @@ def cayley_support(spec: IntegrandSpec) -> LatticePointSet:
     return LatticePointSet(n + ell, pts)
 
 
-def _cone_facets(vectors):
-    """Facets of the cone spanned by integer vectors of full rank r in Z^r.
+def _cone_facets(vectors, fixed=()):
+    """Facets of the cone spanned by integer vectors, in ambient coordinates.
 
+    The rows `fixed` are a basis of the orthogonal complement of the span of
+    the vectors, whose rank is therefore r = len(vectors[0]) - len(fixed).
     Returns (primitive inner normal, indices of the vectors on the facet)
-    pairs sorted by normal.  Every r - 1 of the vectors with a one-dimensional
-    integer kernel give a candidate normal, which is primitive because the
-    kernel basis is saturated; it is a facet normal when it pairs with one
-    sign against all the vectors.
+    pairs sorted by normal.  Every r - 1 of the vectors together with `fixed`
+    leave a kernel inside the span; when it is one-dimensional its basis
+    vector is a candidate normal, primitive because the kernel basis is
+    saturated, and a facet normal when it pairs with one sign against all the
+    vectors.
     """
-    r = len(vectors[0])
+    d = len(vectors[0])
     found = {}
-    for sub in combinations(range(len(vectors)), r - 1):
-        # r = 1: no rows, and the kernel is all of Z
-        kernel = ila.kernel_basis([vectors[i] for i in sub] or [[0]])
+    for sub in combinations(range(len(vectors)), d - len(fixed) - 1):
+        # no rows at all only for r = d = 1, where the kernel is all of Z
+        rows = [vectors[i] for i in sub] + list(fixed)
+        kernel = ila.kernel_basis(rows or [[0]])
         if len(kernel) != 1:
             continue
         u = kernel[0]
-        vals = [sum(a * b for a, b in zip(u, v)) for v in vectors]
+        vals = [sum(map(mul, u, v)) for v in vectors]
         if all(v <= 0 for v in vals):
             u, vals = [-x for x in u], [-v for v in vals]
         elif any(v < 0 for v in vals):
@@ -77,34 +81,23 @@ def _cone_facets(vectors):
     return sorted(found.items())
 
 
-def _triangulate(points):
-    """Triangulation of conv(points) for full-dimensional integer point sets.
+def _triangulate(points, fixed=()):
+    """Triangulation of conv(points) for integer points, possibly repeated.
 
     Star triangulation from the lexicographically smallest point over a
-    recursive triangulation of the facets not containing it.  Returns tuples of
-    indices into `points`.
+    recursive triangulation of the facets not containing it.  `fixed` spans
+    the orthogonal complement of the homogenized points (p, 1); each facet
+    adds its normal to it.  Returns tuples of indices into `points`.
     """
-    r = len(points[0])
-    idx = sorted(range(len(points)), key=lambda i: points[i])
-    v0 = idx[0]
-    if r == 1:
-        hi = max(range(len(points)), key=lambda i: points[i][0])
-        return [(v0, hi)] if points[hi] != points[v0] else []
+    if all(p == points[0] for p in points):
+        return [(0,)]
+    v0 = min(range(len(points)), key=lambda i: points[i])
     simplices = []
     # the facets of conv(points) are the cone facets of the points (p, 1)
-    for _, on in _cone_facets([tuple(p) + (1,) for p in points]):
+    for u, on in _cone_facets([tuple(p) + (1,) for p in points], fixed):
         if v0 in on:
             continue
-        fpts = [points[i] for i in on]
-        # project the facet to Z^(r-1): affine coordinates over Q, scaled to Z
-        base = fpts[0]
-        diffs = [[p[k] - base[k] for k in range(r)] for p in fpts]
-        basis = ila.lattice_basis(diffs)
-        coords = []
-        for d in diffs:
-            c = ila.lattice_coords(basis, d)
-            coords.append(tuple(c))
-        for sub in _triangulate(coords):
+        for sub in _triangulate([points[i] for i in on], fixed + (u,)):
             simplices.append(tuple(sorted((v0,) + tuple(on[i] for i in sub))))
     return simplices
 
@@ -156,27 +149,10 @@ def facets(pts: LatticePointSet):
     for every point.
     """
     gens = [list(p) for p in pts.points]
-    basis = ila.lattice_basis(gens)  # rows span the rational span
-    if not basis:
+    fixed = ila.kernel_basis(gens)
+    if not gens or len(fixed) == pts.dim:
         raise ValueError("zero-dimensional cone")
-    coords = [ila.lattice_coords(basis, g) for g in gens]
-    return sorted(_lift_normal(u, basis, pts.dim) for u, _ in _cone_facets(coords))
-
-
-def _lift_normal(u_coords, basis, d):
-    """Lift a facet functional from span coordinates to a primitive ambient vector.
-
-    The lift is chosen inside the rational row space of the generators, which
-    makes it canonical; for full-rank configurations it is the unique normal
-    direction.
-    """
-    r = len(basis)
-    # solve (B B^T) w = u, then normal = B^T w
-    bbt = [[sum(basis[i][k] * basis[j][k] for k in range(d)) for j in range(r)]
-           for i in range(r)]
-    w = ila.solve_rational(bbt, u_coords)
-    normal = [sum(Fraction(basis[i][k]) * w[i] for i in range(r)) for k in range(d)]
-    return tuple(ila.primitive_integer(normal))
+    return [u for u, _ in _cone_facets(gens, fixed)]
 
 
 def pointset_to_json(pts: LatticePointSet) -> dict:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
 from unittest import mock
@@ -287,7 +288,27 @@ _TWO_POINTS = json.loads((PROBLEMS / "two_points.json").read_text())
      for command, key in (("integrate", "cycles"), ("integrate", "cocycles"),
                           ("relations", "cycles"), ("relations", "cocycles"),
                           ("relations", "forms"), ("relations", "operators"))
-     for value in (5, None, "ab", {"a": 1}, [5], [[1]])])
+     for value in (5, None, "ab", {"a": 1}, [5], [[1]])
+# JSON text 1e400 reads as inf, NaN as nan; neither is a usable number
+] + [("gkz", {"f": ["x*y - 1"], "nu": nu})
+     for nu in ([math.inf, 0.5], [math.nan, 0.5], [[0.5, math.inf], 0.5],
+                ["1e400", 0.5])
+] + [(command, {"f": [f]})
+     for command in ("chi", "vol")
+     for f in ([[[1, 0], math.inf], [[0, 1], 1], [[0, 0], -1]],
+               [[[1, 0], 10 ** 400], [[0, 0], -1]],
+               "1e400*x + y - 1", "(nan+1j)*x - 1",
+               {"nvars": 1, "terms": [{"exp": [1], "re": math.inf}]},
+               {"nvars": 1, "terms": [{"exp": [1], "re": 10 ** 400}]},
+               {"nvars": 1, "terms": [{"exp": [1], "im": "nan"}]})
+] + [(command, dict(_TWO_POINTS, **changes))
+     for command in ("integrate", "relations")
+     for changes in (
+         {"s": [math.inf, 0.5]}, {"s": [math.nan, 0.5]},
+         {"cycles": [dict(_TWO_POINTS["cycles"][0], A=[math.inf, 0])]},
+         {"cycles": [dict(_TWO_POINTS["cycles"][0], C=math.nan)]},
+         {"cycles": [dict(_TWO_POINTS["cycles"][0], phi=[0, math.inf])]},
+         {"cycles": [dict(_TWO_POINTS["cycles"][0], phi=math.nan)]})])
 def test_invalid_input_exit_3(tmp_path, capsys, command, obj):
     code, out = run(capsys, [command, _problem(tmp_path, obj)])
     assert code == 3

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import numpy as np
 import pytest
@@ -90,6 +92,34 @@ def test_det_matches_numpy(m):
     assert abs(exact - approx) < 1e-6 * max(1.0, abs(approx))
 
 
+def _leibniz(m):
+    n = len(m)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(m[i][perm[i]] for i in range(n))
+    return total
+
+
+square = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+
+
+@given(square, st.data())
+@settings(max_examples=80, deadline=None)
+def test_det_matches_leibniz_with_sign(m, data):
+    assert ila.det_bareiss(m) == _leibniz(m)
+    # a copy of one row times an integer makes the matrix singular
+    if len(m) > 1:
+        i, j = data.draw(st.permutations(range(len(m))))[:2]
+        k = data.draw(st.integers(-2, 2))
+        singular = [list(row) for row in m]
+        singular[j] = [k * x for x in singular[i]]
+        assert ila.det_bareiss(singular) == _leibniz(singular) == 0
+
+
 # -- lattice membership ----------------------------------------------------
 
 def test_lattice_coords_round_trip():
@@ -133,6 +163,54 @@ def test_rational_nullspace_dimensions():
     assert len(ns) == 2
     for v in ns:
         assert sum(v) == 0
+
+
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+rational_matrices = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda shape: st.lists(
+        st.lists(rationals, min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0], max_size=shape[0]))
+
+
+def _integer_rows(m):
+    return [ila.primitive_integer(row) if any(row) else [0] * len(row)
+            for row in m]
+
+
+def _pivot_columns(m):
+    """The rank profile: columns that raise the rank of the columns before them."""
+    rows = _integer_rows(m)
+    ranks = [0] + [ila.rank([row[:c + 1] for row in rows])
+                   for c in range(len(m[0]))]
+    return [c for c in range(len(m[0])) if ranks[c + 1] > ranks[c]]
+
+
+@given(rational_matrices, st.data())
+@settings(max_examples=80, deadline=None)
+def test_solve_rational_random_consistent(m, data):
+    cols = len(m[0])
+    x0 = data.draw(st.lists(rationals, min_size=cols, max_size=cols))
+    rhs = [sum(a * b for a, b in zip(row, x0)) for row in m]
+    x = ila.solve_rational(m, rhs)
+    assert x is not None
+    assert [sum(a * b for a, b in zip(row, x)) for row in m] == rhs
+    pivots = _pivot_columns(m)
+    assert all(x[c] == 0 for c in range(cols) if c not in pivots)
+    # the sum of all rows with a shifted right-hand side cannot be met
+    total = [sum(col) for col in zip(*m)]
+    assert ila.solve_rational(m + [total], rhs + [sum(rhs) + 1]) is None
+
+
+@given(rational_matrices)
+@settings(max_examples=80, deadline=None)
+def test_rational_nullspace_random(m):
+    cols = len(m[0])
+    basis = ila.rational_nullspace(m)
+    assert len(basis) == cols - ila.rank(_integer_rows(m))
+    for v in basis:
+        assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m)
+    if basis:
+        assert ila.rank(_integer_rows(basis)) == len(basis)
 
 
 def test_primitive_integer():

@@ -1,7 +1,7 @@
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eulerint import intlinalg as ila
 from eulerint.laurent import IntegrandSpec
@@ -108,6 +108,17 @@ def test_facets_single_ray():
     assert facets(LatticePointSet(2, [(1, 1), (-1, -1)])) == []
 
 
+def test_facets_of_rank_deficient_cones_in_ambient_coordinates():
+    # normals lie in the span of the points, so they are unique
+    assert facets(LatticePointSet(3, [(1, 0, 1), (0, 1, 1), (1, 2, 3)])) == [
+        (-1, 2, 1), (2, -1, 1)]
+    assert facets(LatticePointSet(3, [(2, 1, 0), (1, 2, 0), (1, 1, 0)])) == [
+        (-1, 2, 0), (2, -1, 0)]
+    assert facets(LatticePointSet(4, [(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1),
+                                      (1, 1, 1, 3)])) == [
+        (-1, -1, 3, 1), (-1, 3, -1, 1), (3, -1, -1, 1)]
+
+
 # -- JSON ------------------------------------------------------------------
 
 def test_pointset_json_round_trip():
@@ -181,6 +192,7 @@ row_ops = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
                           st.integers(0, 3)), min_size=1, max_size=7), row_ops)
 @settings(max_examples=30, deadline=None)
+@example(pts=[(0, 0, 0), (0, 1, 0)], ops=[(1, 0, -1)])  # the origin is a point
 def test_volume_3d_invariant_under_unimodular_map(pts, ops):
     u = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     for i, j, k in ops:
