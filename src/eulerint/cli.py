@@ -147,15 +147,13 @@ def build_spec(obj: dict) -> IntegrandSpec:
         raise InputError("problem file needs an \"f\" entry") from None
     if not isinstance(raw, list) or not raw:
         raise InputError("\"f\" must be a nonempty list of polynomials")
-    # two passes: infer the common variable count, then pad shorter entries
-    nvars = max(parse_polynomial(p).nvars for p in raw)
-    polys = []
-    for p in raw:
-        q = parse_polynomial(p, nvars)
-        if q.nvars != nvars:
-            q = LaurentPoly(nvars, {tuple(e) + (0,) * (nvars - q.nvars): c
-                                    for e, c in q.terms.items()})
-        polys.append(q)
+    # the common variable count is the largest; shorter entries are padded
+    polys = [parse_polynomial(p) for p in raw]
+    nvars = max(q.nvars for q in polys)
+    polys = [q if q.nvars == nvars else
+             LaurentPoly(nvars, {tuple(e) + (0,) * (nvars - q.nvars): c
+                                 for e, c in q.terms.items()})
+             for q in polys]
     s = [parse_scalar(v, "s") for v in list_field(obj, "s", ["1/2"] * len(polys))]
     nu = [parse_scalar(v, "nu") for v in list_field(obj, "nu", ["1/2"] * nvars)]
     try:
@@ -315,6 +313,8 @@ def cmd_chi(obj: dict, args) -> dict:
     try:
         chi, count, certified = critical.euler_characteristic(
             spec, settings, draws=draws)
+    except critical.TooManyPathsError as exc:
+        raise InputError(str(exc)) from None
     except RuntimeError as exc:
         raise NumericalError(str(exc)) from None
     return {"chi": chi, "count": count, "certified": certified,

@@ -11,10 +11,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .laurent import IntegrandSpec, LaurentPoly, omega_components
+from .laurent import (IntegrandSpec, LaurentPoly, coeff_to_complex, omega_components,
+                      power_table)
 
 # Fixed thresholds of the tracker, the endpoint polish and the solution filter.
 # A scaled residual is |residual| / max(1, sum of |term|) at the point.
@@ -30,6 +32,11 @@ POLISH_ITERS = 30        # Newton iterations of the endpoint polish
 RESIDUAL_TOL = 1e-8      # scaled residual of the rational equations at a solution
 BOUNDARY_TOL = 1e-8      # |x_i| or scaled |f_j| below this puts x off the torus
 DEDUP_DISTANCE = 1e-6    # max-norm distance below which two solutions are one
+MAX_PATHS = 4096         # most start paths (product of degrees) a solve tracks
+
+
+class TooManyPathsError(ValueError):
+    """The total-degree start system would have more than MAX_PATHS paths."""
 
 
 @dataclass(frozen=True)
@@ -44,14 +51,49 @@ class PolySystem:
     def nvars(self) -> int:
         return self.spec.nvars
 
+    @cached_property
+    def _tables(self):
+        # one power table for every equation and its partials, and one for
+        # the equations alone, which the magnitude raises |x| to
+        parts = [p for eq in self.equations
+                 for p in (eq, *(eq.partial(k + 1) for k in range(self.nvars)))]
+        return power_table(parts), power_table(self.equations)
+
     def evaluate(self, x):
-        """The values F(x) and the Jacobian J(x) at a point x of shape (n,)."""
-        rows = np.array([eq.value_and_gradient(x) for eq in self.equations])
-        return rows[:, 0], rows[:, 1:]
+        """F and its Jacobian J at a point (n,) or at each row of a batch (P, n).
+
+        F has shape (n,) or (P, n), J has shape (n, n) or (P, n, n).  A point
+        gives the bits of `LaurentPoly.evaluate`, and a batch row those of
+        its point.
+        """
+        (exps, blocks), _ = self._tables
+        x = np.asarray(x, dtype=np.complex128)
+        points = x.reshape(-1, self.nvars)
+        rows = _block_values(np.prod(points[:, None, :] ** exps, axis=-1), blocks)
+        rows = rows.reshape(x.shape[:-1] + (self.nvars, self.nvars + 1))
+        return rows[..., 0], rows[..., 1:]
 
     def magnitude(self, x):
-        """Per-equation sum of |c_k| |x|^{e_k} at x: the natural residual scale."""
-        return np.array([eq.magnitude(x) for eq in self.equations])
+        """Per-equation sum of |c_k| |x|^{e_k}: the natural residual scale.
+
+        Shape (n,) at a point, (P, n) on a batch.
+        """
+        _, (exps, blocks) = self._tables
+        x = np.asarray(x, dtype=np.complex128)
+        points = np.abs(x).reshape(-1, self.nvars)
+        mags = _block_values(np.prod(points[:, None, :] ** exps, axis=-1),
+                             [(rows, np.abs(coeffs)) for rows, coeffs in blocks])
+        return mags.reshape(x.shape)
+
+
+def _block_values(mon, blocks):
+    """Per row of the power table `mon`, each block's coefficients dotted with it.
+
+    A stack of vector dot products rounds each row as a lone point does, so
+    a batch row keeps the bits of its point.
+    """
+    return np.stack([np.matmul(mon[:, None, rows], coeffs[:, None])[:, 0, 0]
+                     for rows, coeffs in blocks], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -108,67 +150,101 @@ def build_system(spec: IntegrandSpec) -> PolySystem:
     return PolySystem(tuple(eqs), tuple(factors), spec)
 
 
-def _track_path(system, start, gamma, degrees, roots):
-    """Track one path of H(x,t) = gamma (1-t) G(x) + t F(x) from t=0 to t=1."""
+def _solve_stack(a, b):
+    """Solve a[k] y = b[k] for every k; also flag the k whose a[k] is singular.
+
+    One singular matrix makes the batched solve raise for the whole stack, so
+    the stack is then solved one system at a time.
+    """
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0], np.zeros(len(b), dtype=bool)
+    except np.linalg.LinAlgError:
+        y = np.zeros_like(b)
+        singular = np.zeros(len(b), dtype=bool)
+        for k in range(len(b)):
+            try:
+                y[k] = np.linalg.solve(a[k], b[k])
+            except np.linalg.LinAlgError:
+                singular[k] = True
+        return y, singular
+
+
+def _track_paths(system, starts, gamma, degrees, roots):
+    """Track all paths of H(x,t) = gamma (1-t) G(x) + t F(x) from t=0 to 1 in lockstep.
+
+    `starts` holds one start root per row, shape (P, n).  Every path keeps its
+    own t, step, success count and status; each iteration takes one Euler
+    predictor and up to MAX_NEWTON corrector steps on all running paths at
+    once.  Returns the status ("ok", "diverged" or "stalled"), x and t of
+    every path.
+    """
+    diag = np.arange(len(degrees))
 
     def h(x, t):
         # H, dH/dx and dH/dt from one evaluation of the target system
         f, jac = system.evaluate(x)
         g = x ** degrees - roots
-        hx = gamma * (1 - t) * np.diag(degrees * x ** (degrees - 1)) + t * jac
-        return gamma * (1 - t) * g + t * f, hx, f - gamma * g
+        c = gamma * (1 - t)[:, None]
+        hx = t[:, None, None] * jac
+        hx[:, diag, diag] += c * (degrees * x ** (degrees - 1))
+        return c * g + t[:, None] * f, hx, f - gamma * g
 
     def h_scale(x, t):
         # backward-error scale: sum of |term| over both homotopy parts
         gs = np.abs(x) ** degrees + np.abs(roots)
-        return (1 - t) * gs + t * system.magnitude(x)
+        return (1 - t)[:, None] * gs + t[:, None] * system.magnitude(x)
 
-    x = np.array(start, dtype=np.complex128)
-    t = 0.0
+    x = np.array(starts, dtype=np.complex128)
+    t = np.zeros(len(x))
     _, hx, ht = h(x, t)
-    dt = INITIAL_STEP
-    successes = 0
-    while t < 1.0:
-        dt = min(dt, 1.0 - t)
+    dt = np.full(len(x), INITIAL_STEP)
+    successes = np.zeros(len(x), dtype=int)
+    status = np.full(len(x), "running", dtype="<U8")
+    while (a := np.flatnonzero(status == "running")).size:
+        dt[a] = np.minimum(dt[a], 1.0 - t[a])
         # Euler predictor
-        try:
-            dx = np.linalg.solve(hx, -ht) * dt
-        except np.linalg.LinAlgError:
-            return "stalled", x, t
-        xp = x + dx
-        tp = t + dt
-        # Newton corrector; on success hxp, htp are the derivatives at (xp, tp)
-        ok = False
+        dx, singular = _solve_stack(hx[a], -ht[a])
+        status[a[singular]] = "stalled"
+        a, dx = a[~singular], dx[~singular]
+        dx *= dt[a, None]
+        xp = x[a] + dx
+        tp = t[a] + dt[a]
+        # Newton corrector; where ok, hxp and htp are the derivatives at (xp, tp)
+        ok = np.zeros(len(a), dtype=bool)
+        newton = np.ones(len(a), dtype=bool)
+        hxp = np.empty_like(hx[a])
+        htp = np.empty_like(xp)
         for _ in range(MAX_NEWTON):
-            r, hxp, htp = h(xp, tp)
-            if not np.all(np.isfinite(r)):
+            k = np.flatnonzero(newton)
+            if not k.size:
                 break
-            if np.all(np.abs(r) < NEWTON_TOL * np.maximum(1.0, h_scale(xp, tp))):
-                ok = True
-                break
-            try:
-                xp = xp + np.linalg.solve(hxp, -r)
-            except np.linalg.LinAlgError:
-                break
+            r, hxp[k], htp[k] = h(xp[k], tp[k])
+            finite = np.all(np.isfinite(r), axis=1)
+            done = finite.copy()
+            done[finite] = np.all(np.abs(r[finite]) < NEWTON_TOL * np.maximum(
+                1.0, h_scale(xp[k[finite]], tp[k[finite]])), axis=1)
+            ok[k[done]] = True
+            newton[k[~finite | done]] = False
+            step = finite & ~done
+            delta, singular = _solve_stack(hxp[k[step]], -r[step])
+            xp[k[step][~singular]] += delta[~singular]
+            newton[k[step][singular]] = False
         # guard against path jumping: the corrected point must stay within the
         # predictor's reach, otherwise shrink the step and retry
-        if ok and np.linalg.norm(xp - (x + dx)) > 2.0 * np.linalg.norm(dx) + 1e-6 * (
-                1.0 + np.linalg.norm(x)):
-            ok = False
-        if ok:
-            x, t, hx, ht = xp, tp, hxp, htp
-            successes += 1
-            if successes >= 3:
-                dt = min(dt * 2, MAX_STEP)
-                successes = 0
-            if np.max(np.abs(x)) > DIVERGENCE_RADIUS:
-                return "diverged", x, t
-        else:
-            successes = 0
-            dt /= 2
-            if dt < MIN_STEP:
-                return "stalled", x, t
-    return "ok", x, t
+        ok &= ~(np.linalg.norm(xp - (x[a] + dx), axis=1) > 2.0 * np.linalg.norm(
+            dx, axis=1) + 1e-6 * (1.0 + np.linalg.norm(x[a], axis=1)))
+        acc, rej = a[ok], a[~ok]
+        x[acc], t[acc], hx[acc], ht[acc] = xp[ok], tp[ok], hxp[ok], htp[ok]
+        successes[acc] += 1
+        grow = acc[successes[acc] >= 3]
+        dt[grow] = np.minimum(dt[grow] * 2, MAX_STEP)
+        successes[grow] = 0
+        status[acc[np.max(np.abs(x[acc]), axis=1) > DIVERGENCE_RADIUS]] = "diverged"
+        successes[rej] = 0
+        dt[rej] /= 2
+        status[rej[dt[rej] < MIN_STEP]] = "stalled"
+        status[(status == "running") & (t >= 1.0)] = "ok"
+    return status, x, t
 
 
 def _polish(system, x):
@@ -194,6 +270,24 @@ def _polish(system, x):
     return None
 
 
+def _start_system(degrees, rng):
+    """Random start system x_i^{d_i} = roots_i, its (P, n) start roots and gamma."""
+    n = len(degrees)
+    angles = rng.uniform(0, 2 * math.pi, size=n)
+    radii = rng.uniform(0.5, 1.5, size=n)
+    roots = radii * np.exp(1j * angles)
+    gamma = np.exp(1j * rng.uniform(0, 2 * math.pi))
+
+    per_var = []
+    for i in range(n):
+        d = int(degrees[i])
+        base = roots[i] ** (1.0 / d)
+        per_var.append([base * np.exp(2j * math.pi * k / d) for k in range(d)])
+    starts = np.array(list(itertools.product(*per_var)),
+                      dtype=np.complex128).reshape(-1, n)
+    return starts, gamma, roots
+
+
 def _run_tracking(system, degrees, rng):
     """One full total-degree tracking run with fresh random constants and gamma.
 
@@ -203,26 +297,12 @@ def _run_tracking(system, degrees, rng):
     toward a genuine solution); `failed` counts the other paths that did not
     diverge and could not be polished; `paths` is the number of start paths.
     """
-    n = system.nvars
-    angles = rng.uniform(0, 2 * math.pi, size=n)
-    radii = rng.uniform(0.5, 1.5, size=n)
-    roots_const = radii * np.exp(1j * angles)
-    gamma = np.exp(1j * rng.uniform(0, 2 * math.pi))
-
-    per_var = []
-    for i in range(n):
-        d = int(degrees[i])
-        base = roots_const[i] ** (1.0 / d)
-        per_var.append([base * np.exp(2j * math.pi * k / d) for k in range(d)])
-    start_points = [np.array(combo, dtype=np.complex128)
-                    for combo in itertools.product(*per_var)]
-
+    starts, gamma, roots = _start_system(degrees, rng)
     failed = 0
     unresolved = 0
     converged = 0
     endpoints = []
-    for sp in start_points:
-        status, x, t = _track_path(system, sp, gamma, degrees, roots_const)
+    for status, x, t in zip(*_track_paths(system, starts, gamma, degrees, roots)):
         if status == "diverged":
             continue
         polished = _polish(system, x)
@@ -238,7 +318,7 @@ def _run_tracking(system, degrees, rng):
             unresolved += 1
         else:
             failed += 1
-    return endpoints, converged, failed, unresolved, len(start_points)
+    return endpoints, converged, failed, unresolved, len(starts)
 
 
 def solve(system: PolySystem, settings: TrackerSettings | None = None) -> SolutionSet:
@@ -254,9 +334,13 @@ def solve(system: PolySystem, settings: TrackerSettings | None = None) -> Soluti
     n = system.nvars
     if len(system.equations) != n:
         raise ValueError("system must be square")
+    total_degrees = [max(1, eq.total_degree()) for eq in system.equations]
+    if math.prod(total_degrees) > MAX_PATHS:
+        raise TooManyPathsError(
+            "the total-degree homotopy needs more start paths (the product of "
+            f"the cleared equations' degrees) than critical.MAX_PATHS = {MAX_PATHS}")
     rng = np.random.default_rng(settings.seed)
-    degrees = np.array([max(1, eq.total_degree()) for eq in system.equations],
-                       dtype=np.float64)
+    degrees = np.array(total_degrees, dtype=np.float64)
 
     # Two independent runs are always pooled: a path jump or an unresolved
     # stall under one gamma is overwhelmingly unlikely to recur at the same
@@ -278,22 +362,19 @@ def solve(system: PolySystem, settings: TrackerSettings | None = None) -> Soluti
     # filter to the torus complement and check the original rational equations;
     # all thresholds are relative to the term magnitudes at x, so badly scaled
     # but genuine solutions are not rejected
-    kept = []
-    for x in endpoints:
-        if np.any(np.abs(x) < BOUNDARY_TOL):
-            continue
-        grads = [fj.value_and_gradient(x) for fj in spec.f]
-        if any(abs(g[0]) < BOUNDARY_TOL * max(1.0, fj.magnitude(x))
-               for fj, g in zip(spec.f, grads)):
-            continue
-        omega = omega_components(spec, x)
-        scale = np.array([
-            sum(abs(sj) * abs(g[i + 1]) / abs(g[0]) for sj, g in zip(spec.s, grads))
-            + abs(spec.nu[i]) / abs(x[i])
-            for i in range(n)])
-        resid = float(np.max(np.abs(omega) / np.maximum(1.0, scale)))
-        if resid <= RESIDUAL_TOL:
-            kept.append((x, resid))
+    x = np.array(endpoints, dtype=np.complex128).reshape(-1, n)
+    x = x[~np.any(np.abs(x) < BOUNDARY_TOL, axis=1)]
+    grads = [fj.value_and_gradient(x) for fj in spec.f]
+    on_torus = np.ones(len(x), dtype=bool)
+    for fj, g in zip(spec.f, grads):
+        on_torus &= ~(np.abs(g[:, 0]) < BOUNDARY_TOL * np.maximum(1.0, fj.magnitude(x)))
+    x = x[on_torus]
+    scale = sum(abs(coeff_to_complex(sj)) * np.abs(g[on_torus, 1:])
+                / np.abs(g[on_torus, :1]) for sj, g in zip(spec.s, grads))
+    scale = scale + np.abs([coeff_to_complex(v) for v in spec.nu]) / np.abs(x)
+    resid = np.max(np.abs(omega_components(spec, x)) / np.maximum(1.0, scale),
+                   axis=1)
+    kept = [(xk, float(rk)) for xk, rk in zip(x, resid) if rk <= RESIDUAL_TOL]
     filtered = converged - len(kept)
 
     # order-independent dedup: sort, then cluster in the max norm

@@ -173,12 +173,8 @@ class LaurentPoly:
         """Stacked exponents of f, d_1 f, ..., d_n f; each one's rows and coefficients."""
         cached = self._gradient_arrays
         if cached is None:
-            parts = [self] + [self.partial(i + 1) for i in range(self.nvars)]
-            arrays = [p._eval_arrays() for p in parts]
-            exps = np.concatenate([a[0] for a in arrays])
-            ends = np.cumsum([len(a[1]) for a in arrays])
-            blocks = [(slice(end - len(a[1]), end), a[1]) for end, a in zip(ends, arrays)]
-            cached = (exps, blocks)
+            cached = power_table([self] + [self.partial(i + 1)
+                                           for i in range(self.nvars)])
             object.__setattr__(self, "_gradient_arrays", cached)
         return cached
 
@@ -230,6 +226,18 @@ class LaurentPoly:
         x = self._points(x)
         exps, coeffs, _ = self._eval_arrays()
         return np.prod(np.abs(x)[..., None, :] ** exps, axis=-1) @ np.abs(coeffs)
+
+
+def power_table(polys):
+    """Exponents of one power table shared by `polys`, and each one's block.
+
+    A block is the slice of the table's rows that holds the polynomial's
+    monomials, with the matching complex coefficients.
+    """
+    arrays = [p._eval_arrays() for p in polys]
+    exps = np.concatenate([a[0] for a in arrays])
+    ends = np.cumsum([len(a[1]) for a in arrays])
+    return exps, [(slice(end - len(a[1]), end), a[1]) for end, a in zip(ends, arrays)]
 
 
 @dataclass(frozen=True)

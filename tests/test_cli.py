@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eulerint import cli
 from eulerint.cli import main
+from eulerint.laurent import parse_poly
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
@@ -308,11 +310,30 @@ _TWO_POINTS = json.loads((PROBLEMS / "two_points.json").read_text())
          {"cycles": [dict(_TWO_POINTS["cycles"][0], A=[math.inf, 0])]},
          {"cycles": [dict(_TWO_POINTS["cycles"][0], C=math.nan)]},
          {"cycles": [dict(_TWO_POINTS["cycles"][0], phi=[0, math.inf])]},
-         {"cycles": [dict(_TWO_POINTS["cycles"][0], phi=math.nan)]})])
+         {"cycles": [dict(_TWO_POINTS["cycles"][0], phi=math.nan)]})
+# degree 10^300: more total-degree paths than critical.MAX_PATHS
+] + [("chi", {"f": [[[[1e300], 1], [[0], 1]]]})])
 def test_invalid_input_exit_3(tmp_path, capsys, command, obj):
     code, out = run(capsys, [command, _problem(tmp_path, obj)])
     assert code == 3
     assert out["error"]["type"] == "invalid-input"
+
+
+def test_path_cap_names_constant(tmp_path, capsys):
+    code, out = run(capsys, ["chi", _problem(tmp_path,
+                                             {"f": [[[[1e300], 1], [[0], 1]]]})])
+    assert code == 3
+    assert "MAX_PATHS" in out["error"]["message"]
+
+
+def test_build_spec_parses_each_entry_once():
+    obj = {"f": ["x - 1", "x*y - 2", [[[1, 0, 1], 1], [[0, 0, 0], 2]]]}
+    with mock.patch.object(cli, "parse_polynomial",
+                           wraps=cli.parse_polynomial) as parse:
+        spec = cli.build_spec(obj)
+    assert parse.call_count == 3
+    assert spec.f[:2] == (parse_poly("x - 1", 3), parse_poly("x*y - 2", 3))
+    assert spec.f[2] == parse_poly("x*z + 2", 3)
 
 
 def test_integral_float_exponent_accepted(tmp_path, capsys):

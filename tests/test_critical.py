@@ -3,9 +3,13 @@ import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
 from eulerint import critical, polytope
-from eulerint.critical import (PolySystem, SolutionSet, TrackerSettings,
-                               build_system, euler_characteristic, solve)
+from eulerint.critical import (DIVERGENCE_RADIUS, INITIAL_STEP, MAX_NEWTON,
+                               MAX_STEP, MIN_STEP, NEWTON_TOL, PolySystem,
+                               SolutionSet, TrackerSettings, build_system,
+                               euler_characteristic, solve)
 from eulerint.laurent import IntegrandSpec, LaurentPoly, omega_components, parse_poly
+
+from conftest import HEXAGON_TEXT, LINES_TEXT
 
 
 # -- fixed thresholds ------------------------------------------------------
@@ -101,6 +105,149 @@ def test_system_magnitude_is_per_equation(hexagon_poly):
     x = np.array([0.8 + 0.3j, -1.1 + 0.6j])
     assert np.array_equal(system.magnitude(x),
                           [eq.magnitude(x) for eq in system.equations])
+
+
+def _random_system(polys, rng):
+    n = polys[0].nvars
+    s = tuple(complex(*rng.uniform(-1, 1, 2)) for _ in polys)
+    nu = tuple(complex(*rng.uniform(-1, 1, 2)) for _ in range(n))
+    return build_system(IntegrandSpec(polys, s, nu))
+
+
+_THREE_TEXT = "x*y + y*z + x*z + x + 2*z - 1"
+
+
+@pytest.mark.parametrize("text", [HEXAGON_TEXT, _THREE_TEXT])
+def test_system_batch_matches_points(text):
+    rng = np.random.default_rng(4)
+    system = _random_system([parse_poly(text)], rng)
+    n = system.nvars
+    x = rng.normal(size=(7, n)) + 1j * rng.normal(size=(7, n))
+    f, jac = system.evaluate(x)
+    mag = system.magnitude(x)
+    assert f.shape == mag.shape == (7, n) and jac.shape == (7, n, n)
+    for k in range(7):
+        fk, jk = system.evaluate(x[k])
+        scale = 1e-13 * np.max(system.magnitude(x[k]))
+        assert np.max(np.abs(f[k] - fk)) <= scale
+        assert np.max(np.abs(jac[k] - jk)) <= scale
+        assert np.max(np.abs(mag[k] - system.magnitude(x[k]))) <= scale
+
+
+# -- lockstep tracker against the one-path-at-a-time tracker ---------------
+
+def _track_path(system, start, gamma, degrees, roots):
+    """Track one path of H(x,t) = gamma (1-t) G(x) + t F(x) from t=0 to t=1."""
+
+    def h(x, t):
+        # H, dH/dx and dH/dt from one evaluation of the target system
+        f, jac = system.evaluate(x)
+        g = x ** degrees - roots
+        hx = gamma * (1 - t) * np.diag(degrees * x ** (degrees - 1)) + t * jac
+        return gamma * (1 - t) * g + t * f, hx, f - gamma * g
+
+    def h_scale(x, t):
+        # backward-error scale: sum of |term| over both homotopy parts
+        gs = np.abs(x) ** degrees + np.abs(roots)
+        return (1 - t) * gs + t * system.magnitude(x)
+
+    x = np.array(start, dtype=np.complex128)
+    t = 0.0
+    _, hx, ht = h(x, t)
+    dt = INITIAL_STEP
+    successes = 0
+    while t < 1.0:
+        dt = min(dt, 1.0 - t)
+        # Euler predictor
+        try:
+            dx = np.linalg.solve(hx, -ht) * dt
+        except np.linalg.LinAlgError:
+            return "stalled", x, t
+        xp = x + dx
+        tp = t + dt
+        # Newton corrector; on success hxp, htp are the derivatives at (xp, tp)
+        ok = False
+        for _ in range(MAX_NEWTON):
+            r, hxp, htp = h(xp, tp)
+            if not np.all(np.isfinite(r)):
+                break
+            if np.all(np.abs(r) < NEWTON_TOL * np.maximum(1.0, h_scale(xp, tp))):
+                ok = True
+                break
+            try:
+                xp = xp + np.linalg.solve(hxp, -r)
+            except np.linalg.LinAlgError:
+                break
+        # guard against path jumping: the corrected point must stay within the
+        # predictor's reach, otherwise shrink the step and retry
+        if ok and np.linalg.norm(xp - (x + dx)) > 2.0 * np.linalg.norm(dx) + 1e-6 * (
+                1.0 + np.linalg.norm(x)):
+            ok = False
+        if ok:
+            x, t, hx, ht = xp, tp, hxp, htp
+            successes += 1
+            if successes >= 3:
+                dt = min(dt * 2, MAX_STEP)
+                successes = 0
+            if np.max(np.abs(x)) > DIVERGENCE_RADIUS:
+                return "diverged", x, t
+        else:
+            successes = 0
+            dt /= 2
+            if dt < MIN_STEP:
+                return "stalled", x, t
+    return "ok", x, t
+
+
+def _start(system, rng):
+    degrees = np.array([max(1, eq.total_degree()) for eq in system.equations],
+                       dtype=np.float64)
+    starts, gamma, roots = critical._start_system(degrees, rng)
+    return starts, gamma, degrees, roots
+
+
+def _assert_same_path(got, want):
+    (status, x, t), (want_status, want_x, want_t) = got, want
+    assert status == want_status
+    assert t == want_t
+    assert np.max(np.abs(x - want_x)) <= 1e-12
+
+
+@pytest.mark.parametrize("texts", [[HEXAGON_TEXT], [LINES_TEXT],
+                                   ["x - 1", "x - 2"], [_THREE_TEXT]])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lockstep_matches_single_path(texts, seed):
+    rng = np.random.default_rng(seed)
+    system = _random_system([parse_poly(t) for t in texts], rng)
+    starts, gamma, degrees, roots = _start(system, rng)
+    status, xs, ts = critical._track_paths(system, starts, gamma, degrees, roots)
+    assert len(status) == len(xs) == len(ts) == len(starts)
+    for k, start in enumerate(starts):
+        _assert_same_path((status[k], xs[k], ts[k]),
+                          _track_path(system, start, gamma, degrees, roots))
+
+
+def test_singular_predictor_stalls_only_its_path(hexagon_poly):
+    rng = np.random.default_rng(7)
+    system = _random_system([hexagon_poly], rng)
+    starts, gamma, degrees, roots = _start(system, rng)
+    # dH/dx at t = 0 is gamma diag(d_i x_i^(d_i - 1)): singular where x_1 = 0
+    starts = np.concatenate([starts[:4], [[0.0, starts[0, 1]]], starts[4:8]])
+    status, xs, ts = critical._track_paths(system, starts, gamma, degrees, roots)
+    assert (status[4], ts[4]) == ("stalled", 0.0)
+    assert np.array_equal(xs[4], starts[4])
+    for k in (0, 1, 2, 3, 5, 6, 7, 8):
+        alone = critical._track_paths(system, starts[k:k + 1], gamma, degrees, roots)
+        _assert_same_path((status[k], xs[k], ts[k]), [a[0] for a in alone])
+
+
+def test_path_count_is_capped():
+    # x^D + 1 clears to one equation of degree D: D start paths
+    f = LaurentPoly(1, {(critical.MAX_PATHS + 1,): 1, (0,): 1})
+    system = build_system(IntegrandSpec([f], (0.5,), (0.5,)))
+    assert system.equations[0].total_degree() == critical.MAX_PATHS + 1
+    with pytest.raises(critical.TooManyPathsError, match="MAX_PATHS"):
+        solve(system)
 
 
 # -- reported solutions satisfy the rational equations ---------------------
