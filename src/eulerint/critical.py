@@ -53,11 +53,19 @@ class PolySystem:
 
     @cached_property
     def _tables(self):
-        # one power table for every equation and its partials, and one for
-        # the equations alone, which the magnitude raises |x| to
+        # power tables of x for every equation and its partials, and of |x|
+        # for the equations alone: exponents cast to the dtype they are raised
+        # in, and for each polynomial its slice of rows and its coefficients
+        # (their moduli for |x|)
         parts = [p for eq in self.equations
                  for p in (eq, *(eq.partial(k + 1) for k in range(self.nvars)))]
-        return power_table(parts), power_table(self.equations)
+        tables = []
+        for polys, dtype, coeff in ((parts, np.complex128, np.asarray),
+                                    (self.equations, np.float64, np.abs)):
+            exps, blocks = power_table(polys)
+            tables.append((exps.astype(dtype),
+                           [(rows, coeff(c)) for rows, c in blocks]))
+        return tables
 
     def evaluate(self, x):
         """F and its Jacobian J at a point (n,) or at each row of a batch (P, n).
@@ -81,19 +89,21 @@ class PolySystem:
         _, (exps, blocks) = self._tables
         x = np.asarray(x, dtype=np.complex128)
         points = np.abs(x).reshape(-1, self.nvars)
-        mags = _block_values(np.prod(points[:, None, :] ** exps, axis=-1),
-                             [(rows, np.abs(coeffs)) for rows, coeffs in blocks])
-        return mags.reshape(x.shape)
+        return _block_values(np.prod(points[:, None, :] ** exps, axis=-1),
+                             blocks).reshape(x.shape)
 
 
 def _block_values(mon, blocks):
     """Per row of the power table `mon`, each block's coefficients dotted with it.
 
-    A stack of vector dot products rounds each row as a lone point does, so
-    a batch row keeps the bits of its point.
+    A block's rows are contiguous, so matmul takes one dot product per table
+    row, as `LaurentPoly` does at a point; a batch row therefore keeps the
+    bits of its point, which a matrix-vector product would not.
     """
-    return np.stack([np.matmul(mon[:, None, rows], coeffs[:, None])[:, 0, 0]
-                     for rows, coeffs in blocks], axis=-1)
+    out = np.empty((len(mon), len(blocks)), dtype=np.result_type(mon, blocks[0][1]))
+    for j, (rows, coeffs) in enumerate(blocks):
+        out[:, j] = np.matmul(mon[:, None, rows], coeffs[:, None])[:, 0, 0]
+    return out
 
 
 @dataclass(frozen=True)
@@ -206,33 +216,31 @@ def _track_paths(system, starts, gamma, degrees, roots):
         dx, singular = _solve_stack(hx[a], -ht[a])
         status[a[singular]] = "stalled"
         a, dx = a[~singular], dx[~singular]
-        dx *= dt[a, None]
-        xp = x[a] + dx
-        tp = t[a] + dt[a]
-        # Newton corrector; where ok, hxp and htp are the derivatives at (xp, tp)
+        x0, dt0 = x[a], dt[a]
+        dx *= dt0[:, None]
+        xp = x0 + dx
+        tp = t[a] + dt0
+        # Newton corrector on the rows k still iterating; where ok, hxp and
+        # htp are the derivatives at (xp, tp)
         ok = np.zeros(len(a), dtype=bool)
-        newton = np.ones(len(a), dtype=bool)
-        hxp = np.empty_like(hx[a])
+        hxp = np.empty((len(a),) + hx.shape[1:], dtype=hx.dtype)
         htp = np.empty_like(xp)
+        k = np.arange(len(a))
         for _ in range(MAX_NEWTON):
-            k = np.flatnonzero(newton)
+            r, hxp[k], htp[k] = h(xp[k], tp[k])
+            done = np.all(np.abs(r) < NEWTON_TOL * np.maximum(
+                1.0, h_scale(xp[k], tp[k])), axis=1)
+            ok[k[done]] = True
+            step = np.all(np.isfinite(r), axis=1) & ~done
+            delta, singular = _solve_stack(hxp[k[step]], -r[step])
+            k = k[step][~singular]
             if not k.size:
                 break
-            r, hxp[k], htp[k] = h(xp[k], tp[k])
-            finite = np.all(np.isfinite(r), axis=1)
-            done = finite.copy()
-            done[finite] = np.all(np.abs(r[finite]) < NEWTON_TOL * np.maximum(
-                1.0, h_scale(xp[k[finite]], tp[k[finite]])), axis=1)
-            ok[k[done]] = True
-            newton[k[~finite | done]] = False
-            step = finite & ~done
-            delta, singular = _solve_stack(hxp[k[step]], -r[step])
-            xp[k[step][~singular]] += delta[~singular]
-            newton[k[step][singular]] = False
+            xp[k] += delta[~singular]
         # guard against path jumping: the corrected point must stay within the
         # predictor's reach, otherwise shrink the step and retry
-        ok &= ~(np.linalg.norm(xp - (x[a] + dx), axis=1) > 2.0 * np.linalg.norm(
-            dx, axis=1) + 1e-6 * (1.0 + np.linalg.norm(x[a], axis=1)))
+        ok &= ~(np.linalg.norm(xp - (x0 + dx), axis=1) > 2.0 * np.linalg.norm(
+            dx, axis=1) + 1e-6 * (1.0 + np.linalg.norm(x0, axis=1)))
         acc, rej = a[ok], a[~ok]
         x[acc], t[acc], hx[acc], ht[acc] = xp[ok], tp[ok], hxp[ok], htp[ok]
         successes[acc] += 1
