@@ -100,7 +100,7 @@ def _block_values(mon, blocks):
     row, as `LaurentPoly` does at a point; a batch row therefore keeps the
     bits of its point, which a matrix-vector product would not.
     """
-    out = np.empty((len(mon), len(blocks)), dtype=np.result_type(mon, blocks[0][1]))
+    out = np.empty((len(mon), len(blocks)), dtype=mon.dtype)
     for j, (rows, coeffs) in enumerate(blocks):
         out[:, j] = np.matmul(mon[:, None, rows], coeffs[:, None])[:, 0, 0]
     return out
@@ -180,13 +180,13 @@ def _solve_stack(a, b):
 
 
 def _track_paths(system, starts, gamma, degrees, roots):
-    """Track all paths of H(x,t) = gamma (1-t) G(x) + t F(x) from t=0 to 1 in lockstep.
+    """Track the paths of H(x,t) = gamma (1-t) G(x) + t F(x), t: 0 -> 1, in lockstep.
 
     `starts` holds one start root per row, shape (P, n).  Every path keeps its
-    own t, step, success count and status; each iteration takes one Euler
-    predictor and up to MAX_NEWTON corrector steps on all running paths at
-    once.  Returns the status ("ok", "diverged" or "stalled"), x and t of
-    every path.
+    own t, step, success count and status.  Each iteration takes one Euler
+    predictor for all running paths at once, then up to MAX_NEWTON corrector
+    steps, each for all the paths still iterating.  Returns the status ("ok",
+    "diverged" or "stalled"), x and t of every path.
     """
     diag = np.arange(len(degrees))
 
@@ -227,9 +227,10 @@ def _track_paths(system, starts, gamma, degrees, roots):
         htp = np.empty_like(xp)
         k = np.arange(len(a))
         for _ in range(MAX_NEWTON):
-            r, hxp[k], htp[k] = h(xp[k], tp[k])
-            done = np.all(np.abs(r) < NEWTON_TOL * np.maximum(
-                1.0, h_scale(xp[k], tp[k])), axis=1)
+            xk, tk = xp[k], tp[k]
+            r, hxp[k], htp[k] = h(xk, tk)
+            done = np.all(np.abs(r) < NEWTON_TOL * np.maximum(1.0, h_scale(xk, tk)),
+                          axis=1)
             ok[k[done]] = True
             step = np.all(np.isfinite(r), axis=1) & ~done
             delta, singular = _solve_stack(hxp[k[step]], -r[step])

@@ -136,6 +136,7 @@ def test_system_batch_matches_points(text):
 
 # -- lockstep tracker against the one-path-at-a-time tracker ---------------
 
+# The tracker that `_track_paths` replaced, kept verbatim as the reference.
 def _track_path(system, start, gamma, degrees, roots):
     """Track one path of H(x,t) = gamma (1-t) G(x) + t F(x) from t=0 to t=1."""
 
