@@ -237,24 +237,34 @@ def build_operators(obj: dict, spec: IntegrandSpec):
     return ops
 
 
-def setting(obj: dict, key: str, default, least: int) -> int:
-    """Integer settings.<key> of the problem file, at least `least`."""
+# least value of each integer setting, and the module constant that caps it
+LIMITS = {"nodes": (2, "twisted.MAX_NODES", twisted.MAX_NODES),
+          "draws": (1, "critical.MAX_DRAWS", critical.MAX_DRAWS)}
+
+
+def in_limits(key: str, n: int) -> int:
+    """n if it lies within LIMITS[key]."""
+    least, cap, most = LIMITS[key]
+    if n < least:
+        raise InputError(f"{key}: need at least {least}, got {n}")
+    if n > most:
+        raise InputError(f"{key}: at most {cap} = {most}, got {n}")
+    return n
+
+
+def setting(obj: dict, key: str, default) -> int:
+    """Integer settings.<key> of the problem file, within LIMITS[key]."""
     settings = obj.get("settings", {})
     if not isinstance(settings, dict):
         raise InputError("\"settings\" must be a JSON object")
-    n = parse_integer(settings.get(key, default), key)
-    if n < least:
-        raise InputError(f"{key}: need at least {least}, got {n}")
-    return n
+    return in_limits(key, parse_integer(settings.get(key, default), key))
 
 
 def node_count(obj: dict, args) -> int:
     """Quadrature nodes per segment: --nodes, else settings.nodes, else the default."""
     if args.nodes is None:
-        return setting(obj, "nodes", twisted.DEFAULT_NODES, 2)
-    if args.nodes < 2:
-        raise InputError(f"nodes: need at least 2, got {args.nodes}")
-    return args.nodes
+        return setting(obj, "nodes", twisted.DEFAULT_NODES)
+    return in_limits("nodes", args.nodes)
 
 
 def tracked(fn, *args, **kwargs):
@@ -309,7 +319,7 @@ def emit(payload: dict, out_path: str | None) -> None:
 def cmd_chi(obj: dict, args) -> dict:
     spec = build_spec(obj)
     settings = critical.TrackerSettings(seed=args.seed)
-    draws = setting(obj, "draws", 2, 1)
+    draws = setting(obj, "draws", 2)
     try:
         chi, count, certified = critical.euler_characteristic(
             spec, settings, draws=draws)

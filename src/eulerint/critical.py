@@ -33,6 +33,8 @@ RESIDUAL_TOL = 1e-8      # scaled residual of the rational equations at a soluti
 BOUNDARY_TOL = 1e-8      # |x_i| or scaled |f_j| below this puts x off the torus
 DEDUP_DISTANCE = 1e-6    # max-norm distance below which two solutions are one
 MAX_PATHS = 4096         # most start paths (product of degrees) a solve tracks
+MAX_DRAWS = 16           # most random parameter draws `chi` compares
+TABLE_ENTRIES = 2 ** 20  # most rows x monomials x variables of one power table
 
 
 class TooManyPathsError(ValueError):
@@ -44,7 +46,6 @@ class PolySystem:
     """Cleared polynomial form of the critical equations."""
 
     equations: tuple          # n LaurentPoly without negative exponents
-    cleared_factors: tuple    # textual record of what was multiplied in
     spec: IntegrandSpec
 
     @property
@@ -52,58 +53,50 @@ class PolySystem:
         return self.spec.nvars
 
     @cached_property
-    def _tables(self):
-        # power tables of x for every equation and its partials, and of |x|
-        # for the equations alone: exponents cast to the dtype they are raised
-        # in, and for each polynomial its slice of rows and its coefficients
-        # (their moduli for |x|)
+    def _table(self):
+        # one power table for every equation and its partials: the exponents
+        # cast to the dtype they are raised in; for each polynomial its rows
+        # and conjugated coefficients (vecdot conjugates its first operand),
+        # and for each equation its rows and coefficient moduli
         parts = [p for eq in self.equations
                  for p in (eq, *(eq.partial(k + 1) for k in range(self.nvars)))]
-        tables = []
-        for polys, dtype, coeff in ((parts, np.complex128, np.asarray),
-                                    (self.equations, np.float64, np.abs)):
-            exps, blocks = power_table(polys)
-            tables.append((exps.astype(dtype),
-                           [(rows, coeff(c)) for rows, c in blocks]))
-        return tables
+        exps, blocks = power_table(parts)
+        return (exps.astype(np.complex128), [(rows, c.conj()) for rows, c in blocks],
+                [(rows, np.abs(c)) for rows, c in blocks[::self.nvars + 1]])
 
     def evaluate(self, x):
-        """F and its Jacobian J at a point (n,) or at each row of a batch (P, n).
+        """F, its Jacobian J and the residual scale at a point (n,) or on a batch (P, n).
 
-        F has shape (n,) or (P, n), J has shape (n, n) or (P, n, n).  A point
-        gives the bits of `LaurentPoly.evaluate`, and a batch row those of
-        its point.
+        F and the scale have shape (n,) or (P, n), J has shape (n, n) or
+        (P, n, n).  Equation i's scale is the sum of |c_k| |x^{e_k}| over its
+        terms.  A point gives the bits of `LaurentPoly.evaluate` and
+        `magnitude`, and a batch row those of its point.  The batch is taken
+        in row slices whose power tables hold at most TABLE_ENTRIES entries.
         """
-        (exps, blocks), _ = self._tables
+        exps, blocks, moduli = self._table
+        n = self.nvars
         x = np.asarray(x, dtype=np.complex128)
-        points = x.reshape(-1, self.nvars)
-        rows = _block_values(np.prod(points[:, None, :] ** exps, axis=-1), blocks)
-        rows = rows.reshape(x.shape[:-1] + (self.nvars, self.nvars + 1))
-        return rows[..., 0], rows[..., 1:]
-
-    def magnitude(self, x):
-        """Per-equation sum of |c_k| |x|^{e_k}: the natural residual scale.
-
-        Shape (n,) at a point, (P, n) on a batch.
-        """
-        _, (exps, blocks) = self._tables
-        x = np.asarray(x, dtype=np.complex128)
-        points = np.abs(x).reshape(-1, self.nvars)
-        return _block_values(np.prod(points[:, None, :] ** exps, axis=-1),
-                             blocks).reshape(x.shape)
+        points = x.reshape(-1, n)
+        values = np.empty((len(points), len(blocks)), dtype=np.complex128)
+        scale = np.empty((len(points), n))
+        rows = max(1, TABLE_ENTRIES // (len(exps) * n))
+        for lo in range(0, len(points), rows):
+            mon = np.prod(points[lo:lo + rows, None, :] ** exps, axis=-1)
+            values[lo:lo + rows] = _block_values(mon, blocks)
+            scale[lo:lo + rows] = _block_values(np.abs(mon), moduli)
+        values = values.reshape(x.shape[:-1] + (n, n + 1))
+        return values[..., 0], values[..., 1:], scale.reshape(x.shape)
 
 
 def _block_values(mon, blocks):
     """Per row of the power table `mon`, each block's coefficients dotted with it.
 
-    A block's rows are contiguous, so matmul takes one dot product per table
-    row, as `LaurentPoly` does at a point; a batch row therefore keeps the
-    bits of its point, which a matrix-vector product would not.
+    vecdot takes one dot product per table row, as `LaurentPoly` does at a
+    point, so a batch row keeps the bits of its point, which a matrix-vector
+    product would not.
     """
-    out = np.empty((len(mon), len(blocks)), dtype=mon.dtype)
-    for j, (rows, coeffs) in enumerate(blocks):
-        out[:, j] = np.matmul(mon[:, None, rows], coeffs[:, None])[:, 0, 0]
-    return out
+    return np.stack([np.vecdot(coeffs, mon[:, rows]) for rows, coeffs in blocks],
+                    axis=-1)
 
 
 @dataclass(frozen=True)
@@ -136,7 +129,6 @@ def build_system(spec: IntegrandSpec) -> PolySystem:
     """
     n = spec.nvars
     eqs = []
-    factors = []
     for i in range(n):
         acc = LaurentPoly.zero(n)
         for j, fj in enumerate(spec.f):
@@ -154,10 +146,8 @@ def build_system(spec: IntegrandSpec) -> PolySystem:
         clear = tuple(-m if m < 0 else 0 for m in mins)
         if any(clear):
             acc = acc.shift(clear)
-        factors.append(f"x{i + 1} * f1..f{len(spec.f)}"
-                       + (f" * x^{clear}" if any(clear) else ""))
         eqs.append(acc)
-    return PolySystem(tuple(eqs), tuple(factors), spec)
+    return PolySystem(tuple(eqs), spec)
 
 
 def _solve_stack(a, b):
@@ -179,34 +169,61 @@ def _solve_stack(a, b):
         return y, singular
 
 
+def _newton(evaluate, x, iters, tol):
+    """Newton's method on the rows of the batch x (P, n), stepped in place.
+
+    `evaluate(xk, k)` gives F, its Jacobian and the residual scale at xk, the
+    rows k of x.  A row stops once its scaled residual is below `tol`, and is
+    dropped when its residual is not finite or its Jacobian is singular.
+    Returns the mask of the rows that stopped, and the rows still iterating
+    after `iters` steps, which are not evaluated after their last step.
+    """
+    done = np.zeros(len(x), dtype=bool)
+    k = np.arange(len(x))
+    for _ in range(iters):
+        r, jac, scale = evaluate(x[k], k)
+        below = _below(r, scale, tol)
+        done[k[below]] = True
+        step = np.all(np.isfinite(r), axis=1) & ~below
+        delta, singular = _solve_stack(jac[step], -r[step])
+        k = k[step][~singular]
+        if not k.size:
+            break
+        x[k] += delta[~singular]
+    return done, k
+
+
+def _below(r, scale, tol):
+    """Per row, whether every residual is below tol times max(1, its scale)."""
+    return np.all(np.abs(r) < tol * np.maximum(1.0, scale), axis=1)
+
+
 def _track_paths(system, starts, gamma, degrees, roots):
     """Track the paths of H(x,t) = gamma (1-t) G(x) + t F(x), t: 0 -> 1, in lockstep.
 
     `starts` holds one start root per row, shape (P, n).  Every path keeps its
     own t, step, success count and status.  Each iteration takes one Euler
-    predictor for all running paths at once, then up to MAX_NEWTON corrector
-    steps, each for all the paths still iterating.  Returns the status ("ok",
+    predictor for all running paths at once, then a Newton corrector of up to
+    MAX_NEWTON steps on the paths still iterating.  Returns the status ("ok",
     "diverged" or "stalled"), x and t of every path.
     """
     diag = np.arange(len(degrees))
 
     def h(x, t):
-        # H, dH/dx and dH/dt from one evaluation of the target system
-        f, jac = system.evaluate(x)
+        # H, dH/dx, dH/dt and the backward-error scale (the sum of |term| over
+        # both homotopy parts) from one evaluation of the target system
+        f, jac, scale = system.evaluate(x)
         g = x ** degrees - roots
         c = gamma * (1 - t)[:, None]
         hx = t[:, None, None] * jac
         hx[:, diag, diag] += c * (degrees * x ** (degrees - 1))
-        return c * g + t[:, None] * f, hx, f - gamma * g
-
-    def h_scale(x, t):
-        # backward-error scale: sum of |term| over both homotopy parts
-        gs = np.abs(x) ** degrees + np.abs(roots)
-        return (1 - t)[:, None] * gs + t[:, None] * system.magnitude(x)
+        scale = ((1 - t)[:, None] * (np.abs(x) ** degrees + np.abs(roots))
+                 + t[:, None] * scale)
+        return c * g + t[:, None] * f, hx, f - gamma * g, scale
 
     x = np.array(starts, dtype=np.complex128)
     t = np.zeros(len(x))
-    _, hx, ht = h(x, t)
+    _, hx, ht, _ = h(x, t)
     dt = np.full(len(x), INITIAL_STEP)
     successes = np.zeros(len(x), dtype=int)
     status = np.full(len(x), "running", dtype="<U8")
@@ -220,24 +237,15 @@ def _track_paths(system, starts, gamma, degrees, roots):
         dx *= dt0[:, None]
         xp = x0 + dx
         tp = t[a] + dt0
-        # Newton corrector on the rows k still iterating; where ok, hxp and
-        # htp are the derivatives at (xp, tp)
-        ok = np.zeros(len(a), dtype=bool)
+        # Newton corrector; where ok, hxp and htp are the derivatives at (xp, tp)
         hxp = np.empty((len(a),) + hx.shape[1:], dtype=hx.dtype)
         htp = np.empty_like(xp)
-        k = np.arange(len(a))
-        for _ in range(MAX_NEWTON):
-            xk, tk = xp[k], tp[k]
-            r, hxp[k], htp[k] = h(xk, tk)
-            done = np.all(np.abs(r) < NEWTON_TOL * np.maximum(1.0, h_scale(xk, tk)),
-                          axis=1)
-            ok[k[done]] = True
-            step = np.all(np.isfinite(r), axis=1) & ~done
-            delta, singular = _solve_stack(hxp[k[step]], -r[step])
-            k = k[step][~singular]
-            if not k.size:
-                break
-            xp[k] += delta[~singular]
+
+        def at(xk, k):
+            r, hxp[k], htp[k], scale = h(xk, tp[k])
+            return r, hxp[k], scale
+
+        ok, _ = _newton(at, xp, MAX_NEWTON, NEWTON_TOL)
         # guard against path jumping: the corrected point must stay within the
         # predictor's reach, otherwise shrink the step and retry
         ok &= ~(np.linalg.norm(xp - (x0 + dx), axis=1) > 2.0 * np.linalg.norm(
@@ -257,26 +265,17 @@ def _track_paths(system, starts, gamma, degrees, roots):
 
 
 def _polish(system, x):
-    """Newton's method on the target system from x: the polished point or None.
+    """Newton's method on the target system from every row of x, in place.
 
-    It stops as soon as the scaled residual is below POLISH_TOL.  A point still
-    above that after POLISH_ITERS steps is kept only if it passes NEWTON_TOL.
+    A row stops as soon as its scaled residual is below POLISH_TOL.  A row
+    still iterating after POLISH_ITERS steps is kept only if it then passes
+    NEWTON_TOL.  Returns the mask of the kept rows.
     """
-    for _ in range(POLISH_ITERS):
-        r, jac = system.evaluate(x)
-        if not np.all(np.isfinite(r)):
-            return None
-        if np.all(np.abs(r) < POLISH_TOL * np.maximum(1.0, system.magnitude(x))):
-            return x
-        try:
-            x = x + np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            return None
-    r, _ = system.evaluate(x)
-    if np.all(np.isfinite(r)) and np.all(
-            np.abs(r) < NEWTON_TOL * np.maximum(1.0, system.magnitude(x))):
-        return x
-    return None
+    kept, k = _newton(lambda xk, _: system.evaluate(xk), x, POLISH_ITERS, POLISH_TOL)
+    if k.size:
+        r, _, scale = system.evaluate(x[k])
+        kept[k] = _below(r, scale, NEWTON_TOL)
+    return kept
 
 
 def _start_system(degrees, rng):
@@ -300,34 +299,27 @@ def _start_system(degrees, rng):
 def _run_tracking(system, degrees, rng):
     """One full total-degree tracking run with fresh random constants and gamma.
 
-    Returns (endpoints, converged, failed, unresolved, paths).  `unresolved`
-    counts near-t=1 stalls whose endpoint could not be polished (usually
-    boundary/infinity divergences, but occasionally a badly conditioned path
-    toward a genuine solution); `failed` counts the other paths that did not
-    diverge and could not be polished; `paths` is the number of start paths.
+    Returns (endpoints, converged, failed, unresolved, paths).  `endpoints`
+    holds the polished endpoints of the `converged` paths, one per row.
+    `unresolved` counts near-t=1 stalls whose endpoint could not be polished
+    (usually boundary/infinity divergences, but occasionally a badly
+    conditioned path toward a genuine solution); `failed` counts the other
+    paths that did not diverge and could not be polished; `paths` is the
+    number of start paths.
     """
     starts, gamma, roots = _start_system(degrees, rng)
-    failed = 0
-    unresolved = 0
-    converged = 0
-    endpoints = []
-    for status, x, t in zip(*_track_paths(system, starts, gamma, degrees, roots)):
-        if status == "diverged":
-            continue
-        polished = _polish(system, x)
-        if polished is not None:
-            converged += 1
-            endpoints.append(polished)
-        elif status == "stalled" and t > 1 - STALL_WINDOW:
-            # Paths heading to the toric boundary or to infinity stall with
-            # shrinking steps just before t = 1.  Regular target solutions are
-            # recovered by Newton polish from the stall point; a failed polish
-            # that close to t = 1 means the path has no finite regular limit.
-            # Only mid-domain stalls count as genuine tracking failures.
-            unresolved += 1
-        else:
-            failed += 1
-    return endpoints, converged, failed, unresolved, len(starts)
+    status, x, t = _track_paths(system, starts, gamma, degrees, roots)
+    live = status != "diverged"
+    x, status, t = x[live], status[live], t[live]
+    converged = _polish(system, x)
+    # Paths heading to the toric boundary or to infinity stall with shrinking
+    # steps just before t = 1.  Regular target solutions are recovered by
+    # Newton polish from the stall point; a failed polish that close to t = 1
+    # means the path has no finite regular limit.  Only mid-domain stalls
+    # count as genuine tracking failures.
+    unresolved = ~converged & (status == "stalled") & (t > 1 - STALL_WINDOW)
+    return (x[converged], int(converged.sum()), int((~converged & ~unresolved).sum()),
+            int(unresolved.sum()), len(starts))
 
 
 def solve(system: PolySystem, settings: TrackerSettings | None = None) -> SolutionSet:
@@ -361,7 +353,7 @@ def solve(system: PolySystem, settings: TrackerSettings | None = None) -> Soluti
     failed = 0
     for attempt in range(3):
         ep, conv, fail, unresolved, paths = _run_tracking(system, degrees, rng)
-        endpoints.extend(ep)
+        endpoints.append(ep)
         raw += paths
         converged += conv
         failed = fail
@@ -371,7 +363,7 @@ def solve(system: PolySystem, settings: TrackerSettings | None = None) -> Soluti
     # filter to the torus complement and check the original rational equations;
     # all thresholds are relative to the term magnitudes at x, so badly scaled
     # but genuine solutions are not rejected
-    x = np.array(endpoints, dtype=np.complex128).reshape(-1, n)
+    x = np.concatenate(endpoints)
     x = x[~np.any(np.abs(x) < BOUNDARY_TOL, axis=1)]
     grads = [fj.value_and_gradient(x) for fj in spec.f]
     on_torus = np.ones(len(x), dtype=bool)

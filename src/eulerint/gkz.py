@@ -82,28 +82,15 @@ def _format_coefficient(c) -> str:
     return str(c)
 
 
-def _format_kappa_entry(value, symbol) -> str:
-    """Render the constant part, symbolically when no numeric value is given."""
-    if value is None:
-        return symbol
-    z = complex(value)
-    if z == 0:
-        return "0"
-    if z.imag == 0:
-        return repr(z.real) if z.real != int(z.real) else str(int(z.real))
-    return repr(z)
-
-
-def euler_operators(cfg: CayleyConfig, symbolic: bool = True):
+def euler_operators(cfg: CayleyConfig):
     """Text form of the operators sum_c A[i][c]*theta_{c+1} - kappa_i.
 
-    With symbolic=True the kappa entries are rendered as nu_1..nu_n, s_1..s_ell
-    (the operators are A*theta + nu over the first n rows and A*theta - s over
-    the rest); otherwise the stored numeric kappa is substituted.  The kernel
-    binomials d^{u+} - d^{u-} are appended, with an explicit disclaimer that
-    they generate the lattice but are not saturated.
+    The kappa entries are rendered as nu_1..nu_n, s_1..s_ell (the operators
+    are A*theta + nu over the first n rows and A*theta - s over the rest).
+    The kernel binomials d^{u+} - d^{u-} are appended, with an explicit
+    disclaimer that they generate the lattice but are not saturated.
     """
-    n, ell = cfg.nvars, cfg.npolys
+    n = cfg.nvars
     lines = []
     for i, row in enumerate(cfg.matrix):
         parts = []
@@ -112,14 +99,8 @@ def euler_operators(cfg: CayleyConfig, symbolic: bool = True):
                 continue
             parts.append(f"{_format_coefficient(a)}theta{c + 1}")
         body = " + ".join(parts) if parts else "0"
-        if symbolic:
-            const = f"nu{i + 1}" if i < n else f"s{i - n + 1}"
-            # kappa_i = -nu_i for the first n rows, s_j afterwards
-            tail = f" + {const}" if i < n else f" - {const}"
-        else:
-            kap = cfg.kappa[i]
-            rendered = _format_kappa_entry(kap, "")
-            tail = "" if rendered == "0" else f" - ({rendered})"
+        # kappa_i = -nu_i for the first n rows, s_j afterwards
+        tail = f" + nu{i + 1}" if i < n else f" - s{i - n + 1}"
         lines.append(body + tail)
     binomials = []
     for u in lattice_kernel(cfg).vectors:

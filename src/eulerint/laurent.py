@@ -219,13 +219,13 @@ class LaurentPoly:
         return out
 
     def magnitude(self, x):
-        """Sum of |c_k| |x|^{e_k} over the terms, the scale of rounding in f(x).
+        """Sum of |c_k| |x^{e_k}| over the terms, the scale of rounding in f(x).
 
         A point gives a float, a batch a float array of shape (P,).
         """
         x = self._points(x)
         exps, coeffs, _ = self._eval_arrays()
-        return np.prod(np.abs(x)[..., None, :] ** exps, axis=-1) @ np.abs(coeffs)
+        return np.abs(np.prod(x[..., None, :] ** exps, axis=-1)) @ np.abs(coeffs)
 
 
 def power_table(polys):

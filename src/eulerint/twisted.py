@@ -24,6 +24,7 @@ from .laurent import IntegrandSpec, omega_components
 
 NEWTON_CORRECTIONS = 4      # fixed corrector iterations per node
 DEFAULT_NODES = 1000        # quadrature nodes per triangle edge
+MAX_NODES = 100_000         # most quadrature nodes per triangle edge
 POLE_GUARD_RADIUS = 1e-8    # minimum allowed node distance to a singularity
 CLOSURE_TOL = 1e-6          # branch must return to itself within this
 KERNEL_REL_TOL = 1e-6       # kernel: sigma <= KERNEL_REL_TOL * sigma_max

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eulerint import cli
+from eulerint import cli, critical, twisted
 from eulerint.cli import main
 from eulerint.laurent import parse_poly
 
@@ -312,11 +312,35 @@ _TWO_POINTS = json.loads((PROBLEMS / "two_points.json").read_text())
          {"cycles": [dict(_TWO_POINTS["cycles"][0], phi=[0, math.inf])]},
          {"cycles": [dict(_TWO_POINTS["cycles"][0], phi=math.nan)]})
 # degree 10^300: more total-degree paths than critical.MAX_PATHS
-] + [("chi", {"f": [[[[1e300], 1], [[0], 1]]]})])
+] + [("chi", {"f": [[[[1e300], 1], [[0], 1]]]})
+# settings over their caps
+] + [("chi", {"f": ["x*y - 1"], "settings": {"draws": critical.MAX_DRAWS + 1}})
+] + [(command, dict(_TWO_POINTS, settings={"nodes": twisted.MAX_NODES + 1}))
+     for command in ("integrate", "relations")])
 def test_invalid_input_exit_3(tmp_path, capsys, command, obj):
     code, out = run(capsys, [command, _problem(tmp_path, obj)])
     assert code == 3
     assert out["error"]["type"] == "invalid-input"
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (["chi", {"f": ["x*y - 1"], "settings": {"draws": critical.MAX_DRAWS + 1}}],
+     "critical.MAX_DRAWS"),
+    (["integrate", _TWO_POINTS, "--nodes", twisted.MAX_NODES + 1], "twisted.MAX_NODES"),
+    (["relations", dict(_TWO_POINTS, settings={"nodes": twisted.MAX_NODES + 1})],
+     "twisted.MAX_NODES"),
+])
+def test_setting_cap_names_constant(tmp_path, capsys, argv, cap):
+    command, obj, *options = argv
+    code, out = run(capsys, [command, _problem(tmp_path, obj), *options])
+    assert code == 3
+    assert cap in out["error"]["message"]
+
+
+def test_settings_at_their_caps_are_accepted():
+    obj = {"settings": {"draws": critical.MAX_DRAWS, "nodes": twisted.MAX_NODES}}
+    assert cli.setting(obj, "draws", 2) == critical.MAX_DRAWS
+    assert cli.setting(obj, "nodes", 1000) == twisted.MAX_NODES
 
 
 def test_path_cap_names_constant(tmp_path, capsys):

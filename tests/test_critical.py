@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
@@ -28,18 +30,25 @@ def test_settings_dedup_exceeds_residual():
 # -- endpoint polish -------------------------------------------------------
 
 class _ConstantSystem:
-    """F(x) = r everywhere, with a Jacobian so large that Newton keeps x."""
+    """Row k of a batch has x = k + 1 and F = r[k], scale 1 and Jacobian jac[k].
 
-    def __init__(self, r):
-        self.r = r
-        self.evaluations = 0
+    A Jacobian of 1e300 makes every Newton step round away, so x stays k + 1;
+    one of 0 is singular.  `evaluations[k]` counts the batches that held row k.
+    """
+
+    def __init__(self, r, jac=None):
+        self.r = np.array(r, dtype=complex)
+        self.jac = np.full(len(r), 1e300) if jac is None else np.array(jac, dtype=float)
+        self.evaluations = np.zeros(len(r), dtype=int)
+
+    def points(self):
+        return np.arange(1, len(self.r) + 1, dtype=complex)[:, None]
 
     def evaluate(self, x):
-        self.evaluations += 1
-        return np.array([self.r], dtype=complex), np.array([[1e300]], dtype=complex)
-
-    def magnitude(self, x):
-        return np.array([1.0])
+        k = x[:, 0].real.astype(int) - 1
+        self.evaluations[k] += 1
+        return (self.r[k][:, None], self.jac[k][:, None, None].astype(complex),
+                np.ones((len(k), 1)))
 
 
 @pytest.mark.parametrize("r, kept, evaluations", [
@@ -48,10 +57,21 @@ class _ConstantSystem:
     (1e-6, False, critical.POLISH_ITERS + 1),      # fails both
 ])
 def test_polish_final_test(r, kept, evaluations):
-    system = _ConstantSystem(r)
-    out = critical._polish(system, np.array([1.0 + 0j]))
-    assert (out is not None) == kept
-    assert system.evaluations == evaluations
+    system = _ConstantSystem([r])
+    x = system.points()
+    assert critical._polish(system, x).tolist() == [kept]
+    assert system.evaluations.tolist() == [evaluations]
+    assert np.array_equal(x, system.points())
+
+
+def test_polish_mixed_batch():
+    # kept at once, kept after the cap, dropped, and a singular Jacobian that
+    # drops only its own row at the first step
+    system = _ConstantSystem([0.0, 1e-12, 1e-6, 1e-6], jac=[1e300] * 3 + [0.0])
+    kept = critical._polish(system, system.points())
+    assert kept.tolist() == [True, True, False, False]
+    cap = critical.POLISH_ITERS + 1
+    assert system.evaluations.tolist() == [1, cap, cap, 1]
 
 
 # -- cleared system --------------------------------------------------------
@@ -88,11 +108,11 @@ def test_system_jacobian_matches_central_differences(hexagon_poly):
     spec = IntegrandSpec([hexagon_poly], (0.5 + 0.1j,), (0.3 - 0.2j, 0.7 + 0.4j))
     system = build_system(spec)
     x = np.array([0.8 + 0.3j, -1.1 + 0.6j])
-    f, jac = system.evaluate(x)
-    assert f.shape == (2,) and jac.shape == (2, 2)
+    f, jac, scale = system.evaluate(x)
+    assert f.shape == scale.shape == (2,) and jac.shape == (2, 2)
     assert np.array_equal(f, [eq.evaluate(x) for eq in system.equations])
     h = 1e-5
-    scale = np.max(system.magnitude(x))
+    scale = np.max(scale)
     for k in range(2):
         step = h * np.eye(2)[k]
         diff = (system.evaluate(x + step)[0] - system.evaluate(x - step)[0]) / (2 * h)
@@ -103,7 +123,7 @@ def test_system_magnitude_is_per_equation(hexagon_poly):
     spec = IntegrandSpec([hexagon_poly], (0.5,), (0.3, 0.7))
     system = build_system(spec)
     x = np.array([0.8 + 0.3j, -1.1 + 0.6j])
-    assert np.array_equal(system.magnitude(x),
+    assert np.array_equal(system.evaluate(x)[2],
                           [eq.magnitude(x) for eq in system.equations])
 
 
@@ -123,15 +143,43 @@ def test_system_batch_matches_points(text):
     system = _random_system([parse_poly(text)], rng)
     n = system.nvars
     x = rng.normal(size=(7, n)) + 1j * rng.normal(size=(7, n))
-    f, jac = system.evaluate(x)
-    mag = system.magnitude(x)
-    assert f.shape == mag.shape == (7, n) and jac.shape == (7, n, n)
+    f, jac, scale = system.evaluate(x)
+    assert f.shape == scale.shape == (7, n) and jac.shape == (7, n, n)
     for k in range(7):
-        fk, jk = system.evaluate(x[k])
-        scale = 1e-13 * np.max(system.magnitude(x[k]))
-        assert np.max(np.abs(f[k] - fk)) <= scale
-        assert np.max(np.abs(jac[k] - jk)) <= scale
-        assert np.max(np.abs(mag[k] - system.magnitude(x[k]))) <= scale
+        fk, jk, sk = system.evaluate(x[k])
+        assert np.array_equal(f[k], fk)
+        assert np.array_equal(jac[k], jk)
+        assert np.array_equal(scale[k], sk)
+
+
+def test_system_slices_match_whole_batch(monkeypatch):
+    rng = np.random.default_rng(5)
+    system = _random_system([parse_poly(_THREE_TEXT)], rng)
+    x = rng.normal(size=(9, 3)) + 1j * rng.normal(size=(9, 3))
+    whole = system.evaluate(x)
+    # a budget below one row's table: every row is its own slice
+    monkeypatch.setattr(critical, "TABLE_ENTRIES", 1)
+    for got, want in zip(system.evaluate(x), whole):
+        assert np.array_equal(got, want)
+
+
+def test_power_table_memory_is_bounded():
+    # dense f of degree 32 in two variables: 1,024 paths and 3,234 monomials,
+    # whose whole-batch table would hold 6.6 million complex entries
+    rng = np.random.default_rng(6)
+    f = LaurentPoly(2, {(i, j): complex(*rng.uniform(-1, 1, 2))
+                        for i in range(33) for j in range(33 - i)})
+    system = build_system(IntegrandSpec([f], (0.5,), (0.5, 0.5)))
+    x = rng.normal(size=(1024, 2)) + 1j * rng.normal(size=(1024, 2))
+    system.evaluate(x[:1])    # builds the cached exponent table before the trace
+    tracemalloc.start()
+    try:
+        system.evaluate(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one slice's table, its monomials and the previous slice's monomials
+    assert peak <= 3 * 16 * critical.TABLE_ENTRIES
 
 
 # -- lockstep tracker against the one-path-at-a-time tracker ---------------
@@ -142,7 +190,7 @@ def _track_path(system, start, gamma, degrees, roots):
 
     def h(x, t):
         # H, dH/dx and dH/dt from one evaluation of the target system
-        f, jac = system.evaluate(x)
+        f, jac, _ = system.evaluate(x)
         g = x ** degrees - roots
         hx = gamma * (1 - t) * np.diag(degrees * x ** (degrees - 1)) + t * jac
         return gamma * (1 - t) * g + t * f, hx, f - gamma * g
@@ -150,7 +198,7 @@ def _track_path(system, start, gamma, degrees, roots):
     def h_scale(x, t):
         # backward-error scale: sum of |term| over both homotopy parts
         gs = np.abs(x) ** degrees + np.abs(roots)
-        return (1 - t) * gs + t * system.magnitude(x)
+        return (1 - t) * gs + t * system.evaluate(x)[2]
 
     x = np.array(start, dtype=np.complex128)
     t = 0.0

@@ -100,11 +100,6 @@ def test_two_point_binomial(two_point_spec):
     assert ops["binomials"] in (["d1*d4 - d2*d3"], ["d2*d3 - d1*d4"])
 
 
-def test_numeric_operator_text(two_point_spec):
-    ops = euler_operators(cayley_matrix(two_point_spec), symbolic=False)
-    assert all("nu" not in line and "s1" not in line for line in ops["euler"])
-
-
 # -- resonance -------------------------------------------------------------
 
 def test_generic_rational_kappa_nonresonant():
