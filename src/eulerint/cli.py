@@ -45,6 +45,9 @@ def parse_scalar(v, what="number"):
     if isinstance(v, bool):
         raise InputError(f"{what}: booleans are not numbers")
     if isinstance(v, (list, tuple)) and len(v) == 2:
+        if any(isinstance(u, (list, tuple)) for u in v):
+            raise InputError(f"{what}: the parts of [re, im] must be real, "
+                             f"got {v!r}")
         re, im = (parse_scalar(u, what) for u in v)
         return complex(float(re), float(im))
     if isinstance(v, str):
@@ -177,6 +180,9 @@ def build_cycles(obj: dict, spec: IntegrandSpec):
                 phi = twisted.principal_branch_value(spec, A)
             except ValueError:   # log of 0: A is a root of x * prod f_j
                 raise InputError(f"cycle vertex {A} lies on a singularity") from None
+            except OverflowError:
+                raise InputError(f"the principal branch value at {A} is beyond "
+                                 "the float range") from None
         else:
             phi = complex(parse_scalar(phi, "phi"))
         try:
@@ -270,8 +276,9 @@ def node_count(obj: dict, args) -> int:
 def tracked(fn, *args, **kwargs):
     """Run a branch-tracking computation with its failures mapped to exit codes.
 
-    Tracking and closure failures are numerical (exit 2).  Every ValueError it
-    raises concerns its input: irrational exponents, a cycle vertex on a
+    Tracking and closure failures are numerical (exit 2).  Every ValueError
+    and OverflowError it raises concerns its input: irrational exponents, an
+    exponent whose power is beyond the float range, a cycle vertex on a
     singularity, or a cocycle of the wrong length (exit 3).
     """
     try:
@@ -279,7 +286,7 @@ def tracked(fn, *args, **kwargs):
     except (twisted.SegmentError, twisted.CycleClosureError,
             NotImplementedError) as exc:
         raise NumericalError(str(exc)) from None
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise InputError(str(exc)) from None
 
 
@@ -411,8 +418,11 @@ def cmd_gkz(obj: dict, args) -> dict:
     cfg = gkz.cayley_matrix(spec)
     kernel = gkz.lattice_kernel(cfg)
     ops = gkz.euler_operators(cfg)
-    report = gkz.is_nonresonant(
-        cfg, tol=1e-9 if args.tol is None else args.tol)
+    try:
+        report = gkz.is_nonresonant(
+            cfg, tol=1e-9 if args.tol is None else args.tol)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     return {"matrix": [list(r) for r in cfg.matrix],
             "blocks": list(cfg.blocks),
             "kappa": [jnum(v) for v in cfg.kappa],

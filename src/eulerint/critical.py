@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .laurent import (IntegrandSpec, LaurentPoly, coeff_to_complex, omega_components,
+from .laurent import (IntegrandSpec, LaurentPoly, omega_components, power_rows,
                       power_table)
 
 # Fixed thresholds of the tracker, the endpoint polish and the solution filter.
@@ -34,7 +34,6 @@ BOUNDARY_TOL = 1e-8      # |x_i| or scaled |f_j| below this puts x off the torus
 DEDUP_DISTANCE = 1e-6    # max-norm distance below which two solutions are one
 MAX_PATHS = 4096         # most start paths (product of degrees) a solve tracks
 MAX_DRAWS = 16           # most random parameter draws `chi` compares
-TABLE_ENTRIES = 2 ** 20  # most rows x monomials x variables of one power table
 
 
 class TooManyPathsError(ValueError):
@@ -71,7 +70,7 @@ class PolySystem:
         (P, n, n).  Equation i's scale is the sum of |c_k| |x^{e_k}| over its
         terms.  A point gives the bits of `LaurentPoly.evaluate` and
         `magnitude`, and a batch row those of its point.  The batch is taken
-        in row slices whose power tables hold at most TABLE_ENTRIES entries.
+        in the row slices of `laurent.power_rows`.
         """
         exps, blocks, moduli = self._table
         n = self.nvars
@@ -79,11 +78,9 @@ class PolySystem:
         points = x.reshape(-1, n)
         values = np.empty((len(points), len(blocks)), dtype=np.complex128)
         scale = np.empty((len(points), n))
-        rows = max(1, TABLE_ENTRIES // (len(exps) * n))
-        for lo in range(0, len(points), rows):
-            mon = np.prod(points[lo:lo + rows, None, :] ** exps, axis=-1)
-            values[lo:lo + rows] = _block_values(mon, blocks)
-            scale[lo:lo + rows] = _block_values(np.abs(mon), moduli)
+        for rows, mon in power_rows(points, exps):
+            values[rows] = _block_values(mon, blocks)
+            scale[rows] = _block_values(np.abs(mon), moduli)
         values = values.reshape(x.shape[:-1] + (n, n + 1))
         return values[..., 0], values[..., 1:], scale.reshape(x.shape)
 
@@ -370,9 +367,9 @@ def solve(system: PolySystem, settings: TrackerSettings | None = None) -> Soluti
     for fj, g in zip(spec.f, grads):
         on_torus &= ~(np.abs(g[:, 0]) < BOUNDARY_TOL * np.maximum(1.0, fj.magnitude(x)))
     x = x[on_torus]
-    scale = sum(abs(coeff_to_complex(sj)) * np.abs(g[on_torus, 1:])
+    scale = sum(abs(complex(sj)) * np.abs(g[on_torus, 1:])
                 / np.abs(g[on_torus, :1]) for sj, g in zip(spec.s, grads))
-    scale = scale + np.abs([coeff_to_complex(v) for v in spec.nu]) / np.abs(x)
+    scale = scale + np.abs([complex(v) for v in spec.nu]) / np.abs(x)
     resid = np.max(np.abs(omega_components(spec, x)) / np.maximum(1.0, scale),
                    axis=1)
     kept = [(xk, float(rk)) for xk, rk in zip(x, resid) if rk <= RESIDUAL_TOL]

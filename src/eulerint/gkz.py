@@ -10,6 +10,7 @@ of the convex hull of the columns with the origin.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -49,15 +50,9 @@ def cayley_matrix(spec: IntegrandSpec) -> CayleyConfig:
                 1 if i == j else 0 for i in range(ell)))
             blocks.append(j)
     matrix = tuple(tuple(col[r] for col in cols) for r in range(n + ell))
-    kappa = tuple(_negate(v) for v in spec.nu) + tuple(spec.s)
+    kappa = tuple(-v for v in spec.nu) + tuple(spec.s)
     return CayleyConfig(matrix=matrix, blocks=tuple(blocks), kappa=kappa,
                         nvars=n, npolys=ell)
-
-
-def _negate(v):
-    if isinstance(v, (int, float, Fraction)):
-        return -v
-    return -complex(v)
 
 
 @dataclass(frozen=True)
@@ -134,7 +129,8 @@ def is_nonresonant(cfg: CayleyConfig, tol: float = 1e-9) -> ResonanceReport:
     For each facet of the cone over the columns, with primitive inner normal
     u_F, kappa is resonant along that facet iff u_F . kappa lies in the
     subgroup of the integers generated by the pairings u_F . alpha_c.  Exact
-    for rational kappa; distance tolerance `tol` for float entries.
+    for rational kappa; distance tolerance `tol` for float entries.  A float
+    pairing that overflows raises ValueError.
     """
     cols = cfg.columns()
     rank = ila.rank([list(c) for c in cols])
@@ -168,6 +164,9 @@ def _in_subgroup(value, g: int, tol: float) -> bool:
             return value == 0
         return Fraction(value) % g == 0
     z = complex(value)
+    if not cmath.isfinite(z):
+        raise ValueError(f"the pairing of kappa with a facet normal is {z}, "
+                         "beyond the float range")
     if abs(z.imag) > tol:
         return False
     if g == 0:

@@ -14,23 +14,13 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-_EXACT_TYPES = (int, Fraction)
+TABLE_ENTRIES = 2 ** 20  # most rows x monomials x variables of one power table
 
 
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-def _is_zero(c) -> bool:
-    return c == 0
-
-
-def coeff_to_complex(c) -> complex:
-    if isinstance(c, Fraction):
-        return complex(float(c))
-    return complex(c)
 
 
 class LaurentPoly:
@@ -46,9 +36,9 @@ class LaurentPoly:
             exp = tuple(int(e) for e in exp)
             if len(exp) != nvars:
                 raise ValueError(f"exponent {exp} has wrong length for nvars={nvars}")
-            if not _is_zero(c):
+            if c != 0:
                 clean[exp] = clean.get(exp, 0) + c if exp in clean else c
-        clean = {e: c for e, c in clean.items() if not _is_zero(c)}
+        clean = {e: c for e, c in clean.items() if c != 0}
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_arrays", None)
@@ -98,7 +88,7 @@ class LaurentPoly:
         return LaurentPoly(self.nvars, t)
 
     def scale(self, c) -> "LaurentPoly":
-        if _is_zero(c):
+        if c == 0:
             return LaurentPoly.zero(self.nvars)
         return LaurentPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
 
@@ -162,7 +152,7 @@ class LaurentPoly:
         cached = self._arrays
         if cached is None:
             exps = np.array(sorted(self.terms.keys()), dtype=np.int64).reshape(-1, self.nvars)
-            coeffs = np.array([coeff_to_complex(self.terms[tuple(e)]) for e in exps],
+            coeffs = np.array([complex(self.terms[tuple(e)]) for e in exps],
                               dtype=np.complex128)
             negative = np.flatnonzero(np.array(self.min_exponents()) < 0)
             cached = (exps, coeffs, negative)
@@ -199,10 +189,12 @@ class LaurentPoly:
         """
         x = self._points(x)
         exps, coeffs, _ = self._eval_arrays()
-        mon = np.prod(x[..., None, :] ** exps, axis=-1)
         if x.ndim == 1:
-            return complex(coeffs @ mon)
-        return mon @ coeffs
+            return complex(coeffs @ np.prod(x ** exps, axis=-1))
+        out = np.empty(len(x), dtype=np.complex128)
+        for rows, mon in power_rows(x, exps):
+            out[rows] = mon @ coeffs
+        return out
 
     def value_and_gradient(self, x):
         """f, d_1 f, ..., d_n f on the last axis: shape (n + 1,) or (P, n + 1).
@@ -212,10 +204,13 @@ class LaurentPoly:
         """
         x = self._points(x)
         exps, blocks = self._stacked_arrays()
-        mon = np.prod(x[..., None, :] ** exps, axis=-1)
-        out = np.empty(x.shape[:-1] + (self.nvars + 1,), dtype=np.complex128)
-        for k, (cols, coeffs) in enumerate(blocks):
-            out[..., k] = coeffs @ mon[cols] if x.ndim == 1 else mon[:, cols] @ coeffs
+        if x.ndim == 1:
+            mon = np.prod(x ** exps, axis=-1)
+            return np.array([coeffs @ mon[cols] for cols, coeffs in blocks])
+        out = np.empty((len(x), self.nvars + 1), dtype=np.complex128)
+        for rows, mon in power_rows(x, exps):
+            for k, (cols, coeffs) in enumerate(blocks):
+                out[rows, k] = mon[:, cols] @ coeffs
         return out
 
     def magnitude(self, x):
@@ -225,7 +220,25 @@ class LaurentPoly:
         """
         x = self._points(x)
         exps, coeffs, _ = self._eval_arrays()
-        return np.abs(np.prod(x[..., None, :] ** exps, axis=-1)) @ np.abs(coeffs)
+        if x.ndim == 1:
+            return np.abs(np.prod(x ** exps, axis=-1)) @ np.abs(coeffs)
+        out = np.empty(len(x))
+        for rows, mon in power_rows(x, exps):
+            out[rows] = np.abs(mon) @ np.abs(coeffs)
+        return out
+
+
+def power_rows(points, exps):
+    """Yield (rows, table) over row slices of a batch of points (P, n).
+
+    `table` holds the monomial x^e of each point x of the slice `rows` for
+    each exponent e in `exps` (m, n).  A slice's powers, rows x m x n entries,
+    number at most TABLE_ENTRIES, so a batch of any size takes bounded memory.
+    """
+    step = max(1, TABLE_ENTRIES // max(1, exps.size))
+    for lo in range(0, len(points), step):
+        rows = slice(lo, lo + step)
+        yield rows, np.prod(points[rows, None, :] ** exps, axis=-1)
 
 
 def power_table(polys):
@@ -299,9 +312,9 @@ def omega_components(spec: IntegrandSpec, x) -> np.ndarray:
     grads = [p.value_and_gradient(x) for p in spec.f]
     if any(np.any(g[..., 0] == 0) for g in grads):
         raise OutsideDomainError("point lies on the vanishing locus of f")
-    out = sum(coeff_to_complex(sj) * g[..., 1:] / g[..., :1]
+    out = sum(complex(sj) * g[..., 1:] / g[..., :1]
               for sj, g in zip(spec.s, grads))
-    return out + np.array([coeff_to_complex(v) for v in spec.nu]) / x
+    return out + np.array([complex(v) for v in spec.nu]) / x
 
 
 # -- text grammar ----------------------------------------------------------
@@ -468,14 +481,6 @@ def format_poly(p: LaurentPoly) -> str:
 
 
 # -- JSON form -------------------------------------------------------------
-
-def poly_to_json(p: LaurentPoly) -> dict:
-    return {"nvars": p.nvars,
-            "terms": [{"exp": list(e),
-                       "re": coeff_to_complex(c).real,
-                       "im": coeff_to_complex(c).imag}
-                      for e in sorted(p.terms) for c in [p.terms[e]]]}
-
 
 def poly_from_json(obj: dict) -> LaurentPoly:
     n = int(obj["nvars"])

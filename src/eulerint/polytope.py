@@ -153,11 +153,3 @@ def facets(pts: LatticePointSet):
     if not gens or len(fixed) == pts.dim:
         raise ValueError("zero-dimensional cone")
     return [u for u, _ in _cone_facets(gens, fixed)]
-
-
-def pointset_to_json(pts: LatticePointSet) -> dict:
-    return {"dim": pts.dim, "points": [list(p) for p in pts.points]}
-
-
-def pointset_from_json(obj: dict) -> LatticePointSet:
-    return LatticePointSet(int(obj["dim"]), obj["points"])

@@ -15,14 +15,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .laurent import IntegrandSpec, LaurentPoly, coeff_to_complex
+from .laurent import IntegrandSpec, LaurentPoly
 from . import twisted as tw
 
 ANNIHILATOR_TOL = 1e-9   # |coefficient| of s sum p_i df/dx_i + q f counted as 0
-
-
-def _is_exact(c) -> bool:
-    return isinstance(c, (int, Fraction))
 
 
 @dataclass(frozen=True)
@@ -79,19 +75,13 @@ class LogForm:
         return LogForm(self.nvars, self.terms + other.terms)
 
 
-def _coeff_mul(c1, c2):
-    if _is_exact(c1) and _is_exact(c2):
-        return Fraction(c1) * Fraction(c2)
-    return coeff_to_complex(c1) * coeff_to_complex(c2)
-
-
 @dataclass(frozen=True)
 class Relation:
     """Finite C-linear combination sum C_{a,b} I_{a,b} = 0.
 
     Keys are (a, b) integer shift pairs; values are nonzero coefficients,
-    exact Fractions when every input was rational.  Two relations are the
-    same statement when they differ by a global nonzero scale.
+    exact ints or Fractions when every input was rational.  Two relations
+    are the same statement when they differ by a global nonzero scale.
     """
 
     terms: tuple   # sorted ((a, b), coeff) pairs, no zero coefficients
@@ -105,8 +95,8 @@ class Relation:
         for (a, b), c in items:
             key = (tuple(int(v) for v in a), tuple(int(v) for v in b))
             cur = acc.get(key)
-            acc[key] = c if cur is None else _coeff_add(cur, c)
-        cleaned = [(k, v) for k, v in acc.items() if not _coeff_zero(v)]
+            acc[key] = c if cur is None else cur + c
+        cleaned = [(k, v) for k, v in acc.items() if v != 0]
         object.__setattr__(self, "terms", tuple(sorted(cleaned)))
 
     def as_dict(self) -> dict:
@@ -123,30 +113,14 @@ class Relation:
         return Relation(list(self.terms) + list(other.terms))
 
     def scaled(self, c) -> "Relation":
-        return Relation([(k, _coeff_mul(v, c)) for k, v in self.terms])
+        return Relation([(k, v * c) for k, v in self.terms])
 
     def normalize(self) -> "Relation":
         """Scale so the largest-magnitude coefficient becomes exactly 1."""
         if not self.terms:
             return self
         pivot = max((v for _, v in self.terms), key=lambda c: abs(complex(c)))
-        if _is_exact(pivot):
-            inv = 1 / Fraction(pivot)
-        else:
-            inv = 1 / coeff_to_complex(pivot)
-        return self.scaled(inv)
-
-
-def _coeff_add(c1, c2):
-    if _is_exact(c1) and _is_exact(c2):
-        return Fraction(c1) + Fraction(c2)
-    return coeff_to_complex(c1) + coeff_to_complex(c2)
-
-
-def _coeff_zero(c) -> bool:
-    if _is_exact(c):
-        return c == 0
-    return coeff_to_complex(c) == 0
+        return self.scaled(Fraction(1) / pivot)
 
 
 def nabla_apply(phi: LogForm, spec: IntegrandSpec) -> Relation:
@@ -171,24 +145,21 @@ def nabla_apply(phi: LogForm, spec: IntegrandSpec) -> Relation:
         sign = 1 if (k - 1) % 2 == 0 else -1
         bk = tuple(v - (1 if i == k - 1 else 0) for i, v in enumerate(b))
         # derivative of g plus the x-exponent shift, both at b + beta - e_k
-        nuk = spec.nu[k - 1] if _is_exact(spec.nu[k - 1]) else \
-            coeff_to_complex(spec.nu[k - 1])
         for beta, c in g.terms.items():
-            factor = beta[k - 1] + b[k - 1] + nuk - 1
-            w = _coeff_mul(c, _coeff_mul(factor, sign))
-            if not _coeff_zero(w):
+            factor = beta[k - 1] + b[k - 1] + spec.nu[k - 1] - 1
+            w = c * (factor * sign)
+            if w != 0:
                 out.append(((a, _vadd(bk, beta)), w))
         # f-shift part: (a_j + s_j) g df_j/dx_k, one f-division each
         for j, fj in enumerate(spec.f):
-            factor = a[j] + spec.s[j] if _is_exact(spec.s[j]) else (
-                a[j] + coeff_to_complex(spec.s[j]))
-            if _coeff_zero(factor):
+            factor = a[j] + spec.s[j]
+            if factor == 0:
                 continue
             prod = g * fj.partial(k)
             aj = tuple(v - (1 if i == j else 0) for i, v in enumerate(a))
             for beta, c in prod.terms.items():
-                w = _coeff_mul(c, _coeff_mul(factor, sign))
-                if not _coeff_zero(w):
+                w = c * (factor * sign)
+                if w != 0:
                     out.append(((aj, _vadd(b, beta)), w))
     return Relation(out)
 
@@ -237,7 +208,7 @@ class AnnOperator:
         acc = acc + self.q * f
         if acc.is_zero():
             return True
-        return all(abs(coeff_to_complex(c)) <= ANNIHILATOR_TOL
+        return all(abs(complex(c)) <= ANNIHILATOR_TOL
                    for c in acc.terms.values())
 
 
@@ -275,24 +246,22 @@ def mellin_relation(P: AnnOperator, spec: IntegrandSpec) -> Relation:
     out = []
     for i, pi in enumerate(P.p):
         # (nu_i - 1) p_i, with shift b -> b + beta - e_i
-        factor = spec.nu[i] - 1 if _is_exact(spec.nu[i]) else (
-            coeff_to_complex(spec.nu[i]) - 1)
+        factor = spec.nu[i] - 1
         for beta, c in pi.terms.items():
-            w = _coeff_mul(c, factor)
-            if not _coeff_zero(w):
+            w = c * factor
+            if w != 0:
                 shifted = tuple(v - (1 if j == i else 0)
                                 for j, v in enumerate(beta))
-                out.append((((0,), shifted), _coeff_mul(w, -1)))
+                out.append((((0,), shifted), -w))
         # d(p_i)/dx_i
         for beta, c in pi.partial(i + 1).terms.items():
-            out.append((((0,), beta), _coeff_mul(c, -1)))
+            out.append((((0,), beta), -c))
         # s * p_i df/dx_i with a single division by f
         prod = pi * f.partial(i + 1)
-        sfac = spec.s[0] if _is_exact(spec.s[0]) else coeff_to_complex(spec.s[0])
         for beta, c in prod.terms.items():
-            w = _coeff_mul(c, sfac)
-            if not _coeff_zero(w):
-                out.append((((-1,), beta), _coeff_mul(w, -1)))
+            w = c * spec.s[0]
+            if w != 0:
+                out.append((((-1,), beta), -w))
     return Relation(out)
 
 
@@ -303,8 +272,8 @@ def relations_agree(r1: Relation, r2: Relation, tol: float = 1e-9) -> bool:
         return False
     if not s1:
         return True
-    c1 = np.array([coeff_to_complex(v) for _, v in r1.terms])
-    c2 = np.array([coeff_to_complex(v) for _, v in r2.terms])
+    c1 = np.array([complex(v) for _, v in r1.terms])
+    c2 = np.array([complex(v) for _, v in r2.terms])
     scale = max(np.max(np.abs(c1)), np.max(np.abs(c2)))
     if scale == 0:
         return True
@@ -323,5 +292,5 @@ def verify_numeric(r: Relation, cycle: tw.TwistedCycle, spec: IntegrandSpec,
     curve = tw.BranchCurve.from_spec(spec)
     cocycles = [tw.Cocycle(a, b[0]) for (a, b), _ in r.terms]
     loop = tw.integrate_loop(cycle, N, spec, curve, cocycles)
-    return complex(sum(coeff_to_complex(c) * v
+    return complex(sum(complex(c) * v
                        for (_, c), v in zip(r.terms, loop.values)))

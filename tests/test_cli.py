@@ -316,7 +316,16 @@ _TWO_POINTS = json.loads((PROBLEMS / "two_points.json").read_text())
 # settings over their caps
 ] + [("chi", {"f": ["x*y - 1"], "settings": {"draws": critical.MAX_DRAWS + 1}})
 ] + [(command, dict(_TWO_POINTS, settings={"nodes": twisted.MAX_NODES + 1}))
-     for command in ("integrate", "relations")])
+     for command in ("integrate", "relations")
+# a pair inside a pair; a finite kappa whose pairing with a facet normal is
+# beyond the float range; nu whose branch value or power is beyond it
+] + [("vol", {"f": ["x - 1"], "s": [[[1, 2], 3]]}),
+     ("gkz", {"f": ["x^2 - 3*x + 2"], "s": [1e308], "nu": ["1/2"]}),
+     ("gkz", {"f": ["x^2 - 3*x + 2"], "s": [1e308], "nu": [-1e308]})
+] + [(command, dict(_TWO_POINTS, nu=[1e308], cycles=cycles))
+     for command in ("integrate", "relations")
+     for cycles in (_TWO_POINTS["cycles"],
+                    [dict(c, phi=[1.0, 0.0]) for c in _TWO_POINTS["cycles"]])])
 def test_invalid_input_exit_3(tmp_path, capsys, command, obj):
     code, out = run(capsys, [command, _problem(tmp_path, obj)])
     assert code == 3
@@ -384,6 +393,8 @@ def test_zero_tolerance_is_used(tmp_path, capsys):
     code, out = run(capsys, ["gkz", path])
     assert code == 0 and out["nonresonant"] is False
     assert out["kappa"] == [-1e-12, 1]    # real inputs stay numbers
+    # a float in kappa makes each pairing complex
+    assert all(len(c["kappa_pairing"]) == 2 for c in out["certificates"])
     code, out = run(capsys, ["gkz", path, "--tol", "0"])
     assert code == 0 and out["nonresonant"] is True
 

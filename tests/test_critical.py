@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
-from eulerint import critical, polytope
+from eulerint import critical, laurent, polytope
 from eulerint.critical import (DIVERGENCE_RADIUS, INITIAL_STEP, MAX_NEWTON,
                                MAX_STEP, MIN_STEP, NEWTON_TOL, PolySystem,
                                SolutionSet, TrackerSettings, build_system,
@@ -158,28 +158,31 @@ def test_system_slices_match_whole_batch(monkeypatch):
     x = rng.normal(size=(9, 3)) + 1j * rng.normal(size=(9, 3))
     whole = system.evaluate(x)
     # a budget below one row's table: every row is its own slice
-    monkeypatch.setattr(critical, "TABLE_ENTRIES", 1)
+    monkeypatch.setattr(laurent, "TABLE_ENTRIES", 1)
     for got, want in zip(system.evaluate(x), whole):
         assert np.array_equal(got, want)
 
 
 def test_power_table_memory_is_bounded():
-    # dense f of degree 32 in two variables: 1,024 paths and 3,234 monomials,
-    # whose whole-batch table would hold 6.6 million complex entries
+    # dense f of degree 32 in two variables.  The cleared system on 1,024
+    # paths has 3,234 monomials, a whole-batch table of 6.6 million complex
+    # entries; f with its gradient on the 3,072 endpoints of three attempts
+    # has 1,617, a table of 9.9 million
     rng = np.random.default_rng(6)
     f = LaurentPoly(2, {(i, j): complex(*rng.uniform(-1, 1, 2))
                         for i in range(33) for j in range(33 - i)})
     system = build_system(IntegrandSpec([f], (0.5,), (0.5, 0.5)))
-    x = rng.normal(size=(1024, 2)) + 1j * rng.normal(size=(1024, 2))
-    system.evaluate(x[:1])    # builds the cached exponent table before the trace
-    tracemalloc.start()
-    try:
-        system.evaluate(x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # one slice's table, its monomials and the previous slice's monomials
-    assert peak <= 3 * 16 * critical.TABLE_ENTRIES
+    for evaluate, rows in ((system.evaluate, 1024), (f.value_and_gradient, 3072)):
+        x = rng.normal(size=(rows, 2)) + 1j * rng.normal(size=(rows, 2))
+        evaluate(x[:1])    # builds the cached exponent table before the trace
+        tracemalloc.start()
+        try:
+            evaluate(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one slice's table, its monomials and the previous slice's monomials
+        assert peak <= 3 * 16 * laurent.TABLE_ENTRIES
 
 
 # -- lockstep tracker against the one-path-at-a-time tracker ---------------

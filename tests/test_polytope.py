@@ -6,8 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from eulerint import intlinalg as ila
 from eulerint.laurent import IntegrandSpec
 from eulerint.polytope import (LatticePointSet, cayley_support, facets,
-                               normalized_volume, pointset_from_json,
-                               pointset_to_json)
+                               normalized_volume)
 
 
 # -- point sets ------------------------------------------------------------
@@ -117,13 +116,6 @@ def test_facets_of_rank_deficient_cones_in_ambient_coordinates():
     assert facets(LatticePointSet(4, [(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1),
                                       (1, 1, 1, 3)])) == [
         (-1, -1, 3, 1), (-1, 3, -1, 1), (3, -1, -1, 1)]
-
-
-# -- JSON ------------------------------------------------------------------
-
-def test_pointset_json_round_trip():
-    ps = LatticePointSet(2, [(1, 0), (0, 1), (2, 3)])
-    assert pointset_from_json(pointset_to_json(ps)).points == ps.points
 
 
 # -- property-based --------------------------------------------------------

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hsettings, strategies as st
+from hypothesis import assume, given, settings as hsettings, strategies as st
 
 from eulerint import twisted as tw
 from eulerint.laurent import IntegrandSpec, LaurentPoly, parse_poly
@@ -60,6 +60,54 @@ def test_nabla_is_linear(quadratic_spec, g1, g2, c):
     lhs = nabla_apply(phi1 + phi2, quadratic_spec)
     rhs = nabla_apply(phi1, quadratic_spec) + nabla_apply(phi2, quadratic_spec)
     assert lhs.as_dict() == rhs.as_dict()
+
+
+# -- coefficient types -----------------------------------------------------
+
+def _annihilator(spec, c):
+    """P = c f d/dx + q with q = -s c f', which annihilates f^s for any c."""
+    f = spec.f[0]
+    return AnnOperator((c * f,), (c * f.partial(1)).scale(-spec.s[0]))
+
+
+def _relations(spec, g):
+    P = _annihilator(spec, g)
+    return (nabla_apply(LogForm.from_function(g, (0,), (0,)), spec),
+            nabla_apply(operator_form(P), spec), mellin_relation(P, spec))
+
+
+rationals = st.fractions(-3, 3, max_denominator=4)
+
+
+@given(small_polys, rationals, rationals)
+@hsettings(max_examples=40, deadline=None)
+def test_rational_inputs_give_exact_coefficients(g, s, nu):
+    spec = IntegrandSpec([parse_poly("x^2 - 3/2*x + 1/2")], (s,), (nu,))
+    for r in _relations(spec, g):
+        assert all(type(c) in (int, Fraction) for _, c in r.terms)
+        assert all(type(c) in (int, Fraction) for _, c in r.normalize().terms)
+
+
+entries = st.one_of(st.integers(-3, 3), st.floats(-3, 3),
+                    st.complex_numbers(max_magnitude=3, allow_nan=False,
+                                       allow_infinity=False))
+entry_polys = st.dictionaries(st.tuples(st.integers(0, 2)), entries,
+                              min_size=0, max_size=3).map(lambda d: LaurentPoly(1, d))
+
+
+def _as_complex(p):
+    return LaurentPoly(p.nvars, {e: complex(c) for e, c in p.terms.items()})
+
+
+@given(entry_polys, entry_polys, entries, entries)
+@hsettings(max_examples=60, deadline=None)
+def test_float_coefficients_match_complex_ones(f, g, s, nu):
+    # float and complex entries promote the arithmetic as complex() would
+    assume(len(f.terms) >= 2)
+    spec = IntegrandSpec([f], (s,), (nu,))
+    as_complex = IntegrandSpec([_as_complex(f)], (complex(s),), (complex(nu),))
+    for r, want in zip(_relations(spec, g), _relations(as_complex, _as_complex(g))):
+        assert r.terms == want.terms
 
 
 # -- operators and the two translation routes ------------------------------
