@@ -79,21 +79,21 @@ class PolySystem:
         values = np.empty((len(points), len(blocks)), dtype=np.complex128)
         scale = np.empty((len(points), n))
         for rows, mon in power_rows(points, exps):
-            values[rows] = _block_values(mon, blocks)
-            scale[rows] = _block_values(np.abs(mon), moduli)
+            _block_values(mon, blocks, values[rows])
+            _block_values(np.abs(mon), moduli, scale[rows])
         values = values.reshape(x.shape[:-1] + (n, n + 1))
         return values[..., 0], values[..., 1:], scale.reshape(x.shape)
 
 
-def _block_values(mon, blocks):
+def _block_values(mon, blocks, out):
     """Per row of the power table `mon`, each block's coefficients dotted with it.
 
-    vecdot takes one dot product per table row, as `LaurentPoly` does at a
-    point, so a batch row keeps the bits of its point, which a matrix-vector
-    product would not.
+    Column k of `out` receives block k.  vecdot takes one dot product per
+    table row, as `LaurentPoly` does at a point, so a batch row keeps the bits
+    of its point, which a matrix-vector product would not.
     """
-    return np.stack([np.vecdot(coeffs, mon[:, rows]) for rows, coeffs in blocks],
-                    axis=-1)
+    for k, (rows, coeffs) in enumerate(blocks):
+        np.vecdot(coeffs, mon[:, rows], out=out[:, k])
 
 
 @dataclass(frozen=True)
@@ -195,40 +195,51 @@ def _below(r, scale, tol):
     return np.all(np.abs(r) < tol * np.maximum(1.0, scale), axis=1)
 
 
+# the path states of `_track_paths`, coded by their index
+_STATUSES = np.array(["running", "ok", "diverged", "stalled"])
+_RUNNING, _OK, _DIVERGED, _STALLED = range(len(_STATUSES))
+
+
 def _track_paths(system, starts, gamma, degrees, roots):
     """Track the paths of H(x,t) = gamma (1-t) G(x) + t F(x), t: 0 -> 1, in lockstep.
 
-    `starts` holds one start root per row, shape (P, n).  Every path keeps its
-    own t, step, success count and status.  Each iteration takes one Euler
-    predictor for all running paths at once, then a Newton corrector of up to
-    MAX_NEWTON steps on the paths still iterating.  Returns the status ("ok",
-    "diverged" or "stalled"), x and t of every path.
+    `starts` holds one start root per row, shape (P, n).  `gamma` is one
+    value or one per path, and `roots`, the constants of G, are (n,) or one
+    row per path, so the paths of several start systems share a batch.
+    Every path keeps its own t, step, success count and status.  Each
+    iteration takes one Euler predictor for all running paths at once, then a
+    Newton corrector of up to MAX_NEWTON steps on the paths still iterating.
+    Returns the status ("ok", "diverged" or "stalled"), x and t of every path.
     """
+    x = np.array(starts, dtype=np.complex128)
+    gamma = np.broadcast_to(gamma, len(x))[:, None]
+    roots = np.broadcast_to(roots, x.shape)
     diag = np.arange(len(degrees))
 
-    def h(x, t):
+    def h(ids, x, t):
         # H, dH/dx, dH/dt and the backward-error scale (the sum of |term| over
-        # both homotopy parts) from one evaluation of the target system
+        # both homotopy parts) of the paths `ids` from one evaluation of the
+        # target system
         f, jac, scale = system.evaluate(x)
-        g = x ** degrees - roots
-        c = gamma * (1 - t)[:, None]
+        gam, rts = gamma[ids], roots[ids]
+        g = x ** degrees - rts
+        c = gam * (1 - t)[:, None]
         hx = t[:, None, None] * jac
         hx[:, diag, diag] += c * (degrees * x ** (degrees - 1))
-        scale = ((1 - t)[:, None] * (np.abs(x) ** degrees + np.abs(roots))
+        scale = ((1 - t)[:, None] * (np.abs(x) ** degrees + np.abs(rts))
                  + t[:, None] * scale)
-        return c * g + t[:, None] * f, hx, f - gamma * g, scale
+        return c * g + t[:, None] * f, hx, f - gam * g, scale
 
-    x = np.array(starts, dtype=np.complex128)
     t = np.zeros(len(x))
-    _, hx, ht, _ = h(x, t)
+    _, hx, ht, _ = h(slice(None), x, t)
     dt = np.full(len(x), INITIAL_STEP)
     successes = np.zeros(len(x), dtype=int)
-    status = np.full(len(x), "running", dtype="<U8")
-    while (a := np.flatnonzero(status == "running")).size:
+    status = np.full(len(x), _RUNNING, dtype=np.int8)
+    while (a := np.flatnonzero(status == _RUNNING)).size:
         dt[a] = np.minimum(dt[a], 1.0 - t[a])
         # Euler predictor
         dx, singular = _solve_stack(hx[a], -ht[a])
-        status[a[singular]] = "stalled"
+        status[a[singular]] = _STALLED
         a, dx = a[~singular], dx[~singular]
         x0, dt0 = x[a], dt[a]
         dx *= dt0[:, None]
@@ -239,7 +250,7 @@ def _track_paths(system, starts, gamma, degrees, roots):
         htp = np.empty_like(xp)
 
         def at(xk, k):
-            r, hxp[k], htp[k], scale = h(xk, tp[k])
+            r, hxp[k], htp[k], scale = h(a[k], xk, tp[k])
             return r, hxp[k], scale
 
         ok, _ = _newton(at, xp, MAX_NEWTON, NEWTON_TOL)
@@ -253,12 +264,12 @@ def _track_paths(system, starts, gamma, degrees, roots):
         grow = acc[successes[acc] >= 3]
         dt[grow] = np.minimum(dt[grow] * 2, MAX_STEP)
         successes[grow] = 0
-        status[acc[np.max(np.abs(x[acc]), axis=1) > DIVERGENCE_RADIUS]] = "diverged"
+        status[acc[np.max(np.abs(x[acc]), axis=1) > DIVERGENCE_RADIUS]] = _DIVERGED
         successes[rej] = 0
         dt[rej] /= 2
-        status[rej[dt[rej] < MIN_STEP]] = "stalled"
-        status[(status == "running") & (t >= 1.0)] = "ok"
-    return status, x, t
+        status[rej[dt[rej] < MIN_STEP]] = _STALLED
+        status[(status == _RUNNING) & (t >= 1.0)] = _OK
+    return _STATUSES[status], x, t
 
 
 def _polish(system, x):
@@ -293,21 +304,28 @@ def _start_system(degrees, rng):
     return starts, gamma, roots
 
 
-def _run_tracking(system, degrees, rng):
-    """One full total-degree tracking run with fresh random constants and gamma.
+def _run_tracking(system, degrees, rng, attempts):
+    """Total-degree tracking runs under `attempts` fresh start systems, in one batch.
 
-    Returns (endpoints, converged, failed, unresolved, paths).  `endpoints`
-    holds the polished endpoints of the `converged` paths, one per row.
-    `unresolved` counts near-t=1 stalls whose endpoint could not be polished
-    (usually boundary/infinity divergences, but occasionally a badly
+    The start systems (random constants and gamma) are drawn from `rng` one
+    after another.  Their paths are tracked and polished together; a path's
+    trajectory depends on its own row alone, so each run ends as it would
+    alone.  Returns per run (endpoints, converged, failed, unresolved, paths).
+    `endpoints` holds the polished endpoints of the `converged` paths, one per
+    row.  `unresolved` counts near-t=1 stalls whose endpoint could not be
+    polished (usually boundary/infinity divergences, but occasionally a badly
     conditioned path toward a genuine solution); `failed` counts the other
     paths that did not diverge and could not be polished; `paths` is the
     number of start paths.
     """
-    starts, gamma, roots = _start_system(degrees, rng)
-    status, x, t = _track_paths(system, starts, gamma, degrees, roots)
+    starts, gammas, roots = map(np.array, zip(*(_start_system(degrees, rng)
+                                                for _ in range(attempts))))
+    paths = starts.shape[1]
+    run = np.repeat(np.arange(attempts), paths)
+    status, x, t = _track_paths(system, np.concatenate(starts), gammas[run],
+                                degrees, roots[run])
     live = status != "diverged"
-    x, status, t = x[live], status[live], t[live]
+    x, status, t, run = x[live], status[live], t[live], run[live]
     converged = _polish(system, x)
     # Paths heading to the toric boundary or to infinity stall with shrinking
     # steps just before t = 1.  Regular target solutions are recovered by
@@ -315,17 +333,19 @@ def _run_tracking(system, degrees, rng):
     # means the path has no finite regular limit.  Only mid-domain stalls
     # count as genuine tracking failures.
     unresolved = ~converged & (status == "stalled") & (t > 1 - STALL_WINDOW)
-    return (x[converged], int(converged.sum()), int((~converged & ~unresolved).sum()),
-            int(unresolved.sum()), len(starts))
+    failed = ~converged & ~unresolved
+    return [(x[converged & mine], int((converged & mine).sum()),
+             int((failed & mine).sum()), int((unresolved & mine).sum()), paths)
+            for mine in (run == i for i in range(attempts))]
 
 
 def solve(system: PolySystem, settings: TrackerSettings | None = None) -> SolutionSet:
     """All distinct critical points in the torus complement, by total-degree homotopy.
 
-    If a run leaves stalled paths that could not be resolved, the whole path
-    collection is re-tracked with a fresh random gamma (up to three attempts)
-    and the strictly verified endpoints are pooled; the verified solution set
-    does not depend on gamma, so pooling cannot introduce spurious points.
+    Two runs under independent random gammas are tracked in one batch, and a
+    third when the second leaves failed paths; the strictly verified endpoints
+    are pooled.  The verified solution set does not depend on gamma, so
+    pooling cannot introduce spurious points.
     """
     settings = settings or TrackerSettings()
     spec = system.spec
@@ -340,22 +360,18 @@ def solve(system: PolySystem, settings: TrackerSettings | None = None) -> Soluti
     rng = np.random.default_rng(settings.seed)
     degrees = np.array(total_degrees, dtype=np.float64)
 
-    # Two independent runs are always pooled: a path jump or an unresolved
-    # stall under one gamma is overwhelmingly unlikely to recur at the same
-    # solution under an independent gamma.  A third run is added only when a
-    # run reports genuine mid-domain tracking failures.
-    endpoints = []
-    raw = 0
-    converged = 0
-    failed = 0
-    for attempt in range(3):
-        ep, conv, fail, unresolved, paths = _run_tracking(system, degrees, rng)
-        endpoints.append(ep)
-        raw += paths
-        converged += conv
-        failed = fail
-        if attempt >= 1 and fail == 0:
-            break
+    # Two independent runs are always pooled, tracked in one batch: a path
+    # jump or an unresolved stall under one gamma is overwhelmingly unlikely
+    # to recur at the same solution under an independent gamma.  A third run
+    # is added only when the second reports genuine mid-domain tracking
+    # failures.
+    runs = _run_tracking(system, degrees, rng, 2)
+    if runs[-1][2]:
+        runs += _run_tracking(system, degrees, rng, 1)
+    endpoints = [ep for ep, *_ in runs]
+    raw = sum(paths for *_, paths in runs)
+    converged = sum(conv for _, conv, *_ in runs)
+    failed = runs[-1][2]
 
     # filter to the torus complement and check the original rational equations;
     # all thresholds are relative to the term magnitudes at x, so badly scaled

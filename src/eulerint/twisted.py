@@ -99,6 +99,21 @@ def _as_fraction(value, what):
     raise ValueError(f"{what} must be rational, got {value!r}")
 
 
+def _power(value, k, what):
+    """The integer exponent k * value of the curve, checked to be a float.
+
+    `rhs` raises x to it in floating point, so a power beyond the float range
+    is refused here, before any node is tracked.
+    """
+    power = int(value * k)
+    try:
+        float(power)
+    except OverflowError:
+        raise ValueError(f"exponent {what}: k*{what} with k = {k} is beyond the "
+                         "float range") from None
+    return power
+
+
 @dataclass(frozen=True)
 class BranchCurve:
     """Defining data of the curve y^k = prod_j f_j(x)^{k s_j} x^{k nu}."""
@@ -117,7 +132,8 @@ class BranchCurve:
         for v in list(s) + [nu]:
             k = k * v.denominator // gcd(k, v.denominator)
         return cls(spec=spec, k=k,
-                   ks=tuple(int(v * k) for v in s), knu=int(nu * k))
+                   ks=tuple(_power(v, k, f"s_{j + 1}") for j, v in enumerate(s)),
+                   knu=_power(nu, k, "nu"))
 
     def rhs(self, x):
         """The single-valued side prod_j f_j(x)^{k s_j} x^{k nu}.

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -327,9 +328,32 @@ _TWO_POINTS = json.loads((PROBLEMS / "two_points.json").read_text())
      for cycles in (_TWO_POINTS["cycles"],
                     [dict(c, phi=[1.0, 0.0]) for c in _TWO_POINTS["cycles"]])])
 def test_invalid_input_exit_3(tmp_path, capsys, command, obj):
-    code, out = run(capsys, [command, _problem(tmp_path, obj)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run(capsys, [command, _problem(tmp_path, obj)])
     assert code == 3
     assert out["error"]["type"] == "invalid-input"
+    # an invalid input is refused before any numerical work warns
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+# an exponent whose power k*s_j or k*nu is beyond the float range is named
+# before any node is tracked
+@pytest.mark.parametrize("command", ["integrate", "relations"])
+@pytest.mark.parametrize("key, value, name", [("nu", [1e308], "nu"),
+                                              ("s", [1e308, "1/2"], "s_1"),
+                                              ("s", ["1/2", -1e308], "s_2")])
+def test_exponent_beyond_float_range_is_named(tmp_path, capsys, command, key,
+                                              value, name):
+    cycles = [dict(c, phi=[1.0, 0.0]) for c in _TWO_POINTS["cycles"]]
+    obj = dict(_TWO_POINTS, cycles=cycles, **{key: value})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run(capsys, [command, _problem(tmp_path, obj)])
+    assert code == 3
+    assert out["error"]["message"] == (
+        f"exponent {name}: k*{name} with k = 2 is beyond the float range")
+    assert not caught
 
 
 @pytest.mark.parametrize("argv, cap", [
@@ -460,7 +484,7 @@ _PROBLEM_OBJECTS = st.builds(
 
 
 @settings(max_examples=150, deadline=None)
-@given(command=st.sampled_from(["vol", "gkz", "integrate", "relations"]),
+@given(command=st.sampled_from(["chi", "vol", "gkz", "integrate", "relations"]),
        obj=_PROBLEM_OBJECTS | _SMALL_JSON)
 def test_any_problem_exits_cleanly(command, obj):
     stdout = io.StringIO()

@@ -293,6 +293,77 @@ def test_singular_predictor_stalls_only_its_path(hexagon_poly):
         _assert_same_path((status[k], xs[k], ts[k]), [a[0] for a in alone])
 
 
+@pytest.mark.parametrize("text", [HEXAGON_TEXT, _THREE_TEXT])
+def test_start_systems_in_one_batch_track_as_alone(text):
+    rng = np.random.default_rng(3)
+    system = _random_system([parse_poly(text)], rng)
+    runs = [_start(system, rng) for _ in range(2)]
+    run = np.repeat([0, 1], [len(starts) for starts, *_ in runs])
+    starts = np.concatenate([starts for starts, *_ in runs])
+    gamma = np.array([gamma for _, gamma, _, _ in runs])[run]
+    roots = np.array([roots for *_, roots in runs])[run]
+    degrees = runs[0][2]
+    together = critical._track_paths(system, starts, gamma, degrees, roots)
+    assert not np.array_equal(*(together[1][run == i] for i in (0, 1)))
+    for i, args in enumerate(runs):
+        alone = critical._track_paths(system, *args)
+        for got, want in zip(together, alone):
+            assert np.array_equal(got[run == i], want)
+
+
+class _StartSpy:
+    """Records the rng and the start roots of every start system drawn."""
+
+    def __init__(self, monkeypatch):
+        self.draws = []
+        self.draw = draw = critical._start_system
+
+        def spy(degrees, rng):
+            starts, gamma, roots = draw(degrees, rng)
+            self.draws.append((rng, starts))
+            return starts, gamma, roots
+
+        monkeypatch.setattr(critical, "_start_system", spy)
+
+
+def _linear_root_solve(seed):
+    # x - 1 with s = nu = 1 clears to 2x - 1: one path per run, ending "ok"
+    spec = IntegrandSpec([parse_poly("x - 1")], (1,), (1,))
+    return solve(build_system(spec), TrackerSettings(seed=seed))
+
+
+def test_third_run_only_after_second_fails(monkeypatch):
+    spy = _StartSpy(monkeypatch)
+    polish = critical._polish
+    calls = []
+
+    def second_run_fails(system, x):
+        kept = polish(system, x)
+        if not calls:
+            kept[-1] = False    # the last row belongs to the second run
+        calls.append(len(x))
+        return kept
+
+    monkeypatch.setattr(critical, "_polish", second_run_fails)
+    sol = _linear_root_solve(seed=4)
+    assert calls == [2, 1]
+    assert len(spy.draws) == 3
+    rng = np.random.default_rng(4)
+    for used, starts in spy.draws:
+        assert used is spy.draws[0][0]
+        assert np.array_equal(starts, spy.draw(np.ones(1), rng)[0])
+    # the second run failed one path, the third none
+    assert (sol.raw_paths, sol.converged, sol.failed_paths) == (3, 2, 0)
+    assert sol.distinct == 1
+
+
+def test_two_runs_when_second_succeeds(monkeypatch):
+    spy = _StartSpy(monkeypatch)
+    sol = _linear_root_solve(seed=4)
+    assert len(spy.draws) == 2
+    assert (sol.raw_paths, sol.converged, sol.failed_paths) == (2, 2, 0)
+
+
 def test_path_count_is_capped():
     # x^D + 1 clears to one equation of degree D: D start paths
     f = LaurentPoly(1, {(critical.MAX_PATHS + 1,): 1, (0,): 1})
