@@ -18,8 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import critical, gkz, polytope, relations, twisted
-from .laurent import (IntegrandSpec, LaurentPoly, ParseError, parse_poly,
-                      poly_from_json)
+from .laurent import IntegrandSpec, LaurentPoly, ParseError, parse_poly
 
 
 class InputError(ValueError):
@@ -86,13 +85,6 @@ def parse_polynomial(v, nvars=None):
             poly = parse_poly(v, nvars)
         except ParseError as exc:
             raise InputError(f"bad polynomial {v!r}: {exc}") from None
-    elif isinstance(v, dict):
-        try:
-            for t in v["terms"]:
-                parse_exponents(t["exp"])
-            poly = poly_from_json(v)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"bad polynomial {v!r}: {exc}") from None
     elif isinstance(v, list):
         # term list: [[exp...], coeff] pairs
         terms = {}
@@ -109,7 +101,7 @@ def parse_polynomial(v, nvars=None):
             raise InputError(f"bad polynomial {v!r}: {exc}") from None
     else:
         raise InputError(f"bad polynomial entry {v!r}")
-    # text and JSON objects can spell 1e400 or NaN, and equal terms add up
+    # text can spell 1e400 or NaN, and equal terms add up
     if not all(finite(c) for c in poly.terms.values()):
         raise InputError(f"bad polynomial {v!r}: a coefficient is not a finite float")
     return poly

@@ -310,18 +310,13 @@ def _run_tracking(system, degrees, rng, attempts):
     The start systems (random constants and gamma) are drawn from `rng` one
     after another.  Their paths are tracked and polished together; a path's
     trajectory depends on its own row alone, so each run ends as it would
-    alone.  Returns per run (endpoints, converged, failed, unresolved, paths).
-    `endpoints` holds the polished endpoints of the `converged` paths, one per
-    row.  `unresolved` counts near-t=1 stalls whose endpoint could not be
-    polished (usually boundary/infinity divergences, but occasionally a badly
-    conditioned path toward a genuine solution); `failed` counts the other
-    paths that did not diverge and could not be polished; `paths` is the
-    number of start paths.
+    alone.  Returns per run (endpoints, failed): the polished endpoints of
+    its converged paths, one per row, and the count of its paths that did
+    not diverge, could not be polished and did not stall near t = 1.
     """
     starts, gammas, roots = map(np.array, zip(*(_start_system(degrees, rng)
                                                 for _ in range(attempts))))
-    paths = starts.shape[1]
-    run = np.repeat(np.arange(attempts), paths)
+    run = np.repeat(np.arange(attempts), starts.shape[1])
     status, x, t = _track_paths(system, np.concatenate(starts), gammas[run],
                                 degrees, roots[run])
     live = status != "diverged"
@@ -332,10 +327,8 @@ def _run_tracking(system, degrees, rng, attempts):
     # Newton polish from the stall point; a failed polish that close to t = 1
     # means the path has no finite regular limit.  Only mid-domain stalls
     # count as genuine tracking failures.
-    unresolved = ~converged & (status == "stalled") & (t > 1 - STALL_WINDOW)
-    failed = ~converged & ~unresolved
-    return [(x[converged & mine], int((converged & mine).sum()),
-             int((failed & mine).sum()), int((unresolved & mine).sum()), paths)
+    failed = ~converged & ~((status == "stalled") & (t > 1 - STALL_WINDOW))
+    return [(x[converged & mine], int((failed & mine).sum()))
             for mine in (run == i for i in range(attempts))]
 
 
@@ -366,12 +359,11 @@ def solve(system: PolySystem, settings: TrackerSettings | None = None) -> Soluti
     # is added only when the second reports genuine mid-domain tracking
     # failures.
     runs = _run_tracking(system, degrees, rng, 2)
-    if runs[-1][2]:
+    if runs[-1][1]:
         runs += _run_tracking(system, degrees, rng, 1)
-    endpoints = [ep for ep, *_ in runs]
-    raw = sum(paths for *_, paths in runs)
-    converged = sum(conv for _, conv, *_ in runs)
-    failed = runs[-1][2]
+    endpoints = [ep for ep, _ in runs]
+    converged = sum(len(ep) for ep in endpoints)
+    failed = runs[-1][1]
 
     # filter to the torus complement and check the original rational equations;
     # all thresholds are relative to the term magnitudes at x, so badly scaled
@@ -401,7 +393,7 @@ def solve(system: PolySystem, settings: TrackerSettings | None = None) -> Soluti
     return SolutionSet(
         solutions=tuple(s for s, _ in distinct),
         residuals=tuple(r for _, r in distinct),
-        raw_paths=raw,
+        raw_paths=math.prod(total_degrees) * len(runs),
         converged=converged,
         filtered=filtered,
         distinct=len(distinct),

@@ -69,14 +69,6 @@ def lattice_kernel(cfg: CayleyConfig) -> LatticeBasis:
     return LatticeBasis(vectors=tuple(tuple(v) for v in basis))
 
 
-def _format_coefficient(c) -> str:
-    if c == 1:
-        return ""
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return str(c.numerator)
-    return str(c)
-
-
 def euler_operators(cfg: CayleyConfig):
     """Text form of the operators sum_c A[i][c]*theta_{c+1} - kappa_i.
 
@@ -92,7 +84,7 @@ def euler_operators(cfg: CayleyConfig):
         for c, a in enumerate(row):
             if a == 0:
                 continue
-            parts.append(f"{_format_coefficient(a)}theta{c + 1}")
+            parts.append(f"{'' if a == 1 else a}theta{c + 1}")
         body = " + ".join(parts) if parts else "0"
         # kappa_i = -nu_i for the first n rows, s_j afterwards
         tail = f" + nu{i + 1}" if i < n else f" - s{i - n + 1}"
@@ -158,10 +150,8 @@ def _mul(a, b):
 
 
 def _in_subgroup(value, g: int, tol: float) -> bool:
-    """Whether value lies in g*Z (g = 0 means the trivial subgroup {0})."""
+    """Whether value lies in g*Z, for g >= 1."""
     if isinstance(value, (int, Fraction)):
-        if g == 0:
-            return value == 0
         return Fraction(value) % g == 0
     z = complex(value)
     if not cmath.isfinite(z):
@@ -169,8 +159,6 @@ def _in_subgroup(value, g: int, tol: float) -> bool:
                          "beyond the float range")
     if abs(z.imag) > tol:
         return False
-    if g == 0:
-        return abs(z.real) <= tol
     return abs(z.real / g - round(z.real / g)) * g <= tol
 
 

@@ -181,20 +181,32 @@ class LaurentPoly:
                                     "with negative exponent")
         return x
 
+    def _dot(self, x, exps, blocks, modulus=False):
+        """Each block's coefficients dotted with the powers x^e, e in `exps`.
+
+        A point (n,) is taken as a batch of one row; the result has x's
+        leading shape and one entry per block: (k,) at a point, (P, k) on a
+        batch (P, n).  With `modulus`, |x^e| replaces x^e.
+        """
+        x = self._points(x)
+        points = x.reshape(-1, self.nvars)
+        out = np.empty((len(points), len(blocks)), dtype=blocks[0][1].dtype)
+        for rows, mon in power_rows(points, exps):
+            if modulus:
+                mon = np.abs(mon)
+            for k, (cols, coeffs) in enumerate(blocks):
+                out[rows, k] = mon[:, cols] @ coeffs
+        return out.reshape(x.shape[:-1] + (len(blocks),))
+
     def evaluate(self, x):
         """Evaluate at a point of shape (n,), or at each row of a batch (P, n).
 
         A point gives a complex number, a batch a complex array of shape (P,).
         A zero in a variable with a negative exponent raises ZeroDivisionError.
         """
-        x = self._points(x)
         exps, coeffs, _ = self._eval_arrays()
-        if x.ndim == 1:
-            return complex(coeffs @ np.prod(x ** exps, axis=-1))
-        out = np.empty(len(x), dtype=np.complex128)
-        for rows, mon in power_rows(x, exps):
-            out[rows] = mon @ coeffs
-        return out
+        values = self._dot(x, exps, [(slice(None), coeffs)])[..., 0]
+        return complex(values) if values.ndim == 0 else values
 
     def value_and_gradient(self, x):
         """f, d_1 f, ..., d_n f on the last axis: shape (n + 1,) or (P, n + 1).
@@ -202,30 +214,16 @@ class LaurentPoly:
         Each entry equals `evaluate` of that polynomial bit for bit at a point;
         one power table over the stacked exponents serves all of them.
         """
-        x = self._points(x)
-        exps, blocks = self._stacked_arrays()
-        if x.ndim == 1:
-            mon = np.prod(x ** exps, axis=-1)
-            return np.array([coeffs @ mon[cols] for cols, coeffs in blocks])
-        out = np.empty((len(x), self.nvars + 1), dtype=np.complex128)
-        for rows, mon in power_rows(x, exps):
-            for k, (cols, coeffs) in enumerate(blocks):
-                out[rows, k] = mon[:, cols] @ coeffs
-        return out
+        return self._dot(x, *self._stacked_arrays())
 
     def magnitude(self, x):
         """Sum of |c_k| |x^{e_k}| over the terms, the scale of rounding in f(x).
 
         A point gives a float, a batch a float array of shape (P,).
         """
-        x = self._points(x)
         exps, coeffs, _ = self._eval_arrays()
-        if x.ndim == 1:
-            return np.abs(np.prod(x ** exps, axis=-1)) @ np.abs(coeffs)
-        out = np.empty(len(x))
-        for rows, mon in power_rows(x, exps):
-            out[rows] = np.abs(mon) @ np.abs(coeffs)
-        return out
+        return self._dot(x, exps, [(slice(None), np.abs(coeffs))],
+                         modulus=True)[..., 0][()]
 
 
 def power_rows(points, exps):
@@ -479,15 +477,3 @@ def format_poly(p: LaurentPoly) -> str:
     text = " ".join(parts)
     return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
-
-# -- JSON form -------------------------------------------------------------
-
-def poly_from_json(obj: dict) -> LaurentPoly:
-    n = int(obj["nvars"])
-    terms = {}
-    for t in obj["terms"]:
-        c = complex(float(t.get("re", 0.0)), float(t.get("im", 0.0)))
-        if c.imag == 0 and float(c.real).is_integer():
-            c = int(c.real)
-        terms[tuple(t["exp"])] = terms.get(tuple(t["exp"]), 0) + c
-    return LaurentPoly(n, terms)

@@ -87,12 +87,8 @@ class Relation:
     terms: tuple   # sorted ((a, b), coeff) pairs, no zero coefficients
 
     def __init__(self, terms):
-        if isinstance(terms, dict):
-            items = terms.items()
-        else:
-            items = terms
         acc = {}
-        for (a, b), c in items:
+        for (a, b), c in terms:
             key = (tuple(int(v) for v in a), tuple(int(v) for v in b))
             cur = acc.get(key)
             acc[key] = c if cur is None else cur + c
@@ -275,8 +271,6 @@ def relations_agree(r1: Relation, r2: Relation, tol: float = 1e-9) -> bool:
     c1 = np.array([complex(v) for _, v in r1.terms])
     c2 = np.array([complex(v) for _, v in r2.terms])
     scale = max(np.max(np.abs(c1)), np.max(np.abs(c2)))
-    if scale == 0:
-        return True
     minors = c1[:, None] * c2[None, :] - c1[None, :] * c2[:, None]
     return bool(np.max(np.abs(minors)) <= tol * scale * scale)
 

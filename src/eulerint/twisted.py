@@ -201,7 +201,8 @@ def track_line_segment(Sx: complex, Sy: complex, Tx: complex, N: int,
     and a fixed number of Newton corrections onto the curve.  omega and the
     curve's right-hand side depend on x alone, so both are evaluated once
     over all nodes; only the recurrence in y runs node by node.  Returns
-    (nodes, values) as complex arrays.
+    (nodes, values) as complex arrays.  A right-hand side beyond the float
+    range at a node raises ValueError, since the exponents cause it.
     """
     _require_univariate(spec)
     if N < 2:
@@ -216,7 +217,12 @@ def track_line_segment(Sx: complex, Sy: complex, Tx: complex, N: int,
     dx = (Tx - Sx) / (N - 1)
     # Euler factor 1 + omega(x_{i-1}) dx and Newton target rhs(x_i) per step
     growth = (1.0 + omega_components(spec, nodes[:-1, None])[:, 0] * dx).tolist()
-    targets = curve.rhs(nodes[1:]).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        targets = curve.rhs(nodes[1:])
+    if not np.all(np.isfinite(targets)):
+        raise ValueError("the curve's right-hand side prod_j f_j^(k*s_j) x^(k*nu) "
+                         "is beyond the float range at a node")
+    targets = targets.tolist()
     k = curve.k
     y = complex(Sy)
     values = [y]
@@ -278,8 +284,7 @@ def integrate_loop(cycle: TwistedCycle, N: int, spec: IntegrandSpec,
                              f"expected one entry per f ({spec.npolys})")
     poles = singular_points(spec)
     for v in cycle.vertices:
-        if abs(v) < POLE_GUARD_RADIUS or (
-                len(poles) and np.min(np.abs(poles - v)) < POLE_GUARD_RADIUS):
+        if np.min(np.abs(poles - v)) < POLE_GUARD_RADIUS:
             raise ValueError(f"cycle vertex {v} lies on a singularity")
     total = np.zeros(len(cocycles), dtype=np.complex128)
     y = cycle.phi_at_A

@@ -80,6 +80,50 @@ def test_gkz_hexagon(capsys):
     assert len(out["operators"]["euler"]) == 3
 
 
+# x + x^-1 - 3 is cleared by the shift x^1; both spellings have the two roots
+# of x^2 - 3x + 1 in C*
+@pytest.mark.parametrize("text, chi", [("x^2 - 3*x + 1", -2),
+                                       ("x + x^-1 - 3", -2),
+                                       ("1.5/2*x - 1", -1)])
+def test_chi_one_variable(tmp_path, capsys, text, chi):
+    code, out = run(capsys, ["chi", _problem(tmp_path, {"f": [text]})])
+    assert code == 0
+    assert out["chi"] == chi
+
+
+def test_terms_form_agrees_with_function_form(tmp_path, capsys):
+    # the function g f^a x^b is the term (k = 1, g, a, b + 1)
+    forms = [{"function": "x - 3", "a": [1, 0], "b": [0]},
+             {"terms": [{"k": 1, "g": "x - 3", "a": [1, 0], "b": [1]}]}]
+    path = _two_points(tmp_path, forms=forms, cycles=None)
+    code, out = run(capsys, ["relations", path])
+    assert code == 0
+    first, second = out["relations"]
+    assert first["terms"] and first["terms"] == second["terms"]
+    assert out["agreement"] == [{"i": 0, "j": 1, "agree": True}]
+
+
+def test_real_pairs_match_rational_exponents(tmp_path, capsys):
+    code, rational = run(capsys, ["integrate", PROBLEMS / "two_points.json"])
+    assert code == 0
+    code, pairs = run(capsys, ["integrate",
+                               _two_points(tmp_path, s=[[0.5, 0], [0.5, 0]])])
+    assert code == 0
+    assert pairs == rational
+
+
+def test_gkz_complex_exponent(tmp_path, capsys):
+    # u . kappa = 1 + 0.1i on the facet u = (-1, 1): off the real line
+    code, out = run(capsys, ["gkz", _problem(tmp_path, {"f": ["x - 1"],
+                                                        "s": [[0.5, 0.1]]})])
+    assert code == 0
+    assert out["kappa"] == [-0.5, [0.5, 0.1]]
+    pairings = {tuple(c["facet_normal"]): c["kappa_pairing"]
+                for c in out["certificates"]}
+    assert pairings == {(-1, 1): [1.0, 0.1], (1, 0): [-0.5, 0.0]}
+    assert out["nonresonant"] is True
+
+
 # -- determinism and IO plumbing -------------------------------------------
 
 def test_chi_deterministic_for_fixed_seed(capsys):
@@ -155,6 +199,21 @@ def test_integrate_multivariate_exit_2(tmp_path, capsys):
     bad.write_text(json.dumps(obj))
     code, out = run(capsys, ["integrate", bad])
     assert code == 2
+
+
+def test_draw_disagreement_exit_2(tmp_path, capsys, monkeypatch):
+    counts = iter([3, 4])
+
+    def solve(system, settings=None):
+        return critical.SolutionSet(solutions=(), residuals=(), raw_paths=0,
+                                    converged=0, filtered=0,
+                                    distinct=next(counts), failed_paths=0)
+
+    monkeypatch.setattr(critical, "solve", solve)
+    code, out = run(capsys, ["chi", _problem(tmp_path, {"f": ["x - 1"]})])
+    assert code == 2
+    assert out["error"]["type"] == "numerical-failure"
+    assert "[3, 4]" in out["error"]["message"]
 
 
 # -- exit codes of the pairing path ----------------------------------------
@@ -269,6 +328,7 @@ _TWO_POINTS = json.loads((PROBLEMS / "two_points.json").read_text())
     ("vol", {"f": [[[["a"], 1], [[0], 1]]]}),
     ("vol", {"f": [[[[True], 1], [[0], 1]]]}),
     ("vol", {"f": [[[[1, 0], 1], [[0], 1]]]}),
+    # a polynomial object is refused: polynomials are text or term lists
     ("vol", {"f": [{"nvars": 1, "terms": [{"exp": [1.5], "re": 1},
                                           {"exp": [0], "re": 1}]}]}),
     ("vol", {"f": [{"nvars": 1, "terms": [{"exp": ["a"], "re": 1}]}]}),
@@ -326,7 +386,40 @@ _TWO_POINTS = json.loads((PROBLEMS / "two_points.json").read_text())
 ] + [(command, dict(_TWO_POINTS, nu=[1e308], cycles=cycles))
      for command in ("integrate", "relations")
      for cycles in (_TWO_POINTS["cycles"],
-                    [dict(c, phi=[1.0, 0.0]) for c in _TWO_POINTS["cycles"]])])
+                    [dict(c, phi=[1.0, 0.0]) for c in _TWO_POINTS["cycles"]])
+# k*nu = 2e300 is a float, but x^(k*nu) is not at any node
+] + [(command, dict(_TWO_POINTS, nu=[1e300],
+                    cycles=[dict(c, phi=[1.0, 0.0]) for c in _TWO_POINTS["cycles"]]))
+     for command in ("integrate", "relations")
+# malformed numbers, polynomials, cycles, operators and forms
+] + [("vol", {"f": ["x - 1"], "s": [True]}),
+     ("vol", {"f": ["x - 1"], "s": ["1/0"]}),
+     ("vol", {"f": [[[[], 1]]]}),
+     ("integrate", dict(_TWO_POINTS, cycles=[]))
+] + [("vol", {"f": f}) for f in ([[5]], [[]], [5], ["x"])
+] + [("vol", {"f": [text]})
+     for text in ("x^", "x + -", "x0 - 1", "(abc)*x - 1")
+] + [("integrate", dict(_TWO_POINTS, cycles=[cycle]))
+     for cycle in ({k: v for k, v in _TWO_POINTS["cycles"][0].items() if k != "C"},
+                   dict(_TWO_POINTS["cycles"][0], B=_TWO_POINTS["cycles"][0]["A"]))
+] + [("relations", dict(problem, operators=[operator]))
+     for problem, operator in (
+         (_QUADRATIC, {"p": ["x"]}),
+         (_QUADRATIC, {"p": [], "q": "x"}),
+         (_QUADRATIC, {"p": [[[[1, 0], 1]]], "q": "x"}),
+         (_QUADRATIC, {"p": [[[[1, 0], 1]], [[[0, 1], 1]]], "q": [[[0, 0], 1]]}),
+         (_TWO_POINTS, {"p": ["x"], "q": "1"}))
+] + [("relations", dict(problem, forms=[form]))
+     for problem, form in (
+         (_TWO_POINTS, {"terms": [{"k": 5, "g": "1"}]}),
+         (_TWO_POINTS, {"terms": [{"g": "1", "a": [0, 0]}, {"g": "1", "a": [0]}]}),
+         (_TWO_POINTS, {"terms": [{"g": [[[1, 0], 1]]}]}),
+         ({"f": ["x*y - 1"]}, {"function": "x"}),
+         ({"f": ["x*y - 1"]}, {"function": [[[1], 1]], "b": [0]}),
+         (_TWO_POINTS, {"function": "y"}))
+# a well-formed polynomial object (x - 1) is refused as well
+] + [("vol", {"f": [{"nvars": 1, "terms": [{"exp": [1], "re": 1},
+                                          {"exp": [0], "re": -1}]}]})])
 def test_invalid_input_exit_3(tmp_path, capsys, command, obj):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from eulerint.laurent import (IntegrandSpec, LaurentPoly, OutsideDomainError,
                               ParseError, format_poly, omega_components,
-                              parse_poly, poly_from_json)
+                              parse_poly)
 
 
 # -- construction and arithmetic -------------------------------------------
@@ -219,15 +219,6 @@ def test_magnitude_matches_term_sum(hexagon_poly):
     want = np.array([_term_magnitude(p, x) for x in BATCH])
     assert np.allclose(p.magnitude(BATCH), want, rtol=1e-14, atol=0)
     assert LaurentPoly.zero(2).magnitude(BATCH[0]) == 0
-
-
-# -- JSON ------------------------------------------------------------------
-
-def test_poly_from_json_matches_text():
-    obj = {"nvars": 2, "terms": [{"exp": [1, 0], "re": 2.0},
-                                 {"exp": [0, -1], "re": -1.5, "im": 0.5},
-                                 {"exp": [0, 0], "re": 3.0, "im": 0.0}]}
-    assert poly_from_json(obj) == parse_poly("2*x + (-1.5+0.5j)*y^-1 + 3")
 
 
 # -- property-based --------------------------------------------------------
