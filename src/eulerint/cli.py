@@ -52,7 +52,9 @@ def parse_scalar(v, what="number"):
     if isinstance(v, str):
         try:
             value = Fraction(v)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ZeroDivisionError:
+            raise InputError(f"{what}: bad rational {v!r}: zero denominator") from None
+        except ValueError as exc:
             raise InputError(f"{what}: bad rational {v!r}: {exc}") from None
     elif isinstance(v, (int, float)):
         value = v

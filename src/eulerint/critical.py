@@ -54,46 +54,73 @@ class PolySystem:
     @cached_property
     def _table(self):
         # one power table for every equation and its partials: the exponents
-        # cast to the dtype they are raised in; for each polynomial its rows
-        # and conjugated coefficients (vecdot conjugates its first operand),
-        # and for each equation its rows and coefficient moduli
+        # cast to the dtype they are raised in, each polynomial's rows of it,
+        # and the coefficients of all rows
         parts = [p for eq in self.equations
                  for p in (eq, *(eq.partial(k + 1) for k in range(self.nvars)))]
         exps, blocks = power_table(parts)
-        return (exps.astype(np.complex128), [(rows, c.conj()) for rows, c in blocks],
-                [(rows, np.abs(c)) for rows, c in blocks[::self.nvars + 1]])
+        return (exps.astype(np.complex128), [rows for rows, _ in blocks],
+                np.concatenate([c for _, c in blocks]))
 
-    def evaluate(self, x):
+    def evaluate(self, x, rows=None):
         """F, its Jacobian J and the residual scale at a point (n,) or on a batch (P, n).
 
         F and the scale have shape (n,) or (P, n), J has shape (n, n) or
         (P, n, n).  Equation i's scale is the sum of |c_k| |x^{e_k}| over its
         terms.  A point gives the bits of `LaurentPoly.evaluate` and
-        `magnitude`, and a batch row those of its point.  The batch is taken
-        in the row slices of `laurent.power_rows`.
+        `magnitude`, and a batch row those of its point.  This is the one-draw
+        case of `_Draws.evaluate`; `rows`, the rows of a tracker batch that x
+        holds, are all in the one draw.
         """
-        exps, blocks, moduli = self._table
-        n = self.nvars
+        one = _Draws((self,), np.zeros(np.size(x) // self.nvars, dtype=int))
+        return one.evaluate(x, slice(None))
+
+
+class _Draws:
+    """The cleared systems of several draws, evaluated as one on a batch.
+
+    The systems share one exponent table.  Row r of the batch is in draw
+    `draw[r]`, and is evaluated with that draw's coefficients.
+    """
+
+    def __init__(self, systems, draw):
+        self.exps, self.blocks, _ = systems[0]._table
+        coeffs = np.stack([system._table[2] for system in systems])
+        # vecdot conjugates its first operand
+        self.coeffs, self.moduli = coeffs.conj(), np.abs(coeffs)
+        self.draw = draw
+
+    def evaluate(self, x, rows):
+        """F, J and the residual scale at x, which holds the batch rows `rows`.
+
+        The batch is taken in the row slices of `laurent.power_rows`, and each
+        row of a slice is dotted with its own draw's coefficients.
+        """
+        n = self.exps.shape[1]
         x = np.asarray(x, dtype=np.complex128)
         points = x.reshape(-1, n)
-        values = np.empty((len(points), len(blocks)), dtype=np.complex128)
+        draw = self.draw[rows]
+        values = np.empty((len(points), len(self.blocks)), dtype=np.complex128)
         scale = np.empty((len(points), n))
-        for rows, mon in power_rows(points, exps):
-            _block_values(mon, blocks, values[rows])
-            _block_values(np.abs(mon), moduli, scale[rows])
+        for part, mon in power_rows(points, self.exps):
+            d = draw[part]
+            _block_values(mon, self.coeffs[d], self.blocks, values[part])
+            _block_values(np.abs(mon), self.moduli[d], self.blocks[::n + 1],
+                          scale[part])
         values = values.reshape(x.shape[:-1] + (n, n + 1))
         return values[..., 0], values[..., 1:], scale.reshape(x.shape)
 
 
-def _block_values(mon, blocks, out):
+def _block_values(mon, coeffs, blocks, out):
     """Per row of the power table `mon`, each block's coefficients dotted with it.
 
-    Column k of `out` receives block k.  vecdot takes one dot product per
-    table row, as `LaurentPoly` does at a point, so a batch row keeps the bits
-    of its point, which a matrix-vector product would not.
+    `coeffs` holds one row of coefficients per table row, and column k of
+    `out` receives block k.  vecdot takes one dot product per table row, as
+    `LaurentPoly` does at a point, so a batch row keeps the bits of its
+    point, which a matrix-vector product would not.
     """
-    for k, (rows, coeffs) in enumerate(blocks):
-        np.vecdot(coeffs, mon[:, rows], out=out[:, k])
+    for k, rows in enumerate(blocks):
+        np.vecdot(coeffs[:, rows], mon[:, rows], out=out[:, k])
 
 
 @dataclass(frozen=True)
@@ -181,7 +208,7 @@ def _newton(evaluate, x, iters, tol):
         r, jac, scale = evaluate(x[k], k)
         below = _below(r, scale, tol)
         done[k[below]] = True
-        step = np.all(np.isfinite(r), axis=1) & ~below
+        step = np.isfinite(r).all(axis=1) & ~below
         delta, singular = _solve_stack(jac[step], -r[step])
         k = k[step][~singular]
         if not k.size:
@@ -192,7 +219,7 @@ def _newton(evaluate, x, iters, tol):
 
 def _below(r, scale, tol):
     """Per row, whether every residual is below tol times max(1, its scale)."""
-    return np.all(np.abs(r) < tol * np.maximum(1.0, scale), axis=1)
+    return (np.abs(r) < tol * np.maximum(1.0, scale)).all(axis=1)
 
 
 # the path states of `_track_paths`, coded by their index
@@ -203,9 +230,11 @@ _RUNNING, _OK, _DIVERGED, _STALLED = range(len(_STATUSES))
 def _track_paths(system, starts, gamma, degrees, roots):
     """Track the paths of H(x,t) = gamma (1-t) G(x) + t F(x), t: 0 -> 1, in lockstep.
 
-    `starts` holds one start root per row, shape (P, n).  `gamma` is one
-    value or one per path, and `roots`, the constants of G, are (n,) or one
-    row per path, so the paths of several start systems share a batch.
+    `system.evaluate(x, rows)` gives the target system F at x, the batch
+    rows `rows`.  `starts` holds one start root per row, shape (P, n).
+    `gamma` is one value or one per path, and `roots`, the constants of G,
+    are (n,) or one row per path, so the paths of several start systems, and
+    of several systems of one exponent table (`_Draws`), share a batch.
     Every path keeps its own t, step, success count and status.  Each
     iteration takes one Euler predictor for all running paths at once, then a
     Newton corrector of up to MAX_NEWTON steps on the paths still iterating.
@@ -214,21 +243,23 @@ def _track_paths(system, starts, gamma, degrees, roots):
     x = np.array(starts, dtype=np.complex128)
     gamma = np.broadcast_to(gamma, len(x))[:, None]
     roots = np.broadcast_to(roots, x.shape)
+    root_moduli = np.abs(roots)
     diag = np.arange(len(degrees))
+    lower = degrees - 1
 
     def h(ids, x, t):
         # H, dH/dx, dH/dt and the backward-error scale (the sum of |term| over
         # both homotopy parts) of the paths `ids` from one evaluation of the
         # target system
-        f, jac, scale = system.evaluate(x)
+        f, jac, scale = system.evaluate(x, ids)
         gam, rts = gamma[ids], roots[ids]
+        s, u = t[:, None], (1 - t)[:, None]
         g = x ** degrees - rts
-        c = gam * (1 - t)[:, None]
-        hx = t[:, None, None] * jac
-        hx[:, diag, diag] += c * (degrees * x ** (degrees - 1))
-        scale = ((1 - t)[:, None] * (np.abs(x) ** degrees + np.abs(rts))
-                 + t[:, None] * scale)
-        return c * g + t[:, None] * f, hx, f - gam * g, scale
+        c = gam * u
+        hx = s[:, :, None] * jac
+        hx[:, diag, diag] += c * (degrees * x ** lower)
+        scale = u * (np.abs(x) ** degrees + root_moduli[ids]) + s * scale
+        return c * g + s * f, hx, f - gam * g, scale
 
     t = np.zeros(len(x))
     _, hx, ht, _ = h(slice(None), x, t)
@@ -275,13 +306,14 @@ def _track_paths(system, starts, gamma, degrees, roots):
 def _polish(system, x):
     """Newton's method on the target system from every row of x, in place.
 
+    `system.evaluate(xk, k)` gives the target system at xk, the rows k of x.
     A row stops as soon as its scaled residual is below POLISH_TOL.  A row
     still iterating after POLISH_ITERS steps is kept only if it then passes
     NEWTON_TOL.  Returns the mask of the kept rows.
     """
-    kept, k = _newton(lambda xk, _: system.evaluate(xk), x, POLISH_ITERS, POLISH_TOL)
+    kept, k = _newton(system.evaluate, x, POLISH_ITERS, POLISH_TOL)
     if k.size:
-        r, _, scale = system.evaluate(x[k])
+        r, _, scale = system.evaluate(x[k], k)
         kept[k] = _below(r, scale, NEWTON_TOL)
     return kept
 
@@ -304,63 +336,116 @@ def _start_system(degrees, rng):
     return starts, gamma, roots
 
 
-def _run_tracking(system, degrees, rng, attempts):
-    """Total-degree tracking runs under `attempts` fresh start systems, in one batch.
+def _batches(systems, sizes):
+    """Split the draws into batches of consecutive ones, as lists of indices.
 
-    The start systems (random constants and gamma) are drawn from `rng` one
-    after another.  Their paths are tracked and polished together; a path's
-    trajectory depends on its own row alone, so each run ends as it would
-    alone.  Returns per run (endpoints, failed): the polished endpoints of
-    its converged paths, one per row, and the count of its paths that did
-    not diverge, could not be polished and did not stall near t = 1.
+    A batch holds draws whose cleared systems share one exponent table, and
+    at most 2 MAX_PATHS rows, `sizes[d]` of them for draw d.
     """
-    starts, gammas, roots = map(np.array, zip(*(_start_system(degrees, rng)
-                                                for _ in range(attempts))))
-    run = np.repeat(np.arange(attempts), starts.shape[1])
-    status, x, t = _track_paths(system, np.concatenate(starts), gammas[run],
-                                degrees, roots[run])
-    live = status != "diverged"
-    x, status, t, run = x[live], status[live], t[live], run[live]
-    converged = _polish(system, x)
-    # Paths heading to the toric boundary or to infinity stall with shrinking
-    # steps just before t = 1.  Regular target solutions are recovered by
-    # Newton polish from the stall point; a failed polish that close to t = 1
-    # means the path has no finite regular limit.  Only mid-domain stalls
-    # count as genuine tracking failures.
-    failed = ~converged & ~((status == "stalled") & (t > 1 - STALL_WINDOW))
-    return [(x[converged & mine], int((failed & mine).sum()))
-            for mine in (run == i for i in range(attempts))]
+    batch = []
+    for d, system in enumerate(systems):
+        if batch:
+            exps, blocks, _ = system._table
+            first, split, _ = systems[batch[0]]._table
+            if (sum(sizes[b] for b in batch) + sizes[d] > 2 * MAX_PATHS
+                    or not np.array_equal(exps, first) or blocks != split):
+                yield batch
+                batch = []
+        batch.append(d)
+    if batch:
+        yield batch
 
 
-def solve(system: PolySystem, settings: TrackerSettings | None = None) -> SolutionSet:
-    """All distinct critical points in the torus complement, by total-degree homotopy.
+def _run_tracking(systems, degrees, rngs, attempts):
+    """Total-degree tracking runs of several draws, `attempts` fresh ones per draw.
 
-    Two runs under independent random gammas are tracked in one batch, and a
-    third when the second leaves failed paths; the strictly verified endpoints
-    are pooled.  The verified solution set does not depend on gamma, so
-    pooling cannot introduce spurious points.
+    Draw d's start systems (random constants and gamma) are drawn from
+    `rngs[d]` one after another.  The paths of all runs of a batch of draws
+    (`_batches`) are tracked and polished together; a path's trajectory
+    depends on its own row alone, so each run ends as it would alone.
+    Returns per draw, per run, (endpoints, failed): the polished endpoints of
+    its converged paths, one per row, and the count of its paths that did not
+    diverge, could not be polished and did not stall near t = 1.
     """
-    settings = settings or TrackerSettings()
-    spec = system.spec
-    n = system.nvars
-    if len(system.equations) != n:
+    starts = [[_start_system(deg, rng) for _ in range(attempts)]
+              for deg, rng in zip(degrees, rngs)]
+    sizes = [sum(len(x) for x, _, _ in runs) for runs in starts]
+    results = []
+    for batch in _batches(systems, sizes):
+        # one exponent table, so one path count per run
+        begun, gammas, roots = map(np.array, zip(*(run for d in batch
+                                                   for run in starts[d])))
+        run = np.repeat(np.arange(len(begun)), begun.shape[1])
+        draw = run // attempts
+        drawn = [systems[d] for d in batch]
+        status, x, t = _track_paths(_Draws(drawn, draw), np.concatenate(begun),
+                                    gammas[run], degrees[batch[0]], roots[run])
+        live = status != "diverged"
+        x, status, t, run = x[live], status[live], t[live], run[live]
+        converged = _polish(_Draws(drawn, draw[live]), x)
+        # Paths heading to the toric boundary or to infinity stall with
+        # shrinking steps just before t = 1.  Regular target solutions are
+        # recovered by Newton polish from the stall point; a failed polish
+        # that close to t = 1 means the path has no finite regular limit.
+        # Only mid-domain stalls count as genuine tracking failures.
+        failed = ~converged & ~((status == "stalled") & (t > 1 - STALL_WINDOW))
+        ends = [(x[converged & mine], int((failed & mine).sum()))
+                for mine in (run == i for i in range(len(begun)))]
+        results += [ends[i:i + attempts] for i in range(0, len(ends), attempts)]
+    return results
+
+
+def _total_degrees(system):
+    """The cleared equations' total degrees, once the path count is checked."""
+    if len(system.equations) != system.nvars:
         raise ValueError("system must be square")
     total_degrees = [max(1, eq.total_degree()) for eq in system.equations]
     if math.prod(total_degrees) > MAX_PATHS:
         raise TooManyPathsError(
             "the total-degree homotopy needs more start paths (the product of "
             f"the cleared equations' degrees) than critical.MAX_PATHS = {MAX_PATHS}")
-    rng = np.random.default_rng(settings.seed)
-    degrees = np.array(total_degrees, dtype=np.float64)
+    return total_degrees
 
-    # Two independent runs are always pooled, tracked in one batch: a path
-    # jump or an unresolved stall under one gamma is overwhelmingly unlikely
-    # to recur at the same solution under an independent gamma.  A third run
-    # is added only when the second reports genuine mid-domain tracking
-    # failures.
-    runs = _run_tracking(system, degrees, rng, 2)
-    if runs[-1][1]:
-        runs += _run_tracking(system, degrees, rng, 1)
+
+def solve(system: PolySystem, settings: TrackerSettings | None = None) -> SolutionSet:
+    """All distinct critical points in the torus complement, by total-degree homotopy.
+
+    The one-draw case of `solve_draws`.
+    """
+    settings = settings or TrackerSettings()
+    return solve_draws((system,), (settings.seed,))[0]
+
+
+def solve_draws(systems, seeds) -> tuple:
+    """`solve` of each draw's cleared system under its own seed, tracked together.
+
+    Per draw, two runs under independent random gammas are tracked, and a
+    third when the second leaves failed paths; the strictly verified
+    endpoints are pooled.  The verified solution set does not depend on
+    gamma, so pooling cannot introduce spurious points.  The runs of all
+    draws share batches (`_run_tracking`), and each draw's SolutionSet is
+    the one it gets alone.
+    """
+    total_degrees = [_total_degrees(system) for system in systems]
+    degrees = [np.array(deg, dtype=np.float64) for deg in total_degrees]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+
+    # Two independent runs are always pooled: a path jump or an unresolved
+    # stall under one gamma is overwhelmingly unlikely to recur at the same
+    # solution under an independent gamma.  A third run is added only when
+    # the second reports genuine mid-domain tracking failures.
+    runs = _run_tracking(systems, degrees, rngs, 2)
+    again = [d for d, r in enumerate(runs) if r[-1][1]]
+    third = _run_tracking([systems[d] for d in again], [degrees[d] for d in again],
+                          [rngs[d] for d in again], 1)
+    for d, extra in zip(again, third):
+        runs[d] += extra
+    return tuple(_solution_set(system.spec, math.prod(deg) * len(r), r)
+                 for system, deg, r in zip(systems, total_degrees, runs))
+
+
+def _solution_set(spec, raw_paths, runs):
+    """The filtered, deduplicated SolutionSet of one draw's runs."""
     endpoints = [ep for ep, _ in runs]
     converged = sum(len(ep) for ep in endpoints)
     failed = runs[-1][1]
@@ -393,7 +478,7 @@ def solve(system: PolySystem, settings: TrackerSettings | None = None) -> Soluti
     return SolutionSet(
         solutions=tuple(s for s, _ in distinct),
         residuals=tuple(r for _, r in distinct),
-        raw_paths=math.prod(total_degrees) * len(runs),
+        raw_paths=raw_paths,
         converged=converged,
         filtered=filtered,
         distinct=len(distinct),
@@ -411,7 +496,8 @@ def euler_characteristic(spec_or_polys, settings: TrackerSettings | None = None,
 
     Accepts either a full IntegrandSpec (its s, nu are replaced by random
     draws) or a bare list of LaurentPoly.  The count must agree across
-    `draws` independent random parameter draws.
+    `draws` independent random parameter draws, which are solved together
+    (`solve_draws`).
     """
     settings = settings or TrackerSettings()
     if isinstance(spec_or_polys, IntegrandSpec):
@@ -421,15 +507,14 @@ def euler_characteristic(spec_or_polys, settings: TrackerSettings | None = None,
     n = polys[0].nvars
     ell = len(polys)
     rng = np.random.default_rng(settings.seed)
-    counts = []
-    certified = True
-    for d in range(draws):
+    systems = []
+    for _ in range(draws):
         s = _random_parameters(rng, ell)
         nu = _random_parameters(rng, n)
-        spec = IntegrandSpec(polys, s, nu)
-        sol = solve(build_system(spec), TrackerSettings(seed=settings.seed + 1000 + d))
-        counts.append(sol.distinct)
-        certified = certified and sol.certified
+        systems.append(build_system(IntegrandSpec(polys, s, nu)))
+    sols = solve_draws(systems, [settings.seed + 1000 + d for d in range(draws)])
+    counts = [sol.distinct for sol in sols]
+    certified = all(sol.certified for sol in sols)
     if len(set(counts)) != 1:
         raise RuntimeError(f"critical point counts disagree across draws: {counts}; "
                            "non-generic parameters or tracking failure")

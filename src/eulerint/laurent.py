@@ -236,7 +236,7 @@ def power_rows(points, exps):
     step = max(1, TABLE_ENTRIES // max(1, exps.size))
     for lo in range(0, len(points), step):
         rows = slice(lo, lo + step)
-        yield rows, np.prod(points[rows, None, :] ** exps, axis=-1)
+        yield rows, np.multiply.reduce(points[rows, None, :] ** exps, axis=-1)
 
 
 def power_table(polys):

@@ -202,14 +202,13 @@ def test_integrate_multivariate_exit_2(tmp_path, capsys):
 
 
 def test_draw_disagreement_exit_2(tmp_path, capsys, monkeypatch):
-    counts = iter([3, 4])
+    def solve_draws(systems, seeds):
+        return tuple(critical.SolutionSet(solutions=(), residuals=(), raw_paths=0,
+                                          converged=0, filtered=0,
+                                          distinct=count, failed_paths=0)
+                     for count in (3, 4))
 
-    def solve(system, settings=None):
-        return critical.SolutionSet(solutions=(), residuals=(), raw_paths=0,
-                                    converged=0, filtered=0,
-                                    distinct=next(counts), failed_paths=0)
-
-    monkeypatch.setattr(critical, "solve", solve)
+    monkeypatch.setattr(critical, "solve_draws", solve_draws)
     code, out = run(capsys, ["chi", _problem(tmp_path, {"f": ["x - 1"]})])
     assert code == 2
     assert out["error"]["type"] == "numerical-failure"
@@ -321,6 +320,8 @@ def _problem(tmp_path, obj):
 
 _QUADRATIC = json.loads((PROBLEMS / "quadratic_operator.json").read_text())
 _TWO_POINTS = json.loads((PROBLEMS / "two_points.json").read_text())
+# a rational with a zero denominator, refused with a message that says so
+_ZERO_DENOMINATOR = ("gkz", {"f": ["x - 1"], "nu": ["-2/0"]})
 
 
 @pytest.mark.parametrize("command, obj", [
@@ -419,7 +420,8 @@ _TWO_POINTS = json.loads((PROBLEMS / "two_points.json").read_text())
          (_TWO_POINTS, {"function": "y"}))
 # a well-formed polynomial object (x - 1) is refused as well
 ] + [("vol", {"f": [{"nvars": 1, "terms": [{"exp": [1], "re": 1},
-                                          {"exp": [0], "re": -1}]}]})])
+                                          {"exp": [0], "re": -1}]}]})
+] + [_ZERO_DENOMINATOR])
 def test_invalid_input_exit_3(tmp_path, capsys, command, obj):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -428,6 +430,8 @@ def test_invalid_input_exit_3(tmp_path, capsys, command, obj):
     assert out["error"]["type"] == "invalid-input"
     # an invalid input is refused before any numerical work warns
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if (command, obj) == _ZERO_DENOMINATOR:
+        assert out["error"]["message"] == "nu: bad rational '-2/0': zero denominator"
 
 
 # an exponent whose power k*s_j or k*nu is beyond the float range is named

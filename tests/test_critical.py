@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -44,7 +45,7 @@ class _ConstantSystem:
     def points(self):
         return np.arange(1, len(self.r) + 1, dtype=complex)[:, None]
 
-    def evaluate(self, x):
+    def evaluate(self, x, rows):
         k = x[:, 0].real.astype(int) - 1
         self.evaluations[k] += 1
         return (self.r[k][:, None], self.jac[k][:, None, None].astype(complex),
@@ -371,6 +372,120 @@ def test_path_count_is_capped():
     assert system.equations[0].total_degree() == critical.MAX_PATHS + 1
     with pytest.raises(critical.TooManyPathsError, match="MAX_PATHS"):
         solve(system)
+
+
+# -- all draws in one batch -------------------------------------------------
+
+class _TrackSpy:
+    """Records the row count of every `_track_paths` batch."""
+
+    def __init__(self, monkeypatch):
+        self.rows = []
+        track = critical._track_paths
+
+        def spy(system, starts, *args):
+            self.rows.append(len(starts))
+            return track(system, starts, *args)
+
+        monkeypatch.setattr(critical, "_track_paths", spy)
+
+
+def _draws(texts, count, seed):
+    rng = np.random.default_rng(seed)
+    systems = [_random_system([parse_poly(t)], rng) for t in texts for _ in range(count)]
+    return systems, [seed + 1000 + d for d in range(len(systems))]
+
+
+def _alone(systems, seeds):
+    return [repr(solve(system, TrackerSettings(seed=seed)))
+            for system, seed in zip(systems, seeds)]
+
+
+def _paths(system):
+    return math.prod(eq.total_degree() for eq in system.equations)
+
+
+@pytest.mark.parametrize("text", [HEXAGON_TEXT, LINES_TEXT, _THREE_TEXT])
+def test_draws_together_solve_as_alone(text, monkeypatch):
+    systems, seeds = _draws([text], 3, seed=8)
+    alone = _alone(systems, seeds)
+    spy = _TrackSpy(monkeypatch)
+    together = critical.solve_draws(systems, seeds)
+    # the repr holds the solutions, the residuals and the five counts
+    assert [repr(sol) for sol in together] == alone
+    # the mandatory runs of all draws are one batch
+    assert spy.rows[0] == 2 * 3 * _paths(systems[0])
+
+
+def test_third_run_only_for_the_draw_whose_second_fails(monkeypatch):
+    # two draws of x - 1 clear to a x - b: one path per run, all ending "ok"
+    systems = [build_system(IntegrandSpec([parse_poly("x - 1")], (1,), (nu,)))
+               for nu in (1, 2)]
+    spy = _StartSpy(monkeypatch)
+    polish = critical._polish
+    calls = []
+
+    def second_run_of_draw_1_fails(system, x):
+        kept = polish(system, x)
+        if not calls:
+            kept[3] = False     # rows: draw 0 runs 0, 1; draw 1 runs 0, 1
+        calls.append(len(x))
+        return kept
+
+    monkeypatch.setattr(critical, "_polish", second_run_of_draw_1_fails)
+    first, second = critical.solve_draws(systems, (4, 9))
+    assert calls == [4, 1]
+    rngs = [used for used, _ in spy.draws]
+    assert rngs[0] is rngs[1] and rngs[2] is rngs[3] is rngs[4]
+    assert rngs[0] is not rngs[2]
+    for seed, drawn in ((4, spy.draws[:2]), (9, spy.draws[2:])):
+        rng = np.random.default_rng(seed)
+        for _, starts in drawn:
+            assert np.array_equal(starts, spy.draw(np.ones(1), rng)[0])
+    assert (first.raw_paths, first.converged, first.failed_paths) == (2, 2, 0)
+    assert (second.raw_paths, second.converged, second.failed_paths) == (3, 2, 0)
+    assert first.distinct == second.distinct == 1
+
+
+def test_batches_hold_at_most_two_max_paths_rows(monkeypatch):
+    systems, seeds = _draws([HEXAGON_TEXT], 3, seed=10)
+    alone = _alone(systems, seeds)
+    paths = _paths(systems[0])
+    # two draws of two runs fill a batch, so the third draw starts the next
+    monkeypatch.setattr(critical, "MAX_PATHS", 2 * paths)
+    spy = _TrackSpy(monkeypatch)
+    together = critical.solve_draws(systems, seeds)
+    assert spy.rows[:2] == [4 * paths, 2 * paths]
+    assert max(spy.rows) <= 2 * critical.MAX_PATHS
+    assert [repr(sol) for sol in together] == alone
+
+
+def test_draws_of_other_tables_start_a_batch(monkeypatch):
+    systems, seeds = _draws([HEXAGON_TEXT, "x*y + x + 2*y - 1", HEXAGON_TEXT], 1,
+                            seed=12)
+    alone = _alone(systems, seeds)
+    spy = _TrackSpy(monkeypatch)
+    together = critical.solve_draws(systems, seeds)
+    assert spy.rows[:3] == [2 * _paths(system) for system in systems]
+    assert [repr(sol) for sol in together] == alone
+
+
+@pytest.mark.parametrize("text", [HEXAGON_TEXT, _THREE_TEXT])
+@pytest.mark.parametrize("entries", [laurent.TABLE_ENTRIES, 1])
+def test_stacked_evaluator_matches_each_draw(text, entries, monkeypatch):
+    systems, _ = _draws([text], 3, seed=13)
+    n = systems[0].nvars
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(11, n)) + 1j * rng.normal(size=(11, n))
+    draw = rng.integers(0, 3, size=40)
+    rows = rng.choice(40, size=11, replace=False)
+    monkeypatch.setattr(laurent, "TABLE_ENTRIES", entries)
+    f, jac, scale = critical._Draws(systems, draw).evaluate(x, rows)
+    for k, r in enumerate(rows):
+        fk, jk, sk = systems[draw[r]].evaluate(x[k])
+        assert np.array_equal(f[k], fk)
+        assert np.array_equal(jac[k], jk)
+        assert np.array_equal(scale[k], sk)
 
 
 # -- reported solutions satisfy the rational equations ---------------------
