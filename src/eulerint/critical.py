@@ -53,14 +53,9 @@ class PolySystem:
 
     @cached_property
     def _table(self):
-        # one power table for every equation and its partials: the exponents
-        # cast to the dtype they are raised in, each polynomial's rows of it,
-        # and the coefficients of all rows
-        parts = [p for eq in self.equations
-                 for p in (eq, *(eq.partial(k + 1) for k in range(self.nvars)))]
-        exps, blocks = power_table(parts)
-        return (exps.astype(np.complex128), [rows for rows, _ in blocks],
-                np.concatenate([c for _, c in blocks]))
+        # one power table (`power_table`) for every equation and its partials
+        return power_table([p for eq in self.equations for p in
+                            (eq, *(eq.partial(k + 1) for k in range(self.nvars)))])
 
     def evaluate(self, x, rows=None):
         """F, its Jacobian J and the residual scale at a point (n,) or on a batch (P, n).
@@ -84,10 +79,11 @@ class _Draws:
     """
 
     def __init__(self, systems, draw):
-        self.exps, self.blocks, _ = systems[0]._table
-        coeffs = np.stack([system._table[2] for system in systems])
+        tables = [system._table for system in systems]
+        self.exps, self.blocks = tables[0][:2]
         # vecdot conjugates its first operand
-        self.coeffs, self.moduli = coeffs.conj(), np.abs(coeffs)
+        self.coeffs = np.stack([table[2] for table in tables]).conj()
+        self.moduli = np.stack([table[3] for table in tables])
         self.draw = draw
 
     def evaluate(self, x, rows):
@@ -345,8 +341,8 @@ def _batches(systems, sizes):
     batch = []
     for d, system in enumerate(systems):
         if batch:
-            exps, blocks, _ = system._table
-            first, split, _ = systems[batch[0]]._table
+            exps, blocks = system._table[:2]
+            first, split = systems[batch[0]]._table[:2]
             if (sum(sizes[b] for b in batch) + sizes[d] > 2 * MAX_PATHS
                     or not np.array_equal(exps, first) or blocks != split):
                 yield batch

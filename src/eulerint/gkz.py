@@ -39,20 +39,13 @@ class CayleyConfig:
 
 
 def cayley_matrix(spec: IntegrandSpec) -> CayleyConfig:
-    """Configuration matrix with columns ordered by block, then by exponent."""
-    n = spec.nvars
-    ell = spec.npolys
-    cols = []
-    blocks = []
-    for j, fj in enumerate(spec.f):
-        for alpha in sorted(fj.support()):
-            cols.append(tuple(alpha) + tuple(
-                1 if i == j else 0 for i in range(ell)))
-            blocks.append(j)
-    matrix = tuple(tuple(col[r] for col in cols) for r in range(n + ell))
+    """Configuration matrix whose columns are the points of
+    `polytope.cayley_support`, ordered by block, then by exponent."""
+    points = polytope.cayley_support(spec).points
+    blocks = tuple(j for j, fj in enumerate(spec.f) for _ in fj.terms)
     kappa = tuple(-v for v in spec.nu) + tuple(spec.s)
-    return CayleyConfig(matrix=matrix, blocks=tuple(blocks), kappa=kappa,
-                        nvars=n, npolys=ell)
+    return CayleyConfig(matrix=tuple(zip(*points)), blocks=blocks, kappa=kappa,
+                        nvars=spec.nvars, npolys=spec.npolys)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ class ParseError(ValueError):
 class LaurentPoly:
     """A finite map from integer exponent vectors to nonzero coefficients."""
 
-    __slots__ = ("nvars", "terms", "_arrays", "_gradient_arrays")
+    __slots__ = ("nvars", "terms", "_cache")
 
     def __init__(self, nvars: int, terms: Mapping[tuple, object]):
         if nvars < 1:
@@ -41,8 +41,7 @@ class LaurentPoly:
         clean = {e: c for e, c in clean.items() if c != 0}
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_arrays", None)
-        object.__setattr__(self, "_gradient_arrays", None)
+        object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -148,54 +147,45 @@ class LaurentPoly:
             t[ne] = t.get(ne, 0) + e[k] * c
         return LaurentPoly(self.nvars, t)
 
-    def _eval_arrays(self):
-        cached = self._arrays
-        if cached is None:
-            exps = np.array(sorted(self.terms.keys()), dtype=np.int64).reshape(-1, self.nvars)
-            coeffs = np.array([complex(self.terms[tuple(e)]) for e in exps],
-                              dtype=np.complex128)
-            negative = np.flatnonzero(np.array(self.min_exponents()) < 0)
-            cached = (exps, coeffs, negative)
-            object.__setattr__(self, "_arrays", cached)
-        return cached
+    def _tables(self, gradient):
+        """The power table (`power_table`) of f, or with `gradient` that of f,
+        d_1 f, ..., d_n f; and the variables with a negative exponent.
 
-    def _stacked_arrays(self):
-        """Stacked exponents of f, d_1 f, ..., d_n f; each one's rows and coefficients."""
-        cached = self._gradient_arrays
-        if cached is None:
-            cached = power_table([self] + [self.partial(i + 1)
-                                           for i in range(self.nvars)])
-            object.__setattr__(self, "_gradient_arrays", cached)
-        return cached
+        Each table is built on first use.
+        """
+        cache = self._cache
+        if gradient not in cache:
+            polys = [self] + ([self.partial(i + 1) for i in range(self.nvars)]
+                              if gradient else [])
+            cache[gradient] = (power_table(polys),
+                               np.flatnonzero(np.array(self.min_exponents()) < 0))
+        return cache[gradient]
 
-    def _points(self, x):
-        """x as a complex point (n,) or batch (P, n) off the zeros of negative powers."""
+    def _dot(self, x, gradient=False, modulus=False):
+        """Each polynomial of a power table dotted with the powers x^e.
+
+        The table is f's, or with `gradient` that of f and its partials.  A
+        point (n,) is taken as a batch of one row; the result has x's leading
+        shape and one entry per polynomial: (k,) at a point, (P, k) on a batch
+        (P, n).  With `modulus`, |c| |x^e| replaces c x^e.
+        """
         x = np.asarray(x, dtype=np.complex128)
         if x.ndim not in (1, 2) or x.shape[-1] != self.nvars:
             raise ValueError(f"point has dimension {x.shape}, expected "
                              f"({self.nvars},) or (P, {self.nvars})")
-        negative = self._eval_arrays()[2]   # variables with a negative exponent
+        (exps, blocks, coeffs, moduli), negative = self._tables(gradient)
         if len(negative) and (x[..., negative] == 0).any():
             i = int(negative[np.nonzero(x[..., negative] == 0)[-1][0]])
             raise ZeroDivisionError(f"coordinate {i + 1} is zero but appears "
                                     "with negative exponent")
-        return x
-
-    def _dot(self, x, exps, blocks, modulus=False):
-        """Each block's coefficients dotted with the powers x^e, e in `exps`.
-
-        A point (n,) is taken as a batch of one row; the result has x's
-        leading shape and one entry per block: (k,) at a point, (P, k) on a
-        batch (P, n).  With `modulus`, |x^e| replaces x^e.
-        """
-        x = self._points(x)
+        weights = moduli if modulus else coeffs
         points = x.reshape(-1, self.nvars)
-        out = np.empty((len(points), len(blocks)), dtype=blocks[0][1].dtype)
+        out = np.empty((len(points), len(blocks)), dtype=weights.dtype)
         for rows, mon in power_rows(points, exps):
             if modulus:
                 mon = np.abs(mon)
-            for k, (cols, coeffs) in enumerate(blocks):
-                out[rows, k] = mon[:, cols] @ coeffs
+            for k, cols in enumerate(blocks):
+                out[rows, k] = mon[:, cols] @ weights[cols]
         return out.reshape(x.shape[:-1] + (len(blocks),))
 
     def evaluate(self, x):
@@ -204,8 +194,7 @@ class LaurentPoly:
         A point gives a complex number, a batch a complex array of shape (P,).
         A zero in a variable with a negative exponent raises ZeroDivisionError.
         """
-        exps, coeffs, _ = self._eval_arrays()
-        values = self._dot(x, exps, [(slice(None), coeffs)])[..., 0]
+        values = self._dot(x)[..., 0]
         return complex(values) if values.ndim == 0 else values
 
     def value_and_gradient(self, x):
@@ -214,16 +203,14 @@ class LaurentPoly:
         Each entry equals `evaluate` of that polynomial bit for bit at a point;
         one power table over the stacked exponents serves all of them.
         """
-        return self._dot(x, *self._stacked_arrays())
+        return self._dot(x, gradient=True)
 
     def magnitude(self, x):
         """Sum of |c_k| |x^{e_k}| over the terms, the scale of rounding in f(x).
 
         A point gives a float, a batch a float array of shape (P,).
         """
-        exps, coeffs, _ = self._eval_arrays()
-        return self._dot(x, exps, [(slice(None), np.abs(coeffs))],
-                         modulus=True)[..., 0][()]
+        return self._dot(x, modulus=True)[..., 0][()]
 
 
 def power_rows(points, exps):
@@ -240,15 +227,21 @@ def power_rows(points, exps):
 
 
 def power_table(polys):
-    """Exponents of one power table shared by `polys`, and each one's block.
+    """The one power table of `polys`, which share nvars, and its coefficients.
 
-    A block is the slice of the table's rows that holds the polynomial's
-    monomials, with the matching complex coefficients.
+    Returns the exponents of all their terms (m, n), cast to the complex dtype
+    they are raised in; per polynomial, the slice of those m rows that holds
+    its terms in sorted order; and the m complex coefficients and their moduli.
     """
-    arrays = [p._eval_arrays() for p in polys]
-    exps = np.concatenate([a[0] for a in arrays])
-    ends = np.cumsum([len(a[1]) for a in arrays])
-    return exps, [(slice(end - len(a[1]), end), a[1]) for end, a in zip(ends, arrays)]
+    terms = [sorted(p.terms.items()) for p in polys]
+    ends = np.cumsum([len(t) for t in terms]).tolist()
+    rows = [term for t in terms for term in t]
+    # through int64, so an exponent beyond it raises OverflowError, not rounds
+    exps = np.array([e for e, _ in rows], dtype=np.int64).reshape(-1, polys[0].nvars)
+    coeffs = np.array([complex(c) for _, c in rows], dtype=np.complex128)
+    return (exps.astype(np.complex128),
+            [slice(end - len(t), end) for end, t in zip(ends, terms)],
+            coeffs, np.abs(coeffs))
 
 
 @dataclass(frozen=True)
@@ -350,6 +343,8 @@ def _tokenize(text):
 def _parse_number(tok, pos):
     if "/" in tok:
         num, den = tok.split("/")
+        if int(den) == 0:
+            raise ParseError("zero denominator", pos)
         if "." in num or "e" in num or "E" in num:
             return float(num) / float(den)
         return Fraction(int(num), int(den))

@@ -25,6 +25,7 @@ from .laurent import IntegrandSpec, omega_components
 NEWTON_CORRECTIONS = 4      # fixed corrector iterations per node
 DEFAULT_NODES = 1000        # quadrature nodes per triangle edge
 MAX_NODES = 100_000         # most quadrature nodes per triangle edge
+MAX_DEGREE = 256            # widest exponent span of an f_j whose roots are found
 POLE_GUARD_RADIUS = 1e-8    # minimum allowed node distance to a singularity
 CLOSURE_TOL = 1e-6          # branch must return to itself within this
 KERNEL_REL_TOL = 1e-6       # kernel: sigma <= KERNEL_REL_TOL * sigma_max
@@ -180,12 +181,19 @@ def newton_step(y: complex, x: complex, curve: BranchCurve) -> complex:
 
 
 def singular_points(spec: IntegrandSpec) -> np.ndarray:
-    """Roots of x * prod_j f_j in the complex plane (poles of omega)."""
+    """Roots of x * prod_j f_j in the complex plane (poles of omega).
+
+    The roots of f_j are the eigenvalues of a companion matrix of the size of
+    its exponent span squared, so a span above MAX_DEGREE raises ValueError.
+    """
     _require_univariate(spec)
     pts = [0j]
-    for fj in spec.f:
+    for j, fj in enumerate(spec.f):
         exps = sorted(e[0] for e in fj.support())
         lo, hi = exps[0], exps[-1]
+        if hi - lo > MAX_DEGREE:
+            raise ValueError(f"f_{j + 1} spans {hi - lo} degrees, more than "
+                             f"twisted.MAX_DEGREE = {MAX_DEGREE}")
         coeffs = [complex(fj.terms.get((e,), 0)) for e in range(hi, lo - 1, -1)]
         if len(coeffs) > 1:
             pts.extend(np.roots(coeffs))

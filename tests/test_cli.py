@@ -322,6 +322,11 @@ _QUADRATIC = json.loads((PROBLEMS / "quadratic_operator.json").read_text())
 _TWO_POINTS = json.loads((PROBLEMS / "two_points.json").read_text())
 # a rational with a zero denominator, refused with a message that says so
 _ZERO_DENOMINATOR = ("gkz", {"f": ["x - 1"], "nu": ["-2/0"]})
+# the same in a polynomial's text
+_ZERO_DENOMINATOR_TEXT = [("vol", {"f": ["3/0*x + 1"]}),
+                          ("chi", {"f": ["1.5/0*x + 1"]}),
+                          ("relations", dict(_TWO_POINTS,
+                                             forms=[{"function": "1/0*x"}]))]
 
 
 @pytest.mark.parametrize("command, obj", [
@@ -421,7 +426,7 @@ _ZERO_DENOMINATOR = ("gkz", {"f": ["x - 1"], "nu": ["-2/0"]})
 # a well-formed polynomial object (x - 1) is refused as well
 ] + [("vol", {"f": [{"nvars": 1, "terms": [{"exp": [1], "re": 1},
                                           {"exp": [0], "re": -1}]}]})
-] + [_ZERO_DENOMINATOR])
+] + [_ZERO_DENOMINATOR] + _ZERO_DENOMINATOR_TEXT)
 def test_invalid_input_exit_3(tmp_path, capsys, command, obj):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -432,6 +437,8 @@ def test_invalid_input_exit_3(tmp_path, capsys, command, obj):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     if (command, obj) == _ZERO_DENOMINATOR:
         assert out["error"]["message"] == "nu: bad rational '-2/0': zero denominator"
+    if (command, obj) in _ZERO_DENOMINATOR_TEXT:
+        assert "zero denominator" in out["error"]["message"]
 
 
 # an exponent whose power k*s_j or k*nu is beyond the float range is named
@@ -459,6 +466,11 @@ def test_exponent_beyond_float_range_is_named(tmp_path, capsys, command, key,
     (["integrate", _TWO_POINTS, "--nodes", twisted.MAX_NODES + 1], "twisted.MAX_NODES"),
     (["relations", dict(_TWO_POINTS, settings={"nodes": twisted.MAX_NODES + 1})],
      "twisted.MAX_NODES"),
+    # an f_j whose exponents span one more degree than the root finder takes
+    (["integrate", dict(_TWO_POINTS, f=[f"x^{twisted.MAX_DEGREE + 1} - 2", "x - 2"])],
+     "twisted.MAX_DEGREE"),
+    (["relations", dict(_TWO_POINTS, f=["x - 1", f"x^{twisted.MAX_DEGREE} - 2*x^-1"])],
+     "twisted.MAX_DEGREE"),
 ])
 def test_setting_cap_names_constant(tmp_path, capsys, argv, cap):
     command, obj, *options = argv
@@ -546,7 +558,7 @@ def test_tol_leaves_kernel_cutoff_alone(capsys):
 # nodes or overflows a power.  The contract concerns types and shapes.
 _SMALL_JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3)
-    | st.floats(-3, 3, allow_nan=False) | st.text("xy12/-^ ", max_size=5)
+    | st.floats(-3, 3, allow_nan=False) | st.text("xy012/-^ ", max_size=5)
     | st.sampled_from(["principal", "x - 1", "1/2"]),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=2), inner, max_size=2),

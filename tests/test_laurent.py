@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from eulerint.laurent import (IntegrandSpec, LaurentPoly, OutsideDomainError,
                               ParseError, format_poly, omega_components,
-                              parse_poly)
+                              parse_poly, power_table)
 
 
 # -- construction and arithmetic -------------------------------------------
@@ -85,6 +85,14 @@ def test_parse_x1_x2_aliases():
 def test_parse_error_position():
     with pytest.raises(ParseError):
         parse_poly("x + $")
+
+
+@pytest.mark.parametrize("text, position", [("3/0*x + 1", 0), ("x + 1.5/0", 4),
+                                             ("2*x - 1/00", 6)])
+def test_parse_zero_denominator(text, position):
+    with pytest.raises(ParseError, match="zero denominator") as info:
+        parse_poly(text)
+    assert info.value.position == position
 
 
 def test_parse_empty_rejected():
@@ -219,6 +227,23 @@ def test_magnitude_matches_term_sum(hexagon_poly):
     want = np.array([_term_magnitude(p, x) for x in BATCH])
     assert np.allclose(p.magnitude(BATCH), want, rtol=1e-14, atol=0)
     assert LaurentPoly.zero(2).magnitude(BATCH[0]) == 0
+
+
+def test_power_table_layout():
+    # the one table format: complex exponents, one row slice per polynomial
+    # with its terms in sorted order, the coefficients and their moduli
+    f, g = parse_poly("3*x*y^-1 - 1/2"), parse_poly("(1+1j)*y^2 + 2*x")
+    exps, blocks, coeffs, moduli = power_table([f, g, LaurentPoly.zero(2)])
+    assert exps.dtype == np.complex128
+    assert exps.tolist() == [[0, 0], [1, -1], [0, 2], [1, 0]]
+    assert blocks == [slice(0, 2), slice(2, 4), slice(4, 4)]
+    assert coeffs.tolist() == [-0.5, 3, 1 + 1j, 2]
+    assert moduli.tolist() == [0.5, 3, abs(1 + 1j), 2]
+    x = np.array([0.3 - 1.1j, 2.0 + 0.5j])
+    mon = np.prod(x ** exps, axis=1)
+    for p, rows in zip((f, g), blocks):
+        assert p.evaluate(x) == mon[rows] @ coeffs[rows]
+        assert p.magnitude(x) == np.abs(mon[rows]) @ moduli[rows]
 
 
 # -- property-based --------------------------------------------------------

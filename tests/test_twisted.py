@@ -215,6 +215,19 @@ def test_singular_points(two_point_spec):
     assert np.allclose(pts, [0.0, 1.0, 2.0])
 
 
+def test_singular_points_degree_cap(monkeypatch):
+    # the cap is on the exponent span, highest minus lowest exponent
+    monkeypatch.setattr(twisted, "MAX_DEGREE", 4)
+    spec = IntegrandSpec([parse_poly("x^2 - 3*x^-2"), parse_poly("x - 2")],
+                         (0.5, 0.5), (0.5,))
+    assert len(singular_points(spec)) == 6
+    wide = IntegrandSpec([parse_poly("x - 2"), parse_poly("x^3 - 3*x^-2")],
+                         (0.5, 0.5), (0.5,))
+    with pytest.raises(ValueError, match=r"f_2 spans 5 degrees, more than "
+                                         r"twisted\.MAX_DEGREE = 4"):
+        singular_points(wide)
+
+
 # -- loops and the pairing matrix ------------------------------------------
 
 def test_loop_closure_residual_small(two_point_spec):
