@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 from . import critical, gkz, polytope, relations, twisted
 from .laurent import IntegrandSpec, LaurentPoly, ParseError, parse_poly
@@ -157,6 +158,15 @@ def build_spec(obj: dict) -> IntegrandSpec:
         return IntegrandSpec(polys, s, nu)
     except ValueError as exc:
         raise InputError(str(exc)) from None
+
+
+def differentiable_spec(obj: dict) -> IntegrandSpec:
+    """build_spec, with the coefficients of each d f_j / dx_i in the float range."""
+    spec = build_spec(obj)
+    if not all(finite(c) for fj in spec.f for i in range(spec.nvars)
+               for c in fj.partial(i + 1).terms.values()):
+        raise InputError("a coefficient of a derivative of f is beyond the float range")
+    return spec
 
 
 def build_cycles(obj: dict, spec: IntegrandSpec):
@@ -301,6 +311,8 @@ def kernel_to_json(kernel):
 
 
 def relation_to_json(r: relations.Relation):
+    if not all(finite(c) for _, c in r.terms):
+        raise InputError("a relation coefficient is beyond the float range")
     return [{"a": list(a), "b": list(b),
              "re": float(complex(c).real), "im": float(complex(c).imag)}
             for (a, b), c in r.terms]
@@ -326,6 +338,9 @@ def cmd_chi(obj: dict, args) -> dict:
             spec, settings, draws=draws)
     except critical.TooManyPathsError as exc:
         raise InputError(str(exc)) from None
+    except OverflowError:   # from build_system
+        raise InputError("a coefficient of the critical equations is beyond "
+                         "the float range") from None
     except RuntimeError as exc:
         raise NumericalError(str(exc)) from None
     return {"chi": chi, "count": count, "certified": certified,
@@ -344,7 +359,7 @@ def cmd_vol(obj: dict, args) -> dict:
 
 
 def cmd_integrate(obj: dict, args) -> dict:
-    spec = build_spec(obj)
+    spec = differentiable_spec(obj)
     cycles = build_cycles(obj, spec)
     cocycles = build_cocycles(obj)
     if not cycles or not cocycles:
@@ -360,33 +375,22 @@ def cmd_integrate(obj: dict, args) -> dict:
 
 
 def cmd_relations(obj: dict, args) -> dict:
-    spec = build_spec(obj)
+    spec = differentiable_spec(obj)
     forms = build_forms(obj, spec)
     operators = build_operators(obj, spec)
-    rels = []
-    produced = []
-    for phi in forms:
-        try:
-            r = relations.nabla_apply(phi, spec)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
-        produced.append(("form", r))
-    for P in operators:
-        try:
-            r = relations.mellin_relation(P, spec)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
-        produced.append(("operator", r))
-    agreement = []
-    for i in range(len(produced)):
-        for j in range(i + 1, len(produced)):
-            agreement.append({
-                "i": i, "j": j,
-                "agree": relations.relations_agree(
-                    produced[i][1], produced[j][1],
-                    tol=1e-9 if args.tol is None else args.tol)})
-    for source, r in produced:
-        rels.append({"source": source, "terms": relation_to_json(r)})
+    try:
+        produced = ([("form", relations.nabla_apply(phi, spec)) for phi in forms]
+                    + [("operator", relations.mellin_relation(P, spec))
+                       for P in operators])
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+    # before the agreement test, which takes the coefficients as floats
+    rels = [{"source": source, "terms": relation_to_json(r)}
+            for source, r in produced]
+    agreement = [{"i": i, "j": j, "agree": relations.relations_agree(
+                      produced[i][1], produced[j][1],
+                      tol=1e-9 if args.tol is None else args.tol)}
+                 for i, j in combinations(range(len(produced)), 2)]
     out = {"relations": rels, "agreement": agreement, "seed": args.seed}
 
     cycles = build_cycles(obj, spec)

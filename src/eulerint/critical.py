@@ -145,7 +145,8 @@ def build_system(spec: IntegrandSpec) -> PolySystem:
     """Clear denominators of the critical equations.
 
     Equation i is x_i * sum_j s_j (d_i f_j) prod_{k!=j} f_k + nu_i prod_k f_k,
-    shifted by a monomial so that no negative exponents remain.
+    shifted by a monomial so that no negative exponents remain.  A
+    coefficient beyond the float range raises OverflowError.
     """
     n = spec.nvars
     eqs = []
@@ -166,6 +167,9 @@ def build_system(spec: IntegrandSpec) -> PolySystem:
         clear = tuple(-m if m < 0 else 0 for m in mins)
         if any(clear):
             acc = acc.shift(clear)
+        if not all(math.isfinite(abs(c)) for c in acc.terms.values()):
+            raise OverflowError(f"equation {i + 1} has a coefficient beyond "
+                                "the float range")
         eqs.append(acc)
     return PolySystem(tuple(eqs), spec)
 

@@ -7,7 +7,6 @@ handled here are desk-scale (dimension <= 6, a few dozen points).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from operator import mul
 
 from . import intlinalg as ila
@@ -51,66 +50,50 @@ def cayley_support(spec: IntegrandSpec) -> LatticePointSet:
     return LatticePointSet(n + ell, pts)
 
 
-def _cone_facets(vectors, fixed=()):
-    """Facets of the cone spanned by integer vectors, in ambient coordinates.
+def _place(points):
+    """Placing (beneath-beyond) triangulation of conv({0} union points).
 
-    The rows `fixed` are a basis of the orthogonal complement of the span of
-    the vectors, whose rank is therefore r = len(vectors[0]) - len(fixed).
-    Returns (primitive inner normal, indices of the vectors on the facet)
-    pairs sorted by normal.  Every r - 1 of the vectors together with `fixed`
-    leave a kernel inside the span; when it is one-dimensional its basis
-    vector is a candidate normal, primitive because the kernel basis is
-    saturated, and a facet normal when it pairs with one sign against all the
-    vectors.
+    In the coordinates of the lattice the points generate, a first simplex
+    takes the origin and each point that raises the rank.  Each further point
+    p adds |det(p, F)| for every boundary simplex F that it sees strictly, then
+    re-cones the boundary over the horizon.  Returns the normalized volume
+    and the boundary simplices: sorted index tuples, 0 the origin and i
+    points[i - 1].
     """
-    d = len(vectors[0])
-    found = {}
-    for sub in combinations(range(len(vectors)), d - len(fixed) - 1):
-        # no rows at all only for r = d = 1, where the kernel is all of Z
-        rows = [vectors[i] for i in sub] + list(fixed)
-        kernel = ila.kernel_basis(rows or [[0]])
-        if len(kernel) != 1:
-            continue
-        u = kernel[0]
-        vals = [sum(map(mul, u, v)) for v in vectors]
-        if all(v <= 0 for v in vals):
-            u, vals = [-x for x in u], [-v for v in vals]
-        elif any(v < 0 for v in vals):
-            continue
-        found[tuple(u)] = tuple(i for i, v in enumerate(vals) if v == 0)
-    return sorted(found.items())
+    pts = [[0] * len(points[0])] + [list(p) for p in points]
+    lat = ila.lattice_basis(pts)
+    pts = [ila.lattice_coords(lat, p) + [1] for p in pts]
 
+    def det(verts, q):
+        # zero on the affine span of verts, with one sign on each side
+        return ila.det_bareiss([pts[v] for v in verts] + [pts[q]])
 
-def _triangulate(points, fixed=()):
-    """Triangulation of conv(points) for integer points, possibly repeated.
+    def facet(verts, inside):
+        # a boundary simplex and the sign of a point beneath it
+        verts = tuple(sorted(verts))
+        return verts, det(verts, inside)
 
-    Star triangulation from the lexicographically smallest point over a
-    recursive triangulation of the facets not containing it.  `fixed` spans
-    the orthogonal complement of the homogenized points (p, 1); each facet
-    adds its normal to it.  Returns tuples of indices into `points`.
-    """
-    if all(p == points[0] for p in points):
-        return [(0,)]
-    v0 = min(range(len(points)), key=lambda i: points[i])
-    simplices = []
-    # the facets of conv(points) are the cone facets of the points (p, 1)
-    for u, on in _cone_facets([tuple(p) + (1,) for p in points], fixed):
-        if v0 in on:
-            continue
-        for sub in _triangulate([points[i] for i in on], fixed + (u,)):
-            simplices.append(tuple(sorted((v0,) + tuple(on[i] for i in sub))))
-    return simplices
-
-
-def _normalized_volume_fulldim(points):
-    """Sum of |det| over a triangulation: r! times the Euclidean volume."""
-    r = len(points[0])
-    vol = 0
-    for simplex in _triangulate(points):
-        base = points[simplex[0]]
-        mat = [[points[i][k] - base[k] for k in range(r)] for i in simplex[1:]]
-        vol += abs(ila.det_bareiss(mat))
-    return vol
+    simplex = [0]
+    for i in range(1, len(pts)):
+        if ila.rank([pts[j] for j in simplex + [i]]) > len(simplex):
+            simplex.append(i)
+    boundary = [facet(set(simplex) - {w}, w) for w in simplex]
+    volume = abs(boundary[0][1])   # the first simplex, seen from its own vertex 0
+    for i in range(len(pts)):
+        kept, horizon = [], {}
+        for verts, beneath in boundary:
+            d = det(verts, i)
+            if d * beneath >= 0:
+                kept.append((verts, beneath))
+                continue
+            volume += abs(d)
+            # a ridge of one seen simplex lies on the horizon, of two inside it
+            for w in verts:
+                ridge = tuple(v for v in verts if v != w)
+                if horizon.pop(ridge, None) is None:
+                    horizon[ridge] = w
+        boundary = kept + [facet(ridge + (i,), w) for ridge, w in horizon.items()]
+    return volume, [verts for verts, _ in boundary]
 
 
 def normalized_volume(pts: LatticePointSet) -> VolumeReport:
@@ -128,10 +111,6 @@ def normalized_volume(pts: LatticePointSet) -> VolumeReport:
     r = ila.rank(diffs)
     if r == 0:
         return VolumeReport(0, 0, "degenerate: single point")
-    lat = ila.lattice_basis(diffs + [list(p0)])
-    coords = [tuple([0] * len(lat))] + [
-        tuple(ila.lattice_coords(lat, p)) for p in points]
-    vol = _normalized_volume_fulldim(coords)
     index = ila.lattice_index_in_saturation(diffs)
     if index == 1:
         note = "difference lattice is saturated in the ambient lattice"
@@ -139,7 +118,7 @@ def normalized_volume(pts: LatticePointSet) -> VolumeReport:
         note = (f"difference lattice has index {index} in the ambient lattice "
                 "intersected with the affine span; volume is measured against "
                 "the affinely generated sublattice")
-    return VolumeReport(int(vol), int(r), note)
+    return VolumeReport(_place(points)[0], int(r), note)
 
 
 def facets(pts: LatticePointSet):
@@ -152,4 +131,14 @@ def facets(pts: LatticePointSet):
     fixed = ila.kernel_basis(gens)
     if not gens or len(fixed) == pts.dim:
         raise ValueError("zero-dimensional cone")
-    return [u for u, _ in _cone_facets(gens, fixed)]
+    # the facets of the cone are the facets of conv({0} union gens) through 0
+    normals = set()
+    for simplex in _place(gens)[1]:
+        if simplex[0] == 0:
+            # the origin's own row keeps the rows nonempty when r = d = 1
+            rows = [[0] * pts.dim] + [gens[i - 1] for i in simplex[1:]]
+            u = ila.kernel_basis(rows + fixed)[0]
+            if any(sum(map(mul, u, g)) < 0 for g in gens):
+                u = [-x for x in u]
+            normals.add(tuple(u))
+    return sorted(normals)

@@ -327,6 +327,12 @@ _ZERO_DENOMINATOR_TEXT = [("vol", {"f": ["3/0*x + 1"]}),
                           ("chi", {"f": ["1.5/0*x + 1"]}),
                           ("relations", dict(_TWO_POINTS,
                                              forms=[{"function": "1/0*x"}]))]
+# an exact coefficient inside the float range whose derivative, 100 times it,
+# is not; float coefficients whose product in the critical equations is not
+_HUGE_COEFFICIENT = [(command, dict(_TWO_POINTS,
+                                    f=[[[[100], 10 ** 307], [[0], 1]], "x - 2"]))
+                     for command in ("chi", "relations", "integrate")] + [
+    ("chi", dict(_TWO_POINTS, f=[[[[1], 1e300], [[0], 1]]] * 2))]
 
 
 @pytest.mark.parametrize("command, obj", [
@@ -426,7 +432,7 @@ _ZERO_DENOMINATOR_TEXT = [("vol", {"f": ["3/0*x + 1"]}),
 # a well-formed polynomial object (x - 1) is refused as well
 ] + [("vol", {"f": [{"nvars": 1, "terms": [{"exp": [1], "re": 1},
                                           {"exp": [0], "re": -1}]}]})
-] + [_ZERO_DENOMINATOR] + _ZERO_DENOMINATOR_TEXT)
+] + [_ZERO_DENOMINATOR] + _ZERO_DENOMINATOR_TEXT + _HUGE_COEFFICIENT)
 def test_invalid_input_exit_3(tmp_path, capsys, command, obj):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -439,6 +445,9 @@ def test_invalid_input_exit_3(tmp_path, capsys, command, obj):
         assert out["error"]["message"] == "nu: bad rational '-2/0': zero denominator"
     if (command, obj) in _ZERO_DENOMINATOR_TEXT:
         assert "zero denominator" in out["error"]["message"]
+    if (command, obj) in _HUGE_COEFFICIENT:
+        assert "coefficient" in out["error"]["message"]
+        assert "beyond the float range" in out["error"]["message"]
 
 
 # an exponent whose power k*s_j or k*nu is beyond the float range is named
@@ -575,9 +584,20 @@ def _mutated(entry):
             lambda changes: {**entry, **changes})
 
 
+# term lists whose exact coefficients reach the end of the float range, where
+# a derivative or a product of two of them leaves it
+_TERMS = st.lists(st.tuples(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=2),
+    st.sampled_from([10 ** 307, -10 ** 308]) | st.integers(-3, 3)),
+    min_size=1, max_size=3)
+
+
 def _field(key):
     if key == "settings":
         return _SMALL_JSON | _mutated({"nodes": 1000})
+    if key == "f":
+        return st.lists(_TERMS, min_size=1, max_size=2) | _SMALL_JSON | st.lists(
+            _SMALL_JSON, min_size=1, max_size=3)
     entries = [e for obj in _SHIPPED for e in obj.get(key, [])
                if isinstance(e, dict)]
     items = st.sampled_from(entries).flatmap(_mutated) if entries else _SMALL_JSON

@@ -118,6 +118,23 @@ def test_facets_of_rank_deficient_cones_in_ambient_coordinates():
         (-1, -1, 3, 1), (-1, 3, -1, 1), (3, -1, -1, 1)]
 
 
+def test_facets_of_one_dimensional_points():
+    # r = d = 1: the boundary simplex through 0 holds no other point and the
+    # orthogonal complement is empty
+    assert facets(LatticePointSet(1, [(2,), (3,)])) == [(1,)]
+    assert facets(LatticePointSet(1, [(-2,), (-3,)])) == [(-1,)]
+
+
+def test_half_plane_with_the_origin_inside_an_edge():
+    # a cone with a lineality space: 0 is not a vertex of conv({0} union pts)
+    ps = LatticePointSet(2, [(1, 0), (-1, 0), (0, 1)])
+    assert facets(ps) == [(0, 1)]
+    # [DERIVED] the triangle (1, 0), (-1, 0), (0, 1) has area 1
+    rep = normalized_volume(ps)
+    assert rep.normalized_volume == 2
+    assert rep.affine_dim == 2
+
+
 # -- property-based --------------------------------------------------------
 
 points2d = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
@@ -195,6 +212,24 @@ def test_volume_3d_invariant_under_unimodular_map(pts, ops):
     after = normalized_volume(LatticePointSet(3, mapped))
     assert after.normalized_volume == before.normalized_volume
     assert after.affine_dim == before.affine_dim
+
+
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+    st.just(d),
+    st.lists(st.tuples(*[st.integers(-2, 2)] * d) | st.just((0,) * d),
+             min_size=1, max_size=8),
+    st.randoms(use_true_random=False))))
+@settings(max_examples=60, deadline=None)
+def test_insertion_order_leaves_volume_and_facets_unchanged(case):
+    # the placing pass inserts the points in their given order
+    d, pts, rnd = case
+    shuffled = pts + [rnd.choice(pts)]   # with a repeated point
+    rnd.shuffle(shuffled)
+    before = normalized_volume(LatticePointSet(d, pts))
+    after = normalized_volume(LatticePointSet(d, shuffled))
+    assert after == before
+    if any(any(p) for p in pts):
+        assert facets(LatticePointSet(d, shuffled)) == facets(LatticePointSet(d, pts))
 
 
 def _hull_area(points):
