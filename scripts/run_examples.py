@@ -22,7 +22,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PLAN = [
     ("hexagon.json", ["chi", "vol", "gkz"]),
     ("lines.json", ["chi", "vol", "gkz"]),
-    ("two_points.json", ["chi", "vol", "integrate", "gkz"]),
+    ("two_points.json", ["chi", "vol", "integrate", "relations", "gkz"]),
     ("quadratic_operator.json", ["vol", "relations", "gkz"]),
 ]
 

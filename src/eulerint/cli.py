@@ -396,18 +396,19 @@ def cmd_relations(obj: dict, args) -> dict:
     cycles = build_cycles(obj, spec)
     cocycles = build_cocycles(obj)
     N = node_count(obj, args) if cycles else None
+    # one pairing pass per cycle; the kernel and the residuals read its columns
+    checked = produced if cycles and spec.nvars == 1 else []
+    columns = dict.fromkeys(cocycles + [c for _, r in checked for c in r.cocycles])
+    M = (tracked(twisted.pairing_matrix, cycles, list(columns), N, spec)
+         if cycles and columns else None)
+    rows = ([dict(zip(M.cocycles, row)) for row in M.entries] if M
+            else [{}] * len(cycles))
     if cycles and cocycles:
-        M = tracked(twisted.pairing_matrix, cycles, cocycles, N, spec)
-        out["kernel"] = kernel_to_json(twisted.nullspace(M))
-    if cycles and produced and spec.nvars == 1:
-        residuals = []
-        for source, r in produced:
-            per_cycle = []
-            for cyc in cycles:
-                res = tracked(relations.verify_numeric, r, cyc, spec, N)
-                per_cycle.append(abs(res))
-            residuals.append({"source": source, "residuals": per_cycle})
-        out["residuals"] = residuals
+        out["kernel"] = kernel_to_json(twisted.nullspace(
+            [[row[c] for c in cocycles] for row in rows]))
+    if checked:
+        out["residuals"] = [{"source": source, "residuals": [
+            abs(relations.residual(r, row)) for row in rows]} for source, r in checked]
     return out
 
 

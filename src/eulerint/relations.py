@@ -102,6 +102,11 @@ class Relation:
     def support(self):
         return tuple(k for k, _ in self.terms)
 
+    @property
+    def cocycles(self):
+        """The cocycle f^a x^b dx/x of each term, for one variable."""
+        return [tw.Cocycle(a, b[0]) for a, b in self.support]
+
     def is_empty(self) -> bool:
         return not self.terms
 
@@ -275,16 +280,16 @@ def relations_agree(r1: Relation, r2: Relation, tol: float = 1e-9) -> bool:
     return bool(np.max(np.abs(minors)) <= tol * scale * scale)
 
 
+def residual(r: Relation, integrals) -> complex:
+    """sum C_{a,b} I_{a,b} on one cycle, where integrals[Cocycle(a, b)] = I_{a,b}."""
+    return complex(sum(complex(c) * integrals[coc]
+                       for coc, (_, c) in zip(r.cocycles, r.terms)))
+
+
 def verify_numeric(r: Relation, cycle: tw.TwistedCycle, spec: IntegrandSpec,
                    N: int = tw.DEFAULT_NODES) -> complex:
-    """Residual sum C_{a,b} I_{a,b}(cycle), computed by branch tracking."""
-    if spec.nvars != 1:
-        raise NotImplementedError(
-            "numerical verification is implemented for one variable only")
+    """`residual` of r on the pairing matrix of one cycle with r's cocycles."""
     if r.is_empty():
         return 0j
-    curve = tw.BranchCurve.from_spec(spec)
-    cocycles = [tw.Cocycle(a, b[0]) for (a, b), _ in r.terms]
-    loop = tw.integrate_loop(cycle, N, spec, curve, cocycles)
-    return complex(sum(complex(c) * v
-                       for (_, c), v in zip(r.terms, loop.values)))
+    M = tw.pairing_matrix([cycle], r.cocycles, N, spec)
+    return residual(r, dict(zip(M.cocycles, M.entries[0])))

@@ -159,11 +159,18 @@ def omega_scalar(spec: IntegrandSpec, x: complex) -> complex:
 
 
 def principal_branch_value(spec: IntegrandSpec, x: complex) -> complex:
-    """x^nu * prod_j f_j(x)^{s_j} with principal logarithms."""
+    """x^nu * prod_j f_j(x)^{s_j} with principal logarithms.
+
+    An f_j(x) beyond the float range raises OverflowError, as does the result.
+    """
     _require_univariate(spec)
     acc = complex(spec.nu[0]) * cmath.log(complex(x))
-    for fj, sj in zip(spec.f, spec.s):
-        acc += complex(sj) * cmath.log(fj.evaluate([x]))
+    for j, (fj, sj) in enumerate(zip(spec.f, spec.s)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = fj.evaluate([x])
+        if not cmath.isfinite(value):
+            raise OverflowError(f"f_{j + 1}({x}) is beyond the float range")
+        acc += complex(sj) * cmath.log(value)
     return cmath.exp(acc)
 
 
@@ -209,8 +216,9 @@ def track_line_segment(Sx: complex, Sy: complex, Tx: complex, N: int,
     and a fixed number of Newton corrections onto the curve.  omega and the
     curve's right-hand side depend on x alone, so both are evaluated once
     over all nodes; only the recurrence in y runs node by node.  Returns
-    (nodes, values) as complex arrays.  A right-hand side beyond the float
-    range at a node raises ValueError, since the exponents cause it.
+    (nodes, values) as complex arrays.  An Euler factor or a right-hand side
+    beyond the float range at a node raises ValueError, since the input
+    causes it.
     """
     _require_univariate(spec)
     if N < 2:
@@ -224,13 +232,16 @@ def track_line_segment(Sx: complex, Sy: complex, Tx: complex, N: int,
             "of a root of x * prod f_j")
     dx = (Tx - Sx) / (N - 1)
     # Euler factor 1 + omega(x_{i-1}) dx and Newton target rhs(x_i) per step
-    growth = (1.0 + omega_components(spec, nodes[:-1, None])[:, 0] * dx).tolist()
     with np.errstate(over="ignore", invalid="ignore"):
+        growth = 1.0 + omega_components(spec, nodes[:-1, None])[:, 0] * dx
         targets = curve.rhs(nodes[1:])
+    if not np.all(np.isfinite(growth)):
+        raise ValueError("the Euler factor 1 + omega(x) dx is not finite at a "
+                         "node: a value of f_j or f_j' is beyond the float range")
     if not np.all(np.isfinite(targets)):
         raise ValueError("the curve's right-hand side prod_j f_j^(k*s_j) x^(k*nu) "
                          "is beyond the float range at a node")
-    targets = targets.tolist()
+    growth, targets = growth.tolist(), targets.tolist()
     k = curve.k
     y = complex(Sy)
     values = [y]
@@ -285,7 +296,6 @@ def integrate_loop(cycle: TwistedCycle, N: int, spec: IntegrandSpec,
                    curve: BranchCurve, cocycles) -> LoopIntegral:
     """Sum of the segment integrals AB + BC + CA with chained branch values."""
     _require_univariate(spec)
-    cocycles = [c if isinstance(c, Cocycle) else Cocycle(*c) for c in cocycles]
     for c in cocycles:
         if len(c.a) != spec.npolys:
             raise ValueError(f"cocycle a = {list(c.a)} has length {len(c.a)}, "
@@ -326,8 +336,7 @@ def pairing_matrix(cycles, cocycles, N: int, spec: IntegrandSpec) -> PairingMatr
     """Matrix of integrals I_{a(j), b(j)} over cycle i."""
     _require_univariate(spec)
     cycles = tuple(cycles)
-    cocycles = tuple(c if isinstance(c, Cocycle) else Cocycle(*c)
-                     for c in cocycles)
+    cocycles = tuple(cocycles)
     if not cycles or not cocycles:
         raise ValueError("need at least one cycle and one cocycle")
     curve = BranchCurve.from_spec(spec)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eulerint import cli, critical, twisted
+from eulerint import cli, critical, relations, twisted
 from eulerint.cli import main
 from eulerint.laurent import parse_poly
 
@@ -310,6 +310,66 @@ def test_overflowing_branch_exit_2(tmp_path, capsys):
     assert out["error"]["type"] == "numerical-failure"
 
 
+# -- one pairing pass per cycle for the kernel and the residuals -----------
+
+def test_relations_tracks_each_cycle_once(capsys, monkeypatch):
+    calls = []
+    track = twisted.track_line_segment
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return track(*args, **kwargs)
+
+    monkeypatch.setattr(twisted, "track_line_segment", counted)
+    code, out = run(capsys, ["relations", PROBLEMS / "two_points.json"])
+    assert code == 0 and out["kernel"] and out["residuals"]
+    assert len(calls) == 3 * 2    # three edges of each of the two triangles
+
+
+@pytest.mark.parametrize("obj", [
+    dict(json.loads((PROBLEMS / "two_points.json").read_text()),
+         forms=[{"function": "1"}, {"function": "x"}]),
+    json.loads((PROBLEMS / "quadratic_operator.json").read_text())])
+def test_residuals_equal_verify_numeric(tmp_path, capsys, obj):
+    code, out = run(capsys, ["relations", _problem(tmp_path, obj)])
+    assert code == 0
+    spec = cli.differentiable_spec(obj)
+    produced = ([relations.nabla_apply(phi, spec) for phi in cli.build_forms(obj, spec)]
+                + [relations.mellin_relation(P, spec)
+                   for P in cli.build_operators(obj, spec)])
+    cycles = cli.build_cycles(obj, spec)
+    N = obj.get("settings", {}).get("nodes", twisted.DEFAULT_NODES)
+    assert [entry["residuals"] for entry in out["residuals"]] == [
+        [abs(relations.verify_numeric(r, cyc, spec, N)) for cyc in cycles]
+        for r in produced]
+
+
+@pytest.mark.parametrize("changes, keys", [
+    ({"cocycles": None}, {"relations", "agreement", "residuals", "seed"}),
+    ({"forms": None}, {"relations", "agreement", "kernel", "seed"}),
+    ({"cycles": None}, {"relations", "agreement", "seed"}),
+    ({"cocycles": None, "forms": [{"function": "0"}]},
+     {"relations", "agreement", "residuals", "seed"}),
+    ({"forms": [{"function": "0"}]},
+     {"relations", "agreement", "kernel", "residuals", "seed"}),
+])
+def test_relations_payload_keys(tmp_path, capsys, changes, keys):
+    code, out = run(capsys, ["relations", _two_points(tmp_path, **changes)])
+    assert code == 0
+    assert set(out) == keys
+    if changes.get("forms"):   # a zero form: a zero relation, residuals 0.0
+        assert out["relations"][0]["terms"] == []
+        assert out["residuals"] == [{"source": "form", "residuals": [0.0, 0.0]}]
+
+
+def test_relations_multivariate_exit_2(tmp_path, capsys):
+    obj = dict(json.loads((PROBLEMS / "hexagon.json").read_text()),
+               cycles=_TWO_POINTS["cycles"], cocycles=[{"a": [0], "b": 0}])
+    code, out = run(capsys, ["relations", _problem(tmp_path, obj)])
+    assert code == 2
+    assert out["error"]["type"] == "numerical-failure"
+
+
 # -- input validation ------------------------------------------------------
 
 def _problem(tmp_path, obj):
@@ -333,6 +393,13 @@ _HUGE_COEFFICIENT = [(command, dict(_TWO_POINTS,
                                     f=[[[[100], 10 ** 307], [[0], 1]], "x - 2"]))
                      for command in ("chi", "relations", "integrate")] + [
     ("chi", dict(_TWO_POINTS, f=[[[[1], 1e300], [[0], 1]]] * 2))]
+# a finite coefficient whose f_1 = 1e300 x^200 + 1 is beyond the float range
+# at the cycle vertex (principal branch) or at the nodes (explicit branch)
+_HUGE_VALUE = [(command, dict(_TWO_POINTS, f=[[[[200], 1e300], [[0], 1]], "x - 2"],
+                              cycles=cycles))
+               for cycles in (_TWO_POINTS["cycles"],
+                              [dict(c, phi=[1.0, 0.0]) for c in _TWO_POINTS["cycles"]])
+               for command in ("integrate", "relations")]
 
 
 @pytest.mark.parametrize("command, obj", [
@@ -432,7 +499,8 @@ _HUGE_COEFFICIENT = [(command, dict(_TWO_POINTS,
 # a well-formed polynomial object (x - 1) is refused as well
 ] + [("vol", {"f": [{"nvars": 1, "terms": [{"exp": [1], "re": 1},
                                           {"exp": [0], "re": -1}]}]})
-] + [_ZERO_DENOMINATOR] + _ZERO_DENOMINATOR_TEXT + _HUGE_COEFFICIENT)
+] + [_ZERO_DENOMINATOR] + _ZERO_DENOMINATOR_TEXT + _HUGE_COEFFICIENT
+   + _HUGE_VALUE)
 def test_invalid_input_exit_3(tmp_path, capsys, command, obj):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -447,6 +515,8 @@ def test_invalid_input_exit_3(tmp_path, capsys, command, obj):
         assert "zero denominator" in out["error"]["message"]
     if (command, obj) in _HUGE_COEFFICIENT:
         assert "coefficient" in out["error"]["message"]
+        assert "beyond the float range" in out["error"]["message"]
+    if (command, obj) in _HUGE_VALUE:
         assert "beyond the float range" in out["error"]["message"]
 
 
