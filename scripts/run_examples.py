@@ -23,7 +23,7 @@ PLAN = [
     ("hexagon.json", ["chi", "vol", "gkz"]),
     ("lines.json", ["chi", "vol", "gkz"]),
     ("two_points.json", ["chi", "vol", "integrate", "relations", "gkz"]),
-    ("quadratic_operator.json", ["vol", "relations", "gkz"]),
+    ("quadratic_operator.json", ["chi", "vol", "relations", "gkz"]),
 ]
 
 SUMMARY_KEYS = ["chi", "count", "normalized_volume", "rank_bound",

@@ -341,6 +341,8 @@ def cmd_chi(obj: dict, args) -> dict:
     except OverflowError:   # from build_system
         raise InputError("a coefficient of the critical equations is beyond "
                          "the float range") from None
+    except FloatingPointError as exc:   # a tracked value, from solve_draws
+        raise InputError(str(exc)) from None
     except RuntimeError as exc:
         raise NumericalError(str(exc)) from None
     return {"chi": chi, "count": count, "certified": certified,
@@ -397,7 +399,7 @@ def cmd_relations(obj: dict, args) -> dict:
     cocycles = build_cocycles(obj)
     N = node_count(obj, args) if cycles else None
     # one pairing pass per cycle; the kernel and the residuals read its columns
-    checked = produced if cycles and spec.nvars == 1 else []
+    checked = produced if cycles else []
     columns = dict.fromkeys(cocycles + [c for _, r in checked for c in r.cocycles])
     M = (tracked(twisted.pairing_matrix, cycles, list(columns), N, spec)
          if cycles and columns else None)

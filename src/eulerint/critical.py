@@ -1,9 +1,10 @@
 """Counting complex critical points of log(f^s x^nu) on the torus complement.
 
-The rational critical equations are cleared to polynomials and solved with a
-total-degree homotopy (random start roots, gamma trick, Euler predictor and
-Newton corrector).  Solutions landing on the cleared locus are filtered out by
-checking the original rational equations.
+The rational critical equations are cleared to polynomials, each divided by
+its monomial content, and solved with a total-degree homotopy (random start
+roots, gamma trick, Euler predictor and Newton corrector).  Solutions landing
+on the cleared locus are filtered out by checking the original rational
+equations.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class TooManyPathsError(ValueError):
 class PolySystem:
     """Cleared polynomial form of the critical equations."""
 
-    equations: tuple          # n LaurentPoly without negative exponents
+    equations: tuple          # n LaurentPoly, no x_k divides any of them
     spec: IntegrandSpec
 
     @property
@@ -145,8 +146,12 @@ def build_system(spec: IntegrandSpec) -> PolySystem:
     """Clear denominators of the critical equations.
 
     Equation i is x_i * sum_j s_j (d_i f_j) prod_{k!=j} f_k + nu_i prod_k f_k,
-    shifted by a monomial so that no negative exponents remain.  A
-    coefficient beyond the float range raises OverflowError.
+    divided by its monomial content (shifted by minus its least exponent in
+    each variable), so that no x_k divides it and no exponent is negative.
+    On the torus this changes neither the solutions nor their multiplicities,
+    and of all monomial shifts it gives the least total degrees, so the
+    fewest paths of `solve`.  A coefficient beyond the float range raises
+    OverflowError.
     """
     n = spec.nvars
     eqs = []
@@ -163,10 +168,7 @@ def build_system(spec: IntegrandSpec) -> PolySystem:
         for fk in spec.f:
             prod_all = prod_all * fk
         acc = acc + prod_all.scale(spec.nu[i])
-        mins = acc.min_exponents()
-        clear = tuple(-m if m < 0 else 0 for m in mins)
-        if any(clear):
-            acc = acc.shift(clear)
+        acc = acc.shift(-m for m in acc.min_exponents())
         if not all(math.isfinite(abs(c)) for c in acc.terms.values()):
             raise OverflowError(f"equation {i + 1} has a coefficient beyond "
                                 "the float range")
@@ -238,7 +240,9 @@ def _track_paths(system, starts, gamma, degrees, roots):
     Every path keeps its own t, step, success count and status.  Each
     iteration takes one Euler predictor for all running paths at once, then a
     Newton corrector of up to MAX_NEWTON steps on the paths still iterating.
-    Returns the status ("ok", "diverged" or "stalled"), x and t of every path.
+    Returns the status ("ok", "diverged" or "stalled"), x and t of every path,
+    and the mask of the paths at which H was ever evaluated beyond the float
+    range; those evaluations are rejected like any failed correction.
     """
     x = np.array(starts, dtype=np.complex128)
     gamma = np.broadcast_to(gamma, len(x))[:, None]
@@ -246,6 +250,7 @@ def _track_paths(system, starts, gamma, degrees, roots):
     root_moduli = np.abs(roots)
     diag = np.arange(len(degrees))
     lower = degrees - 1
+    unbounded = np.zeros(len(x), dtype=bool)
 
     def h(ids, x, t):
         # H, dH/dx, dH/dt and the backward-error scale (the sum of |term| over
@@ -259,6 +264,8 @@ def _track_paths(system, starts, gamma, degrees, roots):
         hx = s[:, :, None] * jac
         hx[:, diag, diag] += c * (degrees * x ** lower)
         scale = u * (np.abs(x) ** degrees + root_moduli[ids]) + s * scale
+        # the scale bounds |H|, so it is finite where H is
+        unbounded[ids] |= ~np.isfinite(scale).all(axis=1)
         return c * g + s * f, hx, f - gam * g, scale
 
     t = np.zeros(len(x))
@@ -300,7 +307,7 @@ def _track_paths(system, starts, gamma, degrees, roots):
         dt[rej] /= 2
         status[rej[dt[rej] < MIN_STEP]] = _STALLED
         status[(status == _RUNNING) & (t >= 1.0)] = _OK
-    return _STATUSES[status], x, t
+    return _STATUSES[status], x, t, unbounded
 
 
 def _polish(system, x):
@@ -363,9 +370,11 @@ def _run_tracking(systems, degrees, rngs, attempts):
     `rngs[d]` one after another.  The paths of all runs of a batch of draws
     (`_batches`) are tracked and polished together; a path's trajectory
     depends on its own row alone, so each run ends as it would alone.
-    Returns per draw, per run, (endpoints, failed): the polished endpoints of
-    its converged paths, one per row, and the count of its paths that did not
-    diverge, could not be polished and did not stall near t = 1.
+    Returns per draw, per run, (endpoints, failed, unbounded): the polished
+    endpoints of its converged paths, one per row, the count of its paths that
+    did not diverge, could not be polished and did not stall near t = 1, and
+    whether one of those met a value beyond the float range.  Values beyond
+    it are dropped like any failed correction, without a warning.
     """
     starts = [[_start_system(deg, rng) for _ in range(attempts)]
               for deg, rng in zip(degrees, rngs)]
@@ -378,18 +387,22 @@ def _run_tracking(systems, degrees, rngs, attempts):
         run = np.repeat(np.arange(len(begun)), begun.shape[1])
         draw = run // attempts
         drawn = [systems[d] for d in batch]
-        status, x, t = _track_paths(_Draws(drawn, draw), np.concatenate(begun),
-                                    gammas[run], degrees[batch[0]], roots[run])
-        live = status != "diverged"
-        x, status, t, run = x[live], status[live], t[live], run[live]
-        converged = _polish(_Draws(drawn, draw[live]), x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            status, x, t, unbounded = _track_paths(
+                _Draws(drawn, draw), np.concatenate(begun), gammas[run],
+                degrees[batch[0]], roots[run])
+            live = status != "diverged"
+            x, status, t, run, unbounded = (x[live], status[live], t[live],
+                                            run[live], unbounded[live])
+            converged = _polish(_Draws(drawn, draw[live]), x)
         # Paths heading to the toric boundary or to infinity stall with
         # shrinking steps just before t = 1.  Regular target solutions are
         # recovered by Newton polish from the stall point; a failed polish
         # that close to t = 1 means the path has no finite regular limit.
         # Only mid-domain stalls count as genuine tracking failures.
         failed = ~converged & ~((status == "stalled") & (t > 1 - STALL_WINDOW))
-        ends = [(x[converged & mine], int((failed & mine).sum()))
+        ends = [(x[converged & mine], int((failed & mine).sum()),
+                 bool((failed & unbounded & mine).any()))
                 for mine in (run == i for i in range(len(begun)))]
         results += [ends[i:i + attempts] for i in range(0, len(ends), attempts)]
     return results
@@ -424,7 +437,9 @@ def solve_draws(systems, seeds) -> tuple:
     endpoints are pooled.  The verified solution set does not depend on
     gamma, so pooling cannot introduce spurious points.  The runs of all
     draws share batches (`_run_tracking`), and each draw's SolutionSet is
-    the one it gets alone.
+    the one it gets alone.  When a path that failed in a draw's last run met
+    a value beyond the float range, the count cannot be trusted, and
+    FloatingPointError is raised.
     """
     total_degrees = [_total_degrees(system) for system in systems]
     degrees = [np.array(deg, dtype=np.float64) for deg in total_degrees]
@@ -440,13 +455,16 @@ def solve_draws(systems, seeds) -> tuple:
                           [rngs[d] for d in again], 1)
     for d, extra in zip(again, third):
         runs[d] += extra
+    if any(r[-1][2] for r in runs):
+        raise FloatingPointError("the critical equations reach a value beyond "
+                                 "the float range on a path that failed")
     return tuple(_solution_set(system.spec, math.prod(deg) * len(r), r)
                  for system, deg, r in zip(systems, total_degrees, runs))
 
 
 def _solution_set(spec, raw_paths, runs):
     """The filtered, deduplicated SolutionSet of one draw's runs."""
-    endpoints = [ep for ep, _ in runs]
+    endpoints = [ep for ep, *_ in runs]
     converged = sum(len(ep) for ep in endpoints)
     failed = runs[-1][1]
 

@@ -91,6 +91,16 @@ def test_chi_one_variable(tmp_path, capsys, text, chi):
     assert out["chi"] == chi
 
 
+def test_chi_transient_overflow_is_silent(tmp_path, capsys):
+    # correctors overshoot past |x|^150 ~ 1e308 and recover; no path fails
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run(capsys, ["chi", _problem(tmp_path, {"f": ["x^150 - 2"]})])
+    assert code == 0
+    assert (out["count"], out["certified"]) == (150, True)
+    assert not caught
+
+
 def test_terms_form_agrees_with_function_form(tmp_path, capsys):
     # the function g f^a x^b is the term (k = 1, g, a, b + 1)
     forms = [{"function": "x - 3", "a": [1, 0], "b": [0]},
@@ -363,11 +373,16 @@ def test_relations_payload_keys(tmp_path, capsys, changes, keys):
 
 
 def test_relations_multivariate_exit_2(tmp_path, capsys):
-    obj = dict(json.loads((PROBLEMS / "hexagon.json").read_text()),
-               cycles=_TWO_POINTS["cycles"], cocycles=[{"a": [0], "b": 0}])
-    code, out = run(capsys, ["relations", _problem(tmp_path, obj)])
-    assert code == 2
-    assert out["error"]["type"] == "numerical-failure"
+    hexagon = json.loads((PROBLEMS / "hexagon.json").read_text())
+    # cocycles; or a relation to check on a cycle, and no cocycles
+    form = {"terms": [{"k": 1, "g": "x", "a": [0], "b": [0, 0]}]}
+    for obj in (dict(hexagon, cycles=_TWO_POINTS["cycles"],
+                     cocycles=[{"a": [0], "b": 0}]),
+                dict(hexagon, cycles=[dict(_TWO_POINTS["cycles"][0], phi=1.0)],
+                     forms=[form])):
+        code, out = run(capsys, ["relations", _problem(tmp_path, obj)])
+        assert code == 2
+        assert out["error"]["type"] == "numerical-failure"
 
 
 # -- input validation ------------------------------------------------------
@@ -399,7 +414,10 @@ _HUGE_VALUE = [(command, dict(_TWO_POINTS, f=[[[[200], 1e300], [[0], 1]], "x - 2
                               cycles=cycles))
                for cycles in (_TWO_POINTS["cycles"],
                               [dict(c, phi=[1.0, 0.0]) for c in _TWO_POINTS["cycles"]])
-               for command in ("integrate", "relations")]
+               for command in ("integrate", "relations")] + [
+    # the critical equations' coefficients are finite, but tracking leaves
+    # the float range
+    ("chi", {"f": [[[[200], 1e300], [[0], 1]], "x - 2"]})]
 
 
 @pytest.mark.parametrize("command, obj", [

@@ -77,10 +77,17 @@ def test_polish_mixed_batch():
 
 # -- cleared system --------------------------------------------------------
 
-def test_build_system_no_negative_exponents(two_point_spec):
+def test_build_system_no_negative_exponents(two_point_spec, hexagon_poly,
+                                            lines_poly):
     sys_ = build_system(two_point_spec)
     for eq in sys_.equations:
         assert not eq.has_negative_exponents()
+    # f = x y f~ for both: each cleared equation is divided by its monomial
+    # content, so no x_k divides it
+    for poly in (hexagon_poly, lines_poly):
+        sys_ = build_system(IntegrandSpec([poly], (0.5 + 0.1j,), (0.3 - 0.2j, 0.7)))
+        assert [eq.min_exponents() for eq in sys_.equations] == [(0, 0)] * 2
+        assert critical._total_degrees(sys_) == [3, 3]
 
 
 def test_build_system_square(hexagon_poly):
@@ -273,8 +280,10 @@ def test_lockstep_matches_single_path(texts, seed):
     rng = np.random.default_rng(seed)
     system = _random_system([parse_poly(t) for t in texts], rng)
     starts, gamma, degrees, roots = _start(system, rng)
-    status, xs, ts = critical._track_paths(system, starts, gamma, degrees, roots)
+    status, xs, ts, unbounded = critical._track_paths(system, starts, gamma,
+                                                      degrees, roots)
     assert len(status) == len(xs) == len(ts) == len(starts)
+    assert not unbounded.any()
     for k, start in enumerate(starts):
         _assert_same_path((status[k], xs[k], ts[k]),
                           _track_path(system, start, gamma, degrees, roots))
@@ -286,12 +295,12 @@ def test_singular_predictor_stalls_only_its_path(hexagon_poly):
     starts, gamma, degrees, roots = _start(system, rng)
     # dH/dx at t = 0 is gamma diag(d_i x_i^(d_i - 1)): singular where x_1 = 0
     starts = np.concatenate([starts[:4], [[0.0, starts[0, 1]]], starts[4:8]])
-    status, xs, ts = critical._track_paths(system, starts, gamma, degrees, roots)
+    status, xs, ts, _ = critical._track_paths(system, starts, gamma, degrees, roots)
     assert (status[4], ts[4]) == ("stalled", 0.0)
     assert np.array_equal(xs[4], starts[4])
     for k in (0, 1, 2, 3, 5, 6, 7, 8):
         alone = critical._track_paths(system, starts[k:k + 1], gamma, degrees, roots)
-        _assert_same_path((status[k], xs[k], ts[k]), [a[0] for a in alone])
+        _assert_same_path((status[k], xs[k], ts[k]), [a[0] for a in alone[:3]])
 
 
 @pytest.mark.parametrize("text", [HEXAGON_TEXT, _THREE_TEXT])
@@ -495,7 +504,7 @@ def test_solutions_satisfy_omega(hexagon_poly):
     sol = solve(build_system(spec), TrackerSettings(seed=5))
     assert sol.distinct == 6
     assert (sol.raw_paths, sol.converged, sol.filtered,
-            sol.failed_paths) == (50, 46, 34, 0)
+            sol.failed_paths) == (18, 14, 2, 0)
     for x in sol.solutions:
         w = omega_components(spec, np.array(x))
         assert np.max(np.abs(w)) <= 1e-6 * max(1.0, np.max(np.abs(np.array(x))))
@@ -539,6 +548,16 @@ def test_chi_hexagon_stable_across_draws(hexagon_poly, seed):
 def test_chi_lines_stable_across_draws(lines_poly, seed):
     chi, _, _ = euler_characteristic([lines_poly], TrackerSettings(seed=seed))
     assert chi == 2
+
+
+def test_monomial_factor_changes_neither_count_nor_work(monkeypatch):
+    # x^3 only moves nu to nu + 3 s, so the cleared equation keeps degree 2
+    spy = _TrackSpy(monkeypatch)
+    got = [euler_characteristic([parse_poly(text)], TrackerSettings(seed=6))[1]
+           for text in ("x^5 - 3*x^4 + 2*x^3", "x^2 - 3*x + 2")]
+    assert got == [2, 2]
+    # one batch per chi: 2 draws x 2 runs x 2 paths
+    assert spy.rows == [8, 8]
 
 
 # -- cross-module oracle: count == volume for generic coefficients ----------
