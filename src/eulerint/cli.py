@@ -5,7 +5,11 @@ Subcommands: chi (critical-point count / Euler characteristic), vol
 twisted cycles), relations (symbolic and numeric linear relations), gkz
 (configuration matrix, kernel lattice, Euler operators, resonance test).
 
-Exit codes: 0 success, 2 numerical failure, 3 invalid input.
+Exit codes: 0 success, 3 invalid input, 2 numerical failure.  `main` alone
+maps a failure to its code: ValueError (InputError among them),
+OverflowError and FloatingPointError are the input's fault (3); RuntimeError,
+and with it NotImplementedError, SegmentError and CycleClosureError, is a
+numerical failure (2).  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -24,10 +28,6 @@ from .laurent import IntegrandSpec, LaurentPoly, ParseError, parse_poly
 
 class InputError(ValueError):
     """Problem-file validation failure (exit code 3)."""
-
-
-class NumericalError(RuntimeError):
-    """Numerical failure during a computation (exit code 2)."""
 
 
 # -- problem file parsing ---------------------------------------------------
@@ -154,10 +154,7 @@ def build_spec(obj: dict) -> IntegrandSpec:
              for q in polys]
     s = [parse_scalar(v, "s") for v in list_field(obj, "s", ["1/2"] * len(polys))]
     nu = [parse_scalar(v, "nu") for v in list_field(obj, "nu", ["1/2"] * nvars)]
-    try:
-        return IntegrandSpec(polys, s, nu)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    return IntegrandSpec(polys, s, nu)
 
 
 def differentiable_spec(obj: dict) -> IntegrandSpec:
@@ -189,10 +186,7 @@ def build_cycles(obj: dict, spec: IntegrandSpec):
                                  "the float range") from None
         else:
             phi = complex(parse_scalar(phi, "phi"))
-        try:
-            cycles.append(twisted.TwistedCycle(A, B, C, phi))
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        cycles.append(twisted.TwistedCycle(A, B, C, phi))
     return cycles
 
 
@@ -277,23 +271,6 @@ def node_count(obj: dict, args) -> int:
     return in_limits("nodes", args.nodes)
 
 
-def tracked(fn, *args, **kwargs):
-    """Run a branch-tracking computation with its failures mapped to exit codes.
-
-    Tracking and closure failures are numerical (exit 2).  Every ValueError
-    and OverflowError it raises concerns its input: irrational exponents, an
-    exponent whose power is beyond the float range, a cycle vertex on a
-    singularity, or a cocycle of the wrong length (exit 3).
-    """
-    try:
-        return fn(*args, **kwargs)
-    except (twisted.SegmentError, twisted.CycleClosureError,
-            NotImplementedError) as exc:
-        raise NumericalError(str(exc)) from None
-    except (ValueError, OverflowError) as exc:
-        raise InputError(str(exc)) from None
-
-
 # -- serialization ----------------------------------------------------------
 
 def jnum(z):
@@ -333,18 +310,8 @@ def cmd_chi(obj: dict, args) -> dict:
     spec = build_spec(obj)
     settings = critical.TrackerSettings(seed=args.seed)
     draws = setting(obj, "draws", 2)
-    try:
-        chi, count, certified = critical.euler_characteristic(
-            spec, settings, draws=draws)
-    except critical.TooManyPathsError as exc:
-        raise InputError(str(exc)) from None
-    except OverflowError:   # from build_system
-        raise InputError("a coefficient of the critical equations is beyond "
-                         "the float range") from None
-    except FloatingPointError as exc:   # a tracked value, from solve_draws
-        raise InputError(str(exc)) from None
-    except RuntimeError as exc:
-        raise NumericalError(str(exc)) from None
+    chi, count, certified = critical.euler_characteristic(spec, settings,
+                                                          draws=draws)
     return {"chi": chi, "count": count, "certified": certified,
             "draws": draws, "seed": args.seed}
 
@@ -367,7 +334,7 @@ def cmd_integrate(obj: dict, args) -> dict:
     if not cycles or not cocycles:
         raise InputError("integrate needs \"cycles\" and \"cocycles\"")
     N = node_count(obj, args)
-    M = tracked(twisted.pairing_matrix, cycles, cocycles, N, spec)
+    M = twisted.pairing_matrix(cycles, cocycles, N, spec)
     return {"matrix": [[jnum(z) for z in row] for row in M.entries],
             "cocycles": [{"a": list(c.a), "b": c.b} for c in M.cocycles],
             "nodes": M.nodes,
@@ -380,12 +347,9 @@ def cmd_relations(obj: dict, args) -> dict:
     spec = differentiable_spec(obj)
     forms = build_forms(obj, spec)
     operators = build_operators(obj, spec)
-    try:
-        produced = ([("form", relations.nabla_apply(phi, spec)) for phi in forms]
-                    + [("operator", relations.mellin_relation(P, spec))
-                       for P in operators])
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    produced = ([("form", relations.nabla_apply(phi, spec)) for phi in forms]
+                + [("operator", relations.mellin_relation(P, spec))
+                   for P in operators])
     # before the agreement test, which takes the coefficients as floats
     rels = [{"source": source, "terms": relation_to_json(r)}
             for source, r in produced]
@@ -401,7 +365,7 @@ def cmd_relations(obj: dict, args) -> dict:
     # one pairing pass per cycle; the kernel and the residuals read its columns
     checked = produced if cycles else []
     columns = dict.fromkeys(cocycles + [c for _, r in checked for c in r.cocycles])
-    M = (tracked(twisted.pairing_matrix, cycles, list(columns), N, spec)
+    M = (twisted.pairing_matrix(cycles, list(columns), N, spec)
          if cycles and columns else None)
     rows = ([dict(zip(M.cocycles, row)) for row in M.entries] if M
             else [{}] * len(cycles))
@@ -419,11 +383,7 @@ def cmd_gkz(obj: dict, args) -> dict:
     cfg = gkz.cayley_matrix(spec)
     kernel = gkz.lattice_kernel(cfg)
     ops = gkz.euler_operators(cfg)
-    try:
-        report = gkz.is_nonresonant(
-            cfg, tol=1e-9 if args.tol is None else args.tol)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    report = gkz.is_nonresonant(cfg, tol=1e-9 if args.tol is None else args.tol)
     return {"matrix": [list(r) for r in cfg.matrix],
             "blocks": list(cfg.blocks),
             "kappa": [jnum(v) for v in cfg.kappa],
@@ -468,11 +428,11 @@ def main(argv=None) -> int:
             raise InputError(f"--tol: expected a finite value >= 0, got {args.tol}")
         obj = load_problem(args.problem)
         payload = COMMANDS[args.command](obj, args)
-    except InputError as exc:
+    except (ValueError, OverflowError, FloatingPointError) as exc:
         emit({"error": {"type": "invalid-input", "message": str(exc)}},
              args.out)
         return 3
-    except (NumericalError, NotImplementedError) as exc:
+    except RuntimeError as exc:
         emit({"error": {"type": "numerical-failure", "message": str(exc)}},
              args.out)
         return 2

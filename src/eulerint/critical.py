@@ -150,28 +150,32 @@ def build_system(spec: IntegrandSpec) -> PolySystem:
     each variable), so that no x_k divides it and no exponent is negative.
     On the torus this changes neither the solutions nor their multiplicities,
     and of all monomial shifts it gives the least total degrees, so the
-    fewest paths of `solve`.  A coefficient beyond the float range raises
-    OverflowError.
+    fewest paths of `solve`.  A coefficient beyond the float range, or
+    coefficient arithmetic that leaves it, raises OverflowError.
     """
     n = spec.nvars
     eqs = []
     for i in range(n):
-        acc = LaurentPoly.zero(n)
-        for j, fj in enumerate(spec.f):
-            term = fj.partial(i + 1).scale(spec.s[j])
-            for k, fk in enumerate(spec.f):
-                if k != j:
-                    term = term * fk
-            acc = acc + term
-        acc = acc.shift(tuple(1 if k == i else 0 for k in range(n)))
-        prod_all = LaurentPoly.constant(n, 1)
-        for fk in spec.f:
-            prod_all = prod_all * fk
-        acc = acc + prod_all.scale(spec.nu[i])
-        acc = acc.shift(-m for m in acc.min_exponents())
-        if not all(math.isfinite(abs(c)) for c in acc.terms.values()):
-            raise OverflowError(f"equation {i + 1} has a coefficient beyond "
-                                "the float range")
+        try:
+            acc = LaurentPoly.zero(n)
+            for j, fj in enumerate(spec.f):
+                term = fj.partial(i + 1).scale(spec.s[j])
+                for k, fk in enumerate(spec.f):
+                    if k != j:
+                        term = term * fk
+                acc = acc + term
+            acc = acc.shift(tuple(1 if k == i else 0 for k in range(n)))
+            prod_all = LaurentPoly.constant(n, 1)
+            for fk in spec.f:
+                prod_all = prod_all * fk
+            acc = acc + prod_all.scale(spec.nu[i])
+            acc = acc.shift(-m for m in acc.min_exponents())
+            finite = all(math.isfinite(abs(c)) for c in acc.terms.values())
+        except OverflowError:   # an exact coefficient too large to meet a float
+            finite = False
+        if not finite:
+            raise OverflowError("a coefficient of the critical equations is "
+                                "beyond the float range")
         eqs.append(acc)
     return PolySystem(tuple(eqs), spec)
 

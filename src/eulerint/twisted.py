@@ -271,18 +271,26 @@ def integrate_line_segment(A: complex, phi_at_A: complex, B: complex, N: int,
     """Per-cocycle integrals over the segment AB plus the tracked branch values.
 
     Each cocycle (a, b) contributes the trapezoidal sum of
-    phi(x) * prod f_j(x)^{a_j} * x^{b-1} with step (B-A)/(N-1).
+    phi(x) * prod f_j(x)^{a_j} * x^{b-1} with step (B-A)/(N-1).  An integral
+    beyond the float range while the branch values are finite raises
+    ValueError, since the cocycle's shifts cause it; non-finite branch values
+    are left to the closure test.
     """
     nodes, values = track_line_segment(A, phi_at_A, B, N, spec, curve, poles)
     h = (B - A) / (N - 1)
     fvals = [fj.evaluate(nodes[:, None]) for fj in spec.f]
     out = np.empty(len(cocycles), dtype=np.complex128)
-    for j, coc in enumerate(cocycles):
-        integrand = values * nodes ** (coc.b - 1)
-        for fv, aj in zip(fvals, coc.a):
-            if aj:
-                integrand = integrand * fv ** aj
-        out[j] = integrate_trapezoidal(integrand, h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, coc in enumerate(cocycles):
+            integrand = values * nodes ** (coc.b - 1)
+            for fv, aj in zip(fvals, coc.a):
+                if aj:
+                    integrand = integrand * fv ** aj
+            out[j] = integrate_trapezoidal(integrand, h)
+    beyond = [c for c, v in zip(cocycles, out) if not cmath.isfinite(v)]
+    if beyond and np.all(np.isfinite(values)):
+        raise ValueError(f"the integral of the cocycle a = {list(beyond[0].a)}, "
+                         f"b = {beyond[0].b} is beyond the float range")
     return out, values
 
 

@@ -9,9 +9,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from eulerint import cli, critical, relations, twisted
+from eulerint import cli, critical, gkz, polytope, relations, twisted
 from eulerint.cli import main
 from eulerint.laurent import parse_poly
 
@@ -225,6 +225,47 @@ def test_draw_disagreement_exit_2(tmp_path, capsys, monkeypatch):
     assert "[3, 4]" in out["error"]["message"]
 
 
+# -- main alone maps an exception class to an exit code --------------------
+
+# one library call that each command makes
+_LIBRARY_CALL = {"chi": (critical, "euler_characteristic"),
+                 "vol": (polytope, "normalized_volume"),
+                 "integrate": (twisted, "pairing_matrix"),
+                 "relations": (relations, "nabla_apply"),
+                 "gkz": (gkz, "is_nonresonant")}
+
+
+def _raising(monkeypatch, command, exc):
+    def fail(*args, **kwargs):
+        raise exc("raised by the library")
+
+    monkeypatch.setattr(*_LIBRARY_CALL[command], fail)
+
+
+@pytest.mark.parametrize("command", sorted(_LIBRARY_CALL))
+@pytest.mark.parametrize("exc, code, kind", [
+    (ValueError, 3, "invalid-input"),
+    (OverflowError, 3, "invalid-input"),
+    (FloatingPointError, 3, "invalid-input"),
+    (RuntimeError, 2, "numerical-failure"),
+    (twisted.SegmentError, 2, "numerical-failure"),
+    (twisted.CycleClosureError, 2, "numerical-failure"),
+    (NotImplementedError, 2, "numerical-failure")])
+def test_exception_class_sets_exit_code(capsys, monkeypatch, command, exc, code,
+                                        kind):
+    _raising(monkeypatch, command, exc)
+    assert run(capsys, [command, PROBLEMS / "two_points.json"]) == (
+        code, {"error": {"type": kind, "message": "raised by the library"}})
+
+
+@pytest.mark.parametrize("command", sorted(_LIBRARY_CALL))
+@pytest.mark.parametrize("exc", [TypeError, ZeroDivisionError])
+def test_programming_error_propagates(monkeypatch, command, exc):
+    _raising(monkeypatch, command, exc)
+    with pytest.raises(exc, match="raised by the library"):
+        main([command, str(PROBLEMS / "two_points.json")])
+
+
 # -- exit codes of the pairing path ----------------------------------------
 
 def _two_points(tmp_path, **changes):
@@ -417,7 +458,12 @@ _HUGE_VALUE = [(command, dict(_TWO_POINTS, f=[[[[200], 1e300], [[0], 1]], "x - 2
                for command in ("integrate", "relations")] + [
     # the critical equations' coefficients are finite, but tracking leaves
     # the float range
-    ("chi", {"f": [[[[200], 1e300], [[0], 1]], "x - 2"]})]
+    ("chi", {"f": [[[[200], 1e300], [[0], 1]], "x - 2"]})] + [
+    # finite branch values, but x^(b-1) or f_1^a_1 takes the integral beyond it
+    (command, dict(_TWO_POINTS, cocycles=[cocycle], cycles=[
+        {"A": [0.5, 1.0], "B": [0.5, -1.0], "C": [3.0, 0.0]}]))
+    for cocycle in ({"a": [0, 0], "b": 800}, {"a": [-5000, 0], "b": 1})
+    for command in ("integrate", "relations")]
 
 
 @pytest.mark.parametrize("command, obj", [
@@ -679,6 +725,11 @@ _TERMS = st.lists(st.tuples(
     st.sampled_from([10 ** 307, -10 ** 308]) | st.integers(-3, 3)),
     min_size=1, max_size=3)
 
+# cocycles whose large shifts can take an integral beyond the float range
+_SHIFTS = st.fixed_dictionaries({
+    "a": st.lists(st.integers(-6000, 3), min_size=1, max_size=2),
+    "b": st.integers(-1000, 1000)})
+
 
 def _field(key):
     if key == "settings":
@@ -689,6 +740,8 @@ def _field(key):
     entries = [e for obj in _SHIPPED for e in obj.get(key, [])
                if isinstance(e, dict)]
     items = st.sampled_from(entries).flatmap(_mutated) if entries else _SMALL_JSON
+    if key == "cocycles":
+        items = items | _SHIFTS
     return _SMALL_JSON | st.lists(items, min_size=1, max_size=3)
 
 
@@ -703,6 +756,12 @@ _PROBLEM_OBJECTS = st.builds(
 @settings(max_examples=150, deadline=None)
 @given(command=st.sampled_from(["chi", "vol", "gkz", "integrate", "relations"]),
        obj=_PROBLEM_OBJECTS | _SMALL_JSON)
+# the draws above reach a large-shift cocycle on a cycle in few runs; these
+# take an integral beyond the float range on every run
+@example(command="integrate",
+         obj=dict(_TWO_POINTS, cocycles=[{"a": [0, 0], "b": 800}]))
+@example(command="relations",
+         obj=dict(_TWO_POINTS, cocycles=[{"a": [-5000, 0], "b": 1}]))
 def test_any_problem_exits_cleanly(command, obj):
     stdout = io.StringIO()
     with mock.patch("sys.stdin", io.StringIO(json.dumps(obj))), \
