@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
+from ._lazy import np
 from .laurent import (IntegrandSpec, LaurentPoly, omega_components, power_rows,
                       power_table)
 
@@ -229,7 +228,7 @@ def _below(r, scale, tol):
 
 
 # the path states of `_track_paths`, coded by their index
-_STATUSES = np.array(["running", "ok", "diverged", "stalled"])
+_STATUSES = ("running", "ok", "diverged", "stalled")
 _RUNNING, _OK, _DIVERGED, _STALLED = range(len(_STATUSES))
 
 
@@ -311,7 +310,7 @@ def _track_paths(system, starts, gamma, degrees, roots):
         dt[rej] /= 2
         status[rej[dt[rej] < MIN_STEP]] = _STALLED
         status[(status == _RUNNING) & (t >= 1.0)] = _OK
-    return _STATUSES[status], x, t, unbounded
+    return np.array(_STATUSES)[status], x, t, unbounded
 
 
 def _polish(system, x):

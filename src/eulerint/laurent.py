@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-import numpy as np
+from ._lazy import np
 
 TABLE_ENTRIES = 2 ** 20  # most rows x monomials x variables of one power table
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from ._lazy import np
 from .laurent import IntegrandSpec, LaurentPoly
 from . import twisted as tw
 

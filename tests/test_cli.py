@@ -694,6 +694,17 @@ def test_tol_leaves_kernel_cutoff_alone(capsys):
     assert related["kernel"] == integrated["kernel"]
 
 
+def test_small_column_is_not_a_relation(tmp_path, capsys):
+    # the b = 30 column is about 1e9 times larger than the b = 0 column,
+    # whose integrals are 0.648 and 4.144 in modulus: no relation holds
+    path = _two_points(tmp_path, cocycles=[{"a": [0, 0], "b": 30},
+                                           {"a": [0, 0], "b": 0}])
+    code, out = run(capsys, ["integrate", path])
+    assert code == 0
+    assert min(abs(complex(*row[1])) for row in out["matrix"]) > 0.5
+    assert out["kernel"] == []
+
+
 # -- the exit-code contract for arbitrary problem objects --------------------
 
 # Integers and floats stay within +-3: an integer can land in settings.nodes

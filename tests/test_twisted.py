@@ -315,3 +315,13 @@ def test_nullspace_known_vector():
     kers = nullspace(np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]]))
     assert len(kers) == 1
     assert np.allclose(np.array(kers[0].vector), 1.0)
+
+
+def test_nullspace_columns_of_unequal_scale():
+    # independent columns whose norms differ by 1e9: without scaling, the
+    # small column's singular value fell below the cutoff
+    assert nullspace(np.array([[1e9, 1.0], [2e9, -1.0]])) == []
+    # dependent columns of the same scales keep their relation, unscaled
+    kers = nullspace(np.array([[1e9, 1.0], [2e9, 2.0]]))
+    assert len(kers) == 1
+    assert np.allclose(kers[0].vector, [-1e-9, 1.0], rtol=1e-12, atol=0)
