@@ -8,24 +8,23 @@ numpy is not loaded yet, `np` is a module whose `__init__` runs at the first
 attribute access, which is the first numpy call of a command (the
 `importlib.util.LazyLoader` recipe of the standard library).  When a caller
 loaded numpy first, `np` is that module.
+
+On Python 3.10 and 3.11 that first access takes no lock: if two threads
+make it at once, both run numpy's `__init__` and numpy refuses the second
+with an ImportError.  A threaded program should import numpy before its
+threads use eulerint.
 """
 
 import importlib.util
 import sys
 
-
-def _lazy_import(name):
-    spec = None if name in sys.modules else importlib.util.find_spec(name)
-    if spec is None:
-        # imported already, or not installed: a plain import returns the
-        # module or raises ModuleNotFoundError
-        return importlib.import_module(name)
-    loader = importlib.util.LazyLoader(spec.loader)
-    spec.loader = loader
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    loader.exec_module(module)
-    return module
-
-
-np = _lazy_import("numpy")
+_spec = None if "numpy" in sys.modules else importlib.util.find_spec("numpy")
+if _spec is None:
+    # imported already, or not installed: a plain import returns the module
+    # or raises ModuleNotFoundError
+    import numpy as np
+else:
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    np = importlib.util.module_from_spec(_spec)
+    sys.modules["numpy"] = np
+    _spec.loader.exec_module(np)

@@ -27,7 +27,7 @@ MAX_NODES = 100_000         # most quadrature nodes per triangle edge
 MAX_DEGREE = 256            # widest exponent span of an f_j whose roots are found
 POLE_GUARD_RADIUS = 1e-8    # minimum allowed node distance to a singularity
 CLOSURE_TOL = 1e-6          # branch must return to itself within this
-KERNEL_REL_TOL = 1e-6       # kernel: sigma <= KERNEL_REL_TOL * sigma_max, unit columns
+KERNEL_REL_TOL = 1e-6       # kernel: sigma <= KERNEL_REL_TOL * sigma_max, scaled columns
 RATIONAL_MAX_DEN = 64       # largest denominator of a recognized rational
 RATIONAL_TOL = 1e-2         # largest distance to the recognized rational
 
@@ -378,29 +378,30 @@ def _rationalize(vector):
 def nullspace(M):
     """Right-kernel basis of the pairing matrix via SVD.
 
-    Each nonzero column is first scaled to unit 2-norm, so that a column far
-    smaller than another is not read as the kernel.  Singular directions of
-    the scaled matrix with sigma <= KERNEL_REL_TOL * sigma_max (directions
-    beyond the row count count as sigma = 0) form the kernel.  Each basis
-    vector is divided by the column norms, then scaled so its largest-magnitude
-    entry is exactly 1 and, when all entries are within RATIONAL_TOL of
-    rationals with denominator at most RATIONAL_MAX_DEN, reported in exact
-    rational form alongside the floats.
+    Each nonzero column is first divided by its largest entry modulus, so that
+    a column far smaller than another is not read as the kernel (unlike a
+    2-norm, the modulus squares nothing that could overflow or underflow).
+    Singular directions of the scaled matrix with
+    sigma <= KERNEL_REL_TOL * sigma_max (directions beyond the row count count
+    as sigma = 0) form the kernel.  Each basis vector is divided by the column
+    scales, then scaled so its largest-magnitude entry is exactly 1 and, when
+    all entries are within RATIONAL_TOL of rationals with denominator at most
+    RATIONAL_MAX_DEN, reported in exact rational form alongside the floats.
     """
     a = M.as_array() if isinstance(M, PairingMatrix) else np.asarray(
         M, dtype=np.complex128)
     if a.ndim != 2:
         raise ValueError("matrix must be two-dimensional")
     m, n = a.shape
-    norms = np.linalg.norm(a, axis=0)
-    norms[norms == 0] = 1.0
-    _, sing, vh = np.linalg.svd(a / norms)
+    scales = np.abs(a).max(axis=0, initial=0.0)
+    scales[scales == 0] = 1.0
+    _, sing, vh = np.linalg.svd(a / scales)
     smax = sing[0] if len(sing) else 0.0
     out = []
     for i in range(n):
         sigma = sing[i] if i < len(sing) else 0.0
         if sigma <= KERNEL_REL_TOL * max(smax, 1e-300):
-            v = vh[i].conj() / norms
+            v = vh[i].conj() / scales
             pivot = v[int(np.argmax(np.abs(v)))]
             v = v / pivot
             vec = tuple(complex(z) for z in v)

@@ -705,6 +705,18 @@ def test_small_column_is_not_a_relation(tmp_path, capsys):
     assert out["kernel"] == []
 
 
+def test_column_near_the_float_range_is_scaled(tmp_path, capsys):
+    # entries near 3^399 ~ 1e190: squaring them to scale the column overflows
+    path = _two_points(tmp_path, cocycles=[{"a": [0, 0], "b": 400}])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run(capsys, ["integrate", path])
+    assert code == 0
+    assert not caught
+    assert max(abs(complex(*row[0])) for row in out["matrix"]) > 1e180
+    assert out["kernel"] == []
+
+
 # -- the exit-code contract for arbitrary problem objects --------------------
 
 # Integers and floats stay within +-3: an integer can land in settings.nodes

@@ -46,7 +46,7 @@ def _fresh(args):
 
 def test_vol_gkz_and_refused_inputs_never_run_numpy(tmp_path):
     problems = sorted(str(p) for p in PROBLEMS.glob("*.json"))
-    assert len(problems) == 4
+    assert problems
     bad_json = tmp_path / "bad_json.json"
     bad_json.write_text("{not json")
     bad_poly = tmp_path / "bad_poly.json"
@@ -55,7 +55,8 @@ def test_vol_gkz_and_refused_inputs_never_run_numpy(tmp_path):
     done = _fresh(["-c", _NO_NUMERIC_WORK, json.dumps(problems),
                    json.dumps(refused)])
     result = json.loads(done.stdout)
-    assert result["codes"] == [0] * 8 + [3] * (len(COMMANDS) * len(refused))
+    assert result["codes"] == ([0] * (2 * len(problems))
+                               + [3] * (len(COMMANDS) * len(refused)))
     assert result["numpy_ran"] is False
 
 

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -325,3 +326,14 @@ def test_nullspace_columns_of_unequal_scale():
     kers = nullspace(np.array([[1e9, 1.0], [2e9, 2.0]]))
     assert len(kers) == 1
     assert np.allclose(kers[0].vector, [-1e-9, 1.0], rtol=1e-12, atol=0)
+
+
+def test_nullspace_columns_near_the_ends_of_the_float_range():
+    # squaring 1e200 overflows and squaring 1e-200 underflows; the column
+    # scale must do neither
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert nullspace(np.array([[1e200, 1e-200], [2e200, -1e-200]])) == []
+        kers = nullspace(np.array([[1e150, 1e-150], [2e150, 2e-150]]))
+    assert len(kers) == 1
+    assert np.allclose(kers[0].vector, [-1e-300, 1.0], rtol=1e-12, atol=0)
