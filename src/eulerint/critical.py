@@ -2,9 +2,11 @@
 
 The rational critical equations are cleared to polynomials, each divided by
 its monomial content, and solved with a total-degree homotopy (random start
-roots, gamma trick, Euler predictor and Newton corrector).  Solutions landing
-on the cleared locus are filtered out by checking the original rational
-equations.
+roots, gamma trick, Euler predictor and Newton corrector).  The Jacobian is
+read off each equation's own terms through the Euler operators
+theta_k = x_k d_k, which multiply x^e by e_k: J_ik = theta_k F_i / x_k.
+Solutions landing on the cleared locus are filtered out by checking the
+original rational equations.
 """
 
 from __future__ import annotations
@@ -53,19 +55,17 @@ class PolySystem:
 
     @cached_property
     def _table(self):
-        # one power table (`power_table`) for every equation and its partials
-        return power_table([p for eq in self.equations for p in
-                            (eq, *(eq.partial(k + 1) for k in range(self.nvars)))])
+        return power_table(self.equations)
 
     def evaluate(self, x, rows=None):
         """F, its Jacobian J and the residual scale at a point (n,) or on a batch (P, n).
 
         F and the scale have shape (n,) or (P, n), J has shape (n, n) or
         (P, n, n).  Equation i's scale is the sum of |c_k| |x^{e_k}| over its
-        terms.  A point gives the bits of `LaurentPoly.evaluate` and
-        `magnitude`, and a batch row those of its point.  This is the one-draw
-        case of `_Draws.evaluate`; `rows`, the rows of a tracker batch that x
-        holds, are all in the one draw.
+        terms.  At a point, F and the scale have the bits of `LaurentPoly`'s
+        `evaluate` and `magnitude`, and a batch row all the bits of its point.
+        This is the one-draw case of `_Draws.evaluate`; `rows`, the rows of a
+        tracker batch that x holds, are all in the one draw.
         """
         one = _Draws((self,), np.zeros(np.size(x) // self.nvars, dtype=int))
         return one.evaluate(x, slice(None))
@@ -81,42 +81,40 @@ class _Draws:
     def __init__(self, systems, draw):
         tables = [system._table for system in systems]
         self.exps, self.blocks = tables[0][:2]
-        # vecdot conjugates its first operand
-        self.coeffs = np.stack([table[2] for table in tables]).conj()
+        # per draw, (n + 1, m): each term's c, the weight of F, and c e_k, its
+        # weight in theta_k F; vecdot conjugates its first operand
+        euler = np.vstack([np.ones(len(self.exps)), self.exps.T])
+        self.weights = (np.stack([table[2] for table in tables])[:, None] * euler).conj()
         self.moduli = np.stack([table[3] for table in tables])
         self.draw = draw
 
     def evaluate(self, x, rows):
         """F, J and the residual scale at x, which holds the batch rows `rows`.
 
-        The batch is taken in the row slices of `laurent.power_rows`, and each
-        row of a slice is dotted with its own draw's coefficients.
+        The batch is taken in the row slices of `laurent.power_rows`.  Per
+        equation, one vecdot of each row's own draw's weights with its
+        monomials gives F_i and every theta_k F_i.  It takes one dot product
+        per table row, as `LaurentPoly` does at a point, so a batch row keeps
+        the bits of its point, which a matrix-vector product would not.
+        Column k of J is not finite at x_k = 0.
         """
         n = self.exps.shape[1]
         x = np.asarray(x, dtype=np.complex128)
         points = x.reshape(-1, n)
         draw = self.draw[rows]
-        values = np.empty((len(points), len(self.blocks)), dtype=np.complex128)
+        values = np.empty((len(points), n, n + 1), dtype=np.complex128)
         scale = np.empty((len(points), n))
         for part, mon in power_rows(points, self.exps):
             d = draw[part]
-            _block_values(mon, self.coeffs[d], self.blocks, values[part])
-            _block_values(np.abs(mon), self.moduli[d], self.blocks[::n + 1],
-                          scale[part])
+            for i, cols in enumerate(self.blocks):
+                np.vecdot(self.weights[:, :, cols][d], mon[:, None, cols],
+                          out=values[part, i])
+                np.vecdot(self.moduli[:, cols][d], np.abs(mon[:, cols]),
+                          out=scale[part, i])
         values = values.reshape(x.shape[:-1] + (n, n + 1))
-        return values[..., 0], values[..., 1:], scale.reshape(x.shape)
-
-
-def _block_values(mon, coeffs, blocks, out):
-    """Per row of the power table `mon`, each block's coefficients dotted with it.
-
-    `coeffs` holds one row of coefficients per table row, and column k of
-    `out` receives block k.  vecdot takes one dot product per table row, as
-    `LaurentPoly` does at a point, so a batch row keeps the bits of its
-    point, which a matrix-vector product would not.
-    """
-    for k, rows in enumerate(blocks):
-        np.vecdot(coeffs[:, rows], mon[:, rows], out=out[:, k])
+        with np.errstate(invalid="ignore"):   # 0 / 0 at x_k = 0
+            jac = values[..., 1:] / x[..., None, :]
+        return values[..., 0], jac, scale.reshape(x.shape)
 
 
 @dataclass(frozen=True)

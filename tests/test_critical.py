@@ -112,19 +112,35 @@ def test_two_point_count(two_point_spec):
             sol.failed_paths) == (4, 4, 0, 0)
 
 
-def test_system_jacobian_matches_central_differences(hexagon_poly):
-    spec = IntegrandSpec([hexagon_poly], (0.5 + 0.1j,), (0.3 - 0.2j, 0.7 + 0.4j))
-    system = build_system(spec)
-    x = np.array([0.8 + 0.3j, -1.1 + 0.6j])
-    f, jac, scale = system.evaluate(x)
-    assert f.shape == scale.shape == (2,) and jac.shape == (2, 2)
-    assert np.array_equal(f, [eq.evaluate(x) for eq in system.equations])
+_THREE_TEXT = "x*y + y*z + x*z + x + 2*z - 1"
+
+
+def test_system_jacobian_matches_central_differences():
+    rng = np.random.default_rng(8)
     h = 1e-5
-    scale = np.max(scale)
-    for k in range(2):
-        step = h * np.eye(2)[k]
-        diff = (system.evaluate(x + step)[0] - system.evaluate(x - step)[0]) / (2 * h)
-        assert np.max(np.abs(jac[:, k] - diff)) <= 1e-7 * scale
+    for text, nu in ((HEXAGON_TEXT, (0.3 - 0.2j, 0.7 + 0.4j)),
+                     (_THREE_TEXT, (0.3 - 0.2j, 0.7 + 0.4j, -0.6 + 0.1j))):
+        system = build_system(IntegrandSpec([parse_poly(text)], (0.5 + 0.1j,), nu))
+        n = system.nvars
+        point = np.array([0.8 + 0.3j, -1.1 + 0.6j, 0.5 - 0.9j][:n])
+        assert np.array_equal(system.evaluate(point)[0],
+                              [eq.evaluate(point) for eq in system.equations])
+        batch = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
+        for x in (point, batch):
+            f, jac, scale = system.evaluate(x)
+            assert f.shape == scale.shape == x.shape and jac.shape == x.shape + (n,)
+            # the partial polynomials are the reference for the Euler form
+            for i, eq in enumerate(system.equations):
+                for k in range(n):
+                    d = eq.partial(k + 1)
+                    assert np.all(np.abs(jac[..., i, k] - d.evaluate(x))
+                                  <= 1e-13 * d.magnitude(x))
+            scale = np.max(scale, axis=-1, keepdims=True)
+            for k in range(n):
+                step = h * np.eye(n)[k]
+                diff = (system.evaluate(x + step)[0]
+                        - system.evaluate(x - step)[0]) / (2 * h)
+                assert np.all(np.abs(jac[..., k] - diff) <= 1e-7 * scale)
 
 
 def test_system_magnitude_is_per_equation(hexagon_poly):
@@ -140,9 +156,6 @@ def _random_system(polys, rng):
     s = tuple(complex(*rng.uniform(-1, 1, 2)) for _ in polys)
     nu = tuple(complex(*rng.uniform(-1, 1, 2)) for _ in range(n))
     return build_system(IntegrandSpec(polys, s, nu))
-
-
-_THREE_TEXT = "x*y + y*z + x*z + x + 2*z - 1"
 
 
 @pytest.mark.parametrize("text", [HEXAGON_TEXT, _THREE_TEXT])
@@ -173,9 +186,9 @@ def test_system_slices_match_whole_batch(monkeypatch):
 
 def test_power_table_memory_is_bounded():
     # dense f of degree 32 in two variables.  The cleared system on 1,024
-    # paths has 3,234 monomials, a whole-batch table of 6.6 million complex
-    # entries; f with its gradient on the 3,072 endpoints of three attempts
-    # has 1,617, a table of 9.9 million
+    # paths has 1,122 monomials, a whole-batch table of about 2.3 million
+    # complex entries; f with its gradient on the 3,072 endpoints of three
+    # attempts has 1,617, a table of 9.9 million
     rng = np.random.default_rng(6)
     f = LaurentPoly(2, {(i, j): complex(*rng.uniform(-1, 1, 2))
                         for i in range(33) for j in range(33 - i)})
@@ -293,7 +306,8 @@ def test_singular_predictor_stalls_only_its_path(hexagon_poly):
     rng = np.random.default_rng(7)
     system = _random_system([hexagon_poly], rng)
     starts, gamma, degrees, roots = _start(system, rng)
-    # dH/dx at t = 0 is gamma diag(d_i x_i^(d_i - 1)): singular where x_1 = 0
+    # at x_1 = 0 the Jacobian's column theta_1 F / x_1 is 0 / 0, so dH/dx is
+    # not finite even at t = 0, and every step from there fails
     starts = np.concatenate([starts[:4], [[0.0, starts[0, 1]]], starts[4:8]])
     status, xs, ts, _ = critical._track_paths(system, starts, gamma, degrees, roots)
     assert (status[4], ts[4]) == ("stalled", 0.0)
