@@ -89,13 +89,13 @@ def parse_polynomial(v, nvars=None):
         except ParseError as exc:
             raise InputError(f"bad polynomial {v!r}: {exc}") from None
     elif isinstance(v, list):
-        # term list: [[exp...], coeff] pairs
+        # term list: [[exp...], coeff] pairs; a repeated exponent adds up
         terms = {}
         for item in v:
             if not (isinstance(item, (list, tuple)) and len(item) == 2):
                 raise InputError(f"bad term {item!r}: expected [[exp..], coeff]")
-            exp, coeff = item
-            terms[parse_exponents(exp)] = parse_scalar(coeff, "coefficient")
+            exp, c = parse_exponents(item[0]), parse_scalar(item[1], "coefficient")
+            terms[exp] = terms[exp] + c if exp in terms else c
         if not terms:
             raise InputError("empty term list")
         try:
@@ -158,10 +158,10 @@ def build_spec(obj: dict) -> IntegrandSpec:
 
 
 def differentiable_spec(obj: dict) -> IntegrandSpec:
-    """build_spec, with the coefficients of each d f_j / dx_i in the float range."""
+    """build_spec, with the coefficients e_i c of each d_i f_j in the float range."""
     spec = build_spec(obj)
-    if not all(finite(c) for fj in spec.f for i in range(spec.nvars)
-               for c in fj.partial(i + 1).terms.values()):
+    if not all(finite(k * c) for fj in spec.f for e, c in fj.terms.items()
+               for k in e):
         raise InputError("a coefficient of a derivative of f is beyond the float range")
     return spec
 
@@ -282,8 +282,7 @@ def jnum(z):
 
 def kernel_to_json(kernel):
     return [{"vector": [jnum(z) for z in k.vector],
-             "rational": None if k.rational is None else
-             [[str(re), str(im)] for re, im in k.rational]}
+             "rational": [[str(re), str(im)] for re, im in k.rational]}
             for k in kernel]
 
 

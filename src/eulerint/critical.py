@@ -1,10 +1,10 @@
 """Counting complex critical points of log(f^s x^nu) on the torus complement.
 
-The rational critical equations are cleared to polynomials, each divided by
-its monomial content, and solved with a total-degree homotopy (random start
-roots, gamma trick, Euler predictor and Newton corrector).  The Jacobian is
-read off each equation's own terms through the Euler operators
-theta_k = x_k d_k, which multiply x^e by e_k: J_ik = theta_k F_i / x_k.
+The critical equations are cleared to eq_i = prod_k f_k * theta_i log(f^s x^nu)
+/ x^{m_i}, x^{m_i} the monomial content and theta_k = x_k d_k the Euler
+operators, which multiply x^e by e_k.  They are solved with a total-degree
+homotopy (random start roots, gamma trick, Euler predictor and Newton
+corrector), with the Jacobian J_ik = theta_k eq_i / x_k read off their terms.
 Solutions landing on the cleared locus are filtered out by checking the
 original rational equations.
 """
@@ -142,9 +142,9 @@ class SolutionSet:
 def build_system(spec: IntegrandSpec) -> PolySystem:
     """Clear denominators of the critical equations.
 
-    Equation i is x_i * sum_j s_j (d_i f_j) prod_{k!=j} f_k + nu_i prod_k f_k,
-    divided by its monomial content (shifted by minus its least exponent in
-    each variable), so that no x_k divides it and no exponent is negative.
+    Equation i is sum_j s_j (theta_i f_j) prod_{k!=j} f_k + nu_i prod_k f_k,
+    theta_i f_j read off f_j's terms, divided by x^m, m its least exponent in
+    each variable, so that no x_k divides it and no exponent is negative.
     On the torus this changes neither the solutions nor their multiplicities,
     and of all monomial shifts it gives the least total degrees, so the
     fewest paths of `solve`.  A coefficient beyond the float range, or
@@ -152,28 +152,27 @@ def build_system(spec: IntegrandSpec) -> PolySystem:
     """
     n = spec.nvars
     eqs = []
-    for i in range(n):
-        try:
+    try:
+        prod_all = LaurentPoly.constant(n, 1)
+        for fk in spec.f:
+            prod_all = prod_all * fk
+        for i in range(n):
             acc = LaurentPoly.zero(n)
             for j, fj in enumerate(spec.f):
-                term = fj.partial(i + 1).scale(spec.s[j])
+                term = LaurentPoly(n, {e: e[i] * c for e, c in fj.terms.items()
+                                       if e[i]}).scale(spec.s[j])
                 for k, fk in enumerate(spec.f):
                     if k != j:
                         term = term * fk
                 acc = acc + term
-            acc = acc.shift(tuple(1 if k == i else 0 for k in range(n)))
-            prod_all = LaurentPoly.constant(n, 1)
-            for fk in spec.f:
-                prod_all = prod_all * fk
             acc = acc + prod_all.scale(spec.nu[i])
-            acc = acc.shift(-m for m in acc.min_exponents())
-            finite = all(math.isfinite(abs(c)) for c in acc.terms.values())
-        except OverflowError:   # an exact coefficient too large to meet a float
-            finite = False
-        if not finite:
-            raise OverflowError("a coefficient of the critical equations is "
-                                "beyond the float range")
-        eqs.append(acc)
+            eqs.append(acc.shift(-m for m in acc.min_exponents()))
+        finite = all(math.isfinite(abs(c)) for eq in eqs for c in eq.terms.values())
+    except OverflowError:   # an exact coefficient too large to meet a float
+        finite = False
+    if not finite:
+        raise OverflowError("a coefficient of the critical equations is "
+                            "beyond the float range")
     return PolySystem(tuple(eqs), spec)
 
 

@@ -310,7 +310,7 @@ def omega_components(spec: IntegrandSpec, x) -> np.ndarray:
 
 # -- text grammar ----------------------------------------------------------
 #
-# terms joined by +/-; term = [coefficient][*]monomials;
+# terms joined by +/-; term = [coefficient][*]monomials, each * before a var;
 # monomial = var^int (negative allowed); variables x1..xn, aliases x,y,z
 # for nvars <= 3.
 
@@ -373,6 +373,8 @@ def parse_poly(text: str, nvars: int | None = None) -> LaurentPoly:
     i = 0
     maxvar = 1
     while i < len(tokens):
+        if terms and tokens[i][0] != "sign":
+            raise ParseError("expected + or - before a term", tokens[i][2])
         sign = 1
         while i < len(tokens) and tokens[i][0] == "sign":
             if tokens[i][1] == "-":
@@ -394,6 +396,9 @@ def parse_poly(text: str, nvars: int | None = None) -> LaurentPoly:
         while i < len(tokens) and tokens[i][0] in ("star", "var"):
             if tokens[i][0] == "star":
                 i += 1
+                if i >= len(tokens) or tokens[i][0] != "var":
+                    raise ParseError("expected a variable after '*'",
+                                     tokens[i][2] if i < len(tokens) else len(text))
                 continue
             name = tokens[i][1]
             vpos = tokens[i][2]

@@ -28,8 +28,7 @@ MAX_DEGREE = 256            # widest exponent span of an f_j whose roots are fou
 POLE_GUARD_RADIUS = 1e-8    # minimum allowed node distance to a singularity
 CLOSURE_TOL = 1e-6          # branch must return to itself within this
 KERNEL_REL_TOL = 1e-6       # kernel: sigma <= KERNEL_REL_TOL * sigma_max, scaled columns
-RATIONAL_MAX_DEN = 64       # largest denominator of a recognized rational
-RATIONAL_TOL = 1e-2         # largest distance to the recognized rational
+RATIONAL_MAX_DEN = 64       # largest denominator of the nearest fraction
 
 
 class SegmentError(RuntimeError):
@@ -361,18 +360,14 @@ def pairing_matrix(cycles, cocycles, N: int, spec: IntegrandSpec) -> PairingMatr
 @dataclass(frozen=True)
 class KernelVector:
     vector: tuple     # complex entries, largest-magnitude entry scaled to 1
-    rational: tuple | None   # (Fraction re, Fraction im) pairs when recognized
+    rational: tuple   # (Fraction re, Fraction im) pairs, each the nearest fraction
 
 
 def _rationalize(vector):
-    out = []
-    for z in vector:
-        re = Fraction(z.real).limit_denominator(RATIONAL_MAX_DEN)
-        im = Fraction(z.imag).limit_denominator(RATIONAL_MAX_DEN)
-        if max(abs(float(re) - z.real), abs(float(im) - z.imag)) > RATIONAL_TOL:
-            return None
-        out.append((re, im))
-    return tuple(out)
+    """Per part, the nearest fraction with denominator <= RATIONAL_MAX_DEN."""
+    return tuple((Fraction(z.real).limit_denominator(RATIONAL_MAX_DEN),
+                  Fraction(z.imag).limit_denominator(RATIONAL_MAX_DEN))
+                 for z in vector)
 
 
 def nullspace(M):
@@ -384,9 +379,9 @@ def nullspace(M):
     Singular directions of the scaled matrix with
     sigma <= KERNEL_REL_TOL * sigma_max (directions beyond the row count count
     as sigma = 0) form the kernel.  Each basis vector is divided by the column
-    scales, then scaled so its largest-magnitude entry is exactly 1 and, when
-    all entries are within RATIONAL_TOL of rationals with denominator at most
-    RATIONAL_MAX_DEN, reported in exact rational form alongside the floats.
+    scales, then scaled so its largest-magnitude entry is exactly 1.  Its
+    `rational` form is, per part, the nearest fraction with denominator at
+    most RATIONAL_MAX_DEN: a rounding, not a recognition.
     """
     a = M.as_array() if isinstance(M, PairingMatrix) else np.asarray(
         M, dtype=np.complex128)

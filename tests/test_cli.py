@@ -113,6 +113,12 @@ def test_terms_form_agrees_with_function_form(tmp_path, capsys):
     assert out["agreement"] == [{"i": 0, "j": 1, "agree": True}]
 
 
+def test_term_list_repeats_add_up_as_text_does():
+    # keeping only the last coefficient of the exponent (1,) would give 3x + 1
+    listed = cli.parse_polynomial([[[1], 2], [[1], 3], [[0], 1]])
+    assert listed == cli.parse_polynomial("2*x + 3*x + 1") == parse_poly("5*x + 1")
+
+
 def test_real_pairs_match_rational_exponents(tmp_path, capsys):
     code, rational = run(capsys, ["integrate", PROBLEMS / "two_points.json"])
     assert code == 0
@@ -564,7 +570,12 @@ _HUGE_VALUE = [(command, dict(_TWO_POINTS, f=[[[[200], 1e300], [[0], 1]], "x - 2
 ] + [("vol", {"f": [{"nvars": 1, "terms": [{"exp": [1], "re": 1},
                                           {"exp": [0], "re": -1}]}]})
 ] + [_ZERO_DENOMINATOR] + _ZERO_DENOMINATOR_TEXT + _HUGE_COEFFICIENT
-   + _HUGE_VALUE)
+   + _HUGE_VALUE
+# a term not joined by + or -, a * not followed by a variable
+   + [("chi", {"f": [text]}) for text in ("x*2 - 1", "2*3*x", "x**2", "x*-1",
+                                          "2 3", "(1+2j)(3)x", "x*")]
+# repeated exponents of a term list add up, here to the constant 1
+   + [("vol", {"f": [[[[1], 2], [[1], -2], [[0], 1]]]})])
 def test_invalid_input_exit_3(tmp_path, capsys, command, obj):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

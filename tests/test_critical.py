@@ -96,6 +96,65 @@ def test_build_system_square(hexagon_poly):
     assert len(sys_.equations) == 2
 
 
+def _reference_system(spec):
+    """Equation i built as x_i d_i: partial, scale, multiply, shift by x_i."""
+    n = spec.nvars
+    eqs = []
+    for i in range(n):
+        acc = LaurentPoly.zero(n)
+        for j, fj in enumerate(spec.f):
+            term = fj.partial(i + 1).scale(spec.s[j])
+            for k, fk in enumerate(spec.f):
+                if k != j:
+                    term = term * fk
+            acc = acc + term
+        acc = acc.shift(tuple(1 if k == i else 0 for k in range(n)))
+        prod_all = LaurentPoly.constant(n, 1)
+        for fk in spec.f:
+            prod_all = prod_all * fk
+        acc = acc + prod_all.scale(spec.nu[i])
+        eqs.append(acc.shift(-m for m in acc.min_exponents()))
+    return eqs
+
+
+_COEFFICIENTS = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=4),
+                          st.floats(-2, 2), st.complex_numbers(max_magnitude=2))
+
+
+@st.composite
+def _polys(draw):
+    """1 to 3 polynomials in 1 to 3 variables, of 2 to 4 terms each."""
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(-2, 2)] * n)
+    return [LaurentPoly(n, draw(st.dictionaries(exps, _COEFFICIENTS.filter(bool),
+                                                min_size=2, max_size=4)))
+            for _ in range(draw(st.integers(1, 3)))]
+
+
+@given(_polys(), st.data())
+@hsettings(max_examples=60, deadline=None)
+def test_build_system_matches_reference(polys, data):
+    n, ell = polys[0].nvars, len(polys)
+    s = data.draw(st.lists(_COEFFICIENTS, min_size=ell, max_size=ell))
+    nu = data.draw(st.lists(_COEFFICIENTS, min_size=n, max_size=n))
+    spec = IntegrandSpec(polys, s, nu)
+    assert list(build_system(spec).equations) == _reference_system(spec)
+
+
+# s and nu as `euler_characteristic` draws them: every coefficient keeps its
+# bits, and the terms their order
+@given(_polys(), st.integers(0, 2 ** 32 - 1))
+@hsettings(max_examples=60, deadline=None)
+def test_build_system_keeps_reference_bits(polys, seed):
+    rng = np.random.default_rng(seed)
+    spec = IntegrandSpec(polys, critical._random_parameters(rng, len(polys)),
+                         critical._random_parameters(rng, polys[0].nvars))
+    assert ([[(e, repr(c)) for e, c in eq.terms.items()]
+             for eq in build_system(spec).equations]
+            == [[(e, repr(c)) for e, c in eq.terms.items()]
+                for eq in _reference_system(spec)])
+
+
 def test_single_linear_factor_exact_root():
     # [DERIVED] f = x-1, s=1, nu=1: s x/(x-1) + nu = 0 at x = 1/2
     spec = IntegrandSpec([parse_poly("x - 1")], (1,), (1,))

@@ -95,6 +95,25 @@ def test_parse_zero_denominator(text, position):
     assert info.value.position == position
 
 
+# a term after the first starts with + or -, and * is followed by a variable;
+# read as new terms, these would be other polynomials ("x*2 - 1" as x + 1).
+# After its signs, a term starts with a coefficient or a variable.
+@pytest.mark.parametrize("text, position", [
+    ("x*2 - 1", 2), ("2*3*x", 2), ("x**2", 2), ("x*-1", 2), ("2 3", 2),
+    ("(1+2j)(3)x", 6), ("x*", 2), ("x + ^2", 4)])
+def test_parse_malformed_term_rejected(text, position):
+    with pytest.raises(ParseError) as info:
+        parse_poly(text)
+    assert info.value.position == position
+
+
+@pytest.mark.parametrize("text, same", [("2x", "2*x"), ("2 x", "2*x"),
+                                        ("x y", "x*y"), ("- -x", "x"),
+                                        ("3x^2", "3*x^2")])
+def test_parse_juxtaposition_multiplies(text, same):
+    assert parse_poly(text) == parse_poly(same)
+
+
 def test_parse_empty_rejected():
     with pytest.raises(ParseError):
         parse_poly("")
