@@ -9,10 +9,12 @@ attribute access, which is the first numpy call of a command (the
 `importlib.util.LazyLoader` recipe of the standard library).  When a caller
 loaded numpy first, `np` is that module.
 
-On Python 3.10 and 3.11 that first access takes no lock: if two threads
-make it at once, both run numpy's `__init__` and numpy refuses the second
-with an ImportError.  A threaded program should import numpy before its
-threads use eulerint.
+eulerint's own modules do not load through here: the package and `cli`
+import them with plain imports where they are first needed, which take the
+import lock.  Only numpy's first access does not: on Python 3.10 and 3.11,
+if two threads make it at once, both run numpy's `__init__` and numpy
+refuses the second with an ImportError.  A threaded program should import
+numpy before its threads use eulerint.
 """
 
 import importlib.util

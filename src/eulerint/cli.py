@@ -9,7 +9,12 @@ Exit codes: 0 success, 3 invalid input, 2 numerical failure.  `main` alone
 maps a failure to its code: ValueError (InputError among them),
 OverflowError and FloatingPointError are the input's fault (3); RuntimeError,
 and with it NotImplementedError, SegmentError and CycleClosureError, is a
-numerical failure (2).  Any other exception is a bug and propagates.
+numerical failure (2).  Any other exception is a bug and propagates.  An
+--out path that cannot be written is invalid input, reported on stdout.
+
+Parsing needs only `laurent`.  Each command imports the modules it calls
+where it calls them, so `vol` never loads `critical` or `twisted`, and an
+input refused at parse time loads none of them.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ import json
 import math
 import sys
 from fractions import Fraction
+from importlib import import_module
 from itertools import combinations
 
-from . import critical, gkz, polytope, relations, twisted
 from .laurent import IntegrandSpec, LaurentPoly, ParseError, parse_poly
 
 
@@ -123,6 +128,8 @@ def load_problem(path: str) -> dict:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise InputError("problem file must be a JSON object")
     return obj
@@ -167,6 +174,7 @@ def differentiable_spec(obj: dict) -> IntegrandSpec:
 
 
 def build_cycles(obj: dict, spec: IntegrandSpec):
+    from . import twisted
     cycles = []
     for item in list_field(obj, "cycles", objects=True):
         try:
@@ -191,6 +199,7 @@ def build_cycles(obj: dict, spec: IntegrandSpec):
 
 
 def build_cocycles(obj: dict):
+    from . import twisted
     out = []
     for item in list_field(obj, "cocycles", objects=True):
         try:
@@ -212,6 +221,7 @@ def build_forms(obj: dict, spec: IntegrandSpec):
 
 
 def _build_form(item: dict, spec: IntegrandSpec):
+    from . import relations
     if "function" in item:
         g = parse_polynomial(item["function"], spec.nvars)
         return relations.LogForm.from_function(
@@ -227,6 +237,7 @@ def _build_form(item: dict, spec: IntegrandSpec):
 
 
 def build_operators(obj: dict, spec: IntegrandSpec):
+    from . import relations
     ops = []
     for item in list_field(obj, "operators", objects=True):
         try:
@@ -241,18 +252,19 @@ def build_operators(obj: dict, spec: IntegrandSpec):
     return ops
 
 
-# least value of each integer setting, and the module constant that caps it
-LIMITS = {"nodes": (2, "twisted.MAX_NODES", twisted.MAX_NODES),
-          "draws": (1, "critical.MAX_DRAWS", critical.MAX_DRAWS)}
+# least value of each integer setting, and the module and constant that cap it
+LIMITS = {"nodes": (2, "twisted", "MAX_NODES"),
+          "draws": (1, "critical", "MAX_DRAWS")}
 
 
 def in_limits(key: str, n: int) -> int:
     """n if it lies within LIMITS[key]."""
-    least, cap, most = LIMITS[key]
+    least, module, cap = LIMITS[key]
+    most = getattr(import_module(f".{module}", __package__), cap)
     if n < least:
         raise InputError(f"{key}: need at least {least}, got {n}")
     if n > most:
-        raise InputError(f"{key}: at most {cap} = {most}, got {n}")
+        raise InputError(f"{key}: at most {module}.{cap} = {most}, got {n}")
     return n
 
 
@@ -266,6 +278,7 @@ def setting(obj: dict, key: str, default) -> int:
 
 def node_count(obj: dict, args) -> int:
     """Quadrature nodes per segment: --nodes, else settings.nodes, else the default."""
+    from . import twisted
     if args.nodes is None:
         return setting(obj, "nodes", twisted.DEFAULT_NODES)
     return in_limits("nodes", args.nodes)
@@ -286,7 +299,8 @@ def kernel_to_json(kernel):
             for k in kernel]
 
 
-def relation_to_json(r: relations.Relation):
+def relation_to_json(r):
+    """The terms of a relations.Relation as JSON objects."""
     if not all(finite(c) for _, c in r.terms):
         raise InputError("a relation coefficient is beyond the float range")
     return [{"a": list(a), "b": list(b),
@@ -306,6 +320,7 @@ def emit(payload: dict, out_path: str | None) -> None:
 # -- subcommands ------------------------------------------------------------
 
 def cmd_chi(obj: dict, args) -> dict:
+    from . import critical
     spec = build_spec(obj)
     settings = critical.TrackerSettings(seed=args.seed)
     draws = setting(obj, "draws", 2)
@@ -316,6 +331,7 @@ def cmd_chi(obj: dict, args) -> dict:
 
 
 def cmd_vol(obj: dict, args) -> dict:
+    from . import polytope
     spec = build_spec(obj)
     pts = polytope.cayley_support(spec)
     rep = polytope.normalized_volume(pts)
@@ -327,6 +343,7 @@ def cmd_vol(obj: dict, args) -> dict:
 
 
 def cmd_integrate(obj: dict, args) -> dict:
+    from . import twisted
     spec = differentiable_spec(obj)
     cycles = build_cycles(obj, spec)
     cocycles = build_cocycles(obj)
@@ -343,6 +360,7 @@ def cmd_integrate(obj: dict, args) -> dict:
 
 
 def cmd_relations(obj: dict, args) -> dict:
+    from . import relations, twisted
     spec = differentiable_spec(obj)
     forms = build_forms(obj, spec)
     operators = build_operators(obj, spec)
@@ -378,6 +396,7 @@ def cmd_relations(obj: dict, args) -> dict:
 
 
 def cmd_gkz(obj: dict, args) -> dict:
+    from . import gkz
     spec = build_spec(obj)
     cfg = gkz.cayley_matrix(spec)
     kernel = gkz.lattice_kernel(cfg)
@@ -426,17 +445,23 @@ def main(argv=None) -> int:
         if args.tol is not None and not 0 <= args.tol < math.inf:
             raise InputError(f"--tol: expected a finite value >= 0, got {args.tol}")
         obj = load_problem(args.problem)
-        payload = COMMANDS[args.command](obj, args)
+        payload, code = COMMANDS[args.command](obj, args), 0
     except (ValueError, OverflowError, FloatingPointError) as exc:
-        emit({"error": {"type": "invalid-input", "message": str(exc)}},
-             args.out)
-        return 3
+        payload, code = _error("invalid-input", exc), 3
     except RuntimeError as exc:
-        emit({"error": {"type": "numerical-failure", "message": str(exc)}},
-             args.out)
-        return 2
-    emit(payload, args.out)
-    return 0
+        payload, code = _error("numerical-failure", exc), 2
+    try:
+        emit(payload, args.out)
+    except OSError as exc:
+        if not args.out:   # stdout itself failed
+            raise
+        emit(_error("invalid-input", f"cannot write {args.out}: {exc}"), None)
+        return 3
+    return code
+
+
+def _error(kind: str, message) -> dict:
+    return {"error": {"type": kind, "message": str(message)}}
 
 
 if __name__ == "__main__":

@@ -310,8 +310,8 @@ def omega_components(spec: IntegrandSpec, x) -> np.ndarray:
 
 # -- text grammar ----------------------------------------------------------
 #
-# terms joined by +/-; term = [coefficient][*]monomials, each * before a var;
-# monomial = var^int (negative allowed); variables x1..xn, aliases x,y,z
+# terms joined by +/-; term = [coefficient][*]monomials, each * between a
+# coefficient or monomial and a var; monomial = var^int (negative allowed); variables x1..xn, aliases x,y,z
 # for nvars <= 3.
 
 _TOKEN = re.compile(r"""
@@ -395,6 +395,9 @@ def parse_poly(text: str, nvars: int | None = None) -> LaurentPoly:
         exps = {}
         while i < len(tokens) and tokens[i][0] in ("star", "var"):
             if tokens[i][0] == "star":
+                if not seen_any:
+                    raise ParseError("expected a coefficient or variable "
+                                     "before '*'", tokens[i][2])
                 i += 1
                 if i >= len(tokens) or tokens[i][0] != "var":
                     raise ParseError("expected a variable after '*'",

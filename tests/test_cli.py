@@ -163,12 +163,40 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["normalized_volume"] == 6
 
 
+# a path that cannot be written is refused on stdout, for a result and for
+# an error payload alike
+@pytest.mark.parametrize("problem", ["hexagon.json", "no_such_file.json"])
+@pytest.mark.parametrize("target", ["missing_dir/x.json", "."])
+def test_unwritable_out_exit_3(tmp_path, capsys, problem, target):
+    out_path = tmp_path / target
+    code, out = run(capsys, ["vol", PROBLEMS / problem, "--out", out_path])
+    assert code == 3
+    assert out["error"]["type"] == "invalid-input"
+    assert out["error"]["message"].startswith(f"cannot write {out_path}: ")
+    assert not (tmp_path / "missing_dir").exists()
+
+
 # -- error handling --------------------------------------------------------
 
 def test_missing_file_exit_3(capsys):
     code, out = run(capsys, ["chi", PROBLEMS / "no_such_file.json"])
     assert code == 3
     assert out["error"]["type"] == "invalid-input"
+
+
+@pytest.mark.parametrize("from_stdin", [False, True])
+def test_deeply_nested_json_exit_3(tmp_path, capsys, monkeypatch, from_stdin):
+    text = "[" * 100_000
+    if from_stdin:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        argv = ["chi", "-"]
+    else:
+        (tmp_path / "deep.json").write_text(text)
+        argv = ["chi", tmp_path / "deep.json"]
+    code, out = run(capsys, argv)
+    assert code == 3
+    assert out["error"] == {"type": "invalid-input",
+                            "message": "invalid JSON: nested too deeply"}
 
 
 def test_invalid_json_exit_3(tmp_path, capsys):
@@ -575,7 +603,9 @@ _HUGE_VALUE = [(command, dict(_TWO_POINTS, f=[[[[200], 1e300], [[0], 1]], "x - 2
    + [("chi", {"f": [text]}) for text in ("x*2 - 1", "2*3*x", "x**2", "x*-1",
                                           "2 3", "(1+2j)(3)x", "x*")]
 # repeated exponents of a term list add up, here to the constant 1
-   + [("vol", {"f": [[[[1], 2], [[1], -2], [[0], 1]]]})])
+   + [("vol", {"f": [[[[1], 2], [[1], -2], [[0], 1]]]})]
+# a * with no coefficient or variable before it
+   + [("vol", {"f": [text]}) for text in ("*x - 1", "*x + 1", "x + *y + 1")])
 def test_invalid_input_exit_3(tmp_path, capsys, command, obj):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

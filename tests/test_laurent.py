@@ -100,7 +100,8 @@ def test_parse_zero_denominator(text, position):
 # After its signs, a term starts with a coefficient or a variable.
 @pytest.mark.parametrize("text, position", [
     ("x*2 - 1", 2), ("2*3*x", 2), ("x**2", 2), ("x*-1", 2), ("2 3", 2),
-    ("(1+2j)(3)x", 6), ("x*", 2), ("x + ^2", 4)])
+    ("(1+2j)(3)x", 6), ("x*", 2), ("x + ^2", 4), ("*x + 1", 0),
+    ("x + *y + 1", 4), ("-*x", 1)])
 def test_parse_malformed_term_rejected(text, position):
     with pytest.raises(ParseError) as info:
         parse_poly(text)
