@@ -23,10 +23,10 @@ import argparse
 import cmath
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from importlib import import_module
-from itertools import combinations
 
 from .laurent import IntegrandSpec, LaurentPoly, ParseError, parse_poly
 
@@ -314,7 +314,7 @@ def emit(payload: dict, out_path: str | None) -> None:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        print(text, flush=True)
 
 
 # -- subcommands ------------------------------------------------------------
@@ -373,7 +373,8 @@ def cmd_relations(obj: dict, args) -> dict:
     agreement = [{"i": i, "j": j, "agree": relations.relations_agree(
                       produced[i][1], produced[j][1],
                       tol=1e-9 if args.tol is None else args.tol)}
-                 for i, j in combinations(range(len(produced)), 2)]
+                 for i in range(len(produced))
+                 for j in range(i + 1, len(produced))]
     out = {"relations": rels, "agreement": agreement, "seed": args.seed}
 
     cycles = build_cycles(obj, spec)
@@ -453,10 +454,15 @@ def main(argv=None) -> int:
     try:
         emit(payload, args.out)
     except OSError as exc:
-        if not args.out:   # stdout itself failed
+        if args.out:
+            emit(_error("invalid-input", f"cannot write {args.out}: {exc}"), None)
+            return 3
+        if not isinstance(exc, BrokenPipeError):   # stdout itself failed
             raise
-        emit(_error("invalid-input", f"cannot write {args.out}: {exc}"), None)
-        return 3
+        # the reader closed stdout early; the flush at exit must not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

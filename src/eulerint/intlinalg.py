@@ -2,14 +2,13 @@
 
 Everything here works on plain Python ints / Fractions, so results are exact.
 Matrices are lists of lists (rows).  The integer row Hermite normal form
-(`_echelon`) is the only elimination: determinants, rational solutions and
-nullspaces are all read off it.
+(`_echelon`) is the only elimination: determinants, rational solutions,
+nullspaces and the index of a lattice in its saturation are all read off it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm, prod
 
 
@@ -173,19 +172,11 @@ def primitive_integer(v):
 def lattice_index_in_saturation(vectors):
     """Index of the lattice generated by `vectors` inside its saturation.
 
-    Equals the gcd of all maximal minors of a basis matrix, divided out by the
-    structure: for a rank-r lattice it is the product of the invariant factors,
-    i.e. the gcd of the r x r minors of any generating matrix.
+    That is the gcd of the r x r minors of a rank-r basis, which row
+    operations on the basis' transpose keep.  Its Hermite form has one nonzero
+    r x r minor, the product of its pivots (Cohen, GTM 138, section 2.4).
     """
     basis = lattice_basis(vectors)
-    r = len(basis)
-    if r == 0:
-        return 1
-    cols = len(basis[0])
-    g = 0
-    for sub in combinations(range(cols), r):
-        d = det_bareiss([[row[c] for c in sub] for row in basis])
-        g = gcd(g, abs(d))
-        if g == 1:
-            break
-    return g if g else 1
+    t = [list(col) for col in zip(*basis)]
+    _echelon(t, len(basis))
+    return prod(t[i][i] for i in range(len(basis)))

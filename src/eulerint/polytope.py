@@ -21,15 +21,12 @@ class LatticePointSet:
     def __init__(self, dim: int, points):
         if dim < 1:
             raise ValueError("dim must be positive")
-        seen = []
+        points = tuple(dict.fromkeys(tuple(int(x) for x in p) for p in points))
         for p in points:
-            p = tuple(int(x) for x in p)
             if len(p) != dim:
                 raise ValueError(f"point {p} has wrong dimension")
-            if p not in seen:
-                seen.append(p)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "points", tuple(seen))
+        object.__setattr__(self, "points", points)
 
 
 @dataclass(frozen=True)
@@ -73,10 +70,10 @@ def _place(points):
         verts = tuple(sorted(verts))
         return verts, det(verts, inside)
 
-    simplex = [0]
-    for i in range(1, len(pts)):
-        if ila.rank([pts[j] for j in simplex + [i]]) > len(simplex):
-            simplex.append(i)
+    # row operations keep the dependencies among the columns of pts'
+    # transpose, so its pivot columns are the points that raise the rank
+    simplex = [next(i for i, x in enumerate(row) if x)
+               for row in ila.lattice_basis(list(zip(*pts)))]
     boundary = [facet(set(simplex) - {w}, w) for w in simplex]
     volume = abs(boundary[0][1])   # the first simplex, seen from its own vertex 0
     for i in range(len(pts)):
@@ -108,17 +105,17 @@ def normalized_volume(pts: LatticePointSet) -> VolumeReport:
         raise ValueError("empty point set")
     p0 = min(points)
     diffs = [[a - b for a, b in zip(p, p0)] for p in points]
-    r = ila.rank(diffs)
-    if r == 0:
+    basis = ila.lattice_basis(diffs)
+    if not basis:
         return VolumeReport(0, 0, "degenerate: single point")
-    index = ila.lattice_index_in_saturation(diffs)
+    index = ila.lattice_index_in_saturation(basis)
     if index == 1:
         note = "difference lattice is saturated in the ambient lattice"
     else:
         note = (f"difference lattice has index {index} in the ambient lattice "
                 "intersected with the affine span; volume is measured against "
                 "the affinely generated sublattice")
-    return VolumeReport(_place(points)[0], int(r), note)
+    return VolumeReport(_place(points)[0], len(basis), note)
 
 
 def facets(pts: LatticePointSet):

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -174,6 +176,27 @@ def test_unwritable_out_exit_3(tmp_path, capsys, problem, target):
     assert out["error"]["type"] == "invalid-input"
     assert out["error"]["message"].startswith(f"cannot write {out_path}: ")
     assert not (tmp_path / "missing_dir").exists()
+
+
+@pytest.mark.parametrize("obj, read, code", [
+    # an error payload of about 200 KB, of which the reader takes 10 bytes
+    ({"f": [[list(range(30000))]]}, 10, 3),
+    # a short result payload, written after the reader has gone
+    ({"f": ["x^2 - 3*x + 1"]}, 0, 0)])
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_reader_closing_stdout_early_keeps_exit_code(tmp_path, obj, read, code,
+                                                     unbuffered):
+    # a fresh interpreter, so that stdout is a real pipe and the flush at exit runs
+    (tmp_path / "p.json").write_text(json.dumps(obj))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+               PYTHONUNBUFFERED=unbuffered)
+    with subprocess.Popen([sys.executable, "-m", "eulerint.cli", "vol",
+                           str(tmp_path / "p.json")], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(read)) == read
+        proc.stdout.close()
+        assert proc.wait(timeout=300) == code
+        assert proc.stderr.read() == b""
 
 
 # -- error handling --------------------------------------------------------

@@ -1,6 +1,6 @@
 from fractions import Fraction
-from itertools import permutations
-from math import prod
+from itertools import combinations, permutations
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -142,6 +142,66 @@ def test_index_in_saturation():
     assert ila.lattice_index_in_saturation([[2, 0], [0, 2]]) == 4
     assert ila.lattice_index_in_saturation([[1, 0], [0, 1]]) == 1
     assert ila.lattice_index_in_saturation([[2, 4]]) == 2
+    assert ila.lattice_index_in_saturation([]) == 1
+
+
+def _degrade(draw, m):
+    """Make some rows of m zero, and some a signed copy of an earlier row."""
+    for i in range(len(m)):
+        kind = draw(st.sampled_from(["keep", "keep", "zero", "copy"]))
+        if kind == "zero":
+            m[i] = [0] * len(m[i])
+        elif kind == "copy" and i:
+            j, sign = draw(st.integers(0, i - 1)), draw(st.sampled_from([-1, 1]))
+            m[i] = [sign * x for x in m[j]]
+    return m
+
+
+@st.composite
+def deficient_matrices(draw):
+    """1-6 x 1-6 integer matrices with zero and dependent rows and columns."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    m = draw(st.lists(st.lists(st.integers(-12, 12), min_size=cols,
+                               max_size=cols), min_size=rows, max_size=rows))
+    m = _degrade(draw, [list(col) for col in zip(*_degrade(draw, m))])
+    return [list(row) for row in zip(*m)]
+
+
+def _gcd_of_maximal_minors(m):
+    """gcd of the r x r minors of m, r its rank, by enumeration."""
+    r = ila.rank(m)
+    g = 0
+    for rows in combinations(range(len(m)), r):
+        for cols in combinations(range(len(m[0]) if m else 0), r):
+            g = gcd(g, ila.det_bareiss([[m[i][j] for j in cols] for i in rows]))
+    return g
+
+
+@given(deficient_matrices())
+@settings(max_examples=150, deadline=None)
+def test_index_is_gcd_of_maximal_minors(m):
+    # the index of a lattice in its saturation is that gcd for any generating
+    # matrix, its Hermite basis among them
+    index = ila.lattice_index_in_saturation(m)
+    assert index == _gcd_of_maximal_minors(ila.lattice_basis(m))
+    assert index == _gcd_of_maximal_minors(m)
+
+
+def _rank_raising_rows(m):
+    """Each row that raises the rank of the rows taken before it."""
+    taken = []
+    for i in range(len(m)):
+        if ila.rank([m[j] for j in taken + [i]]) > len(taken):
+            taken.append(i)
+    return taken
+
+
+@given(deficient_matrices())
+@settings(max_examples=150, deadline=None)
+def test_pivot_columns_of_transpose_raise_the_rank(m):
+    basis = ila.lattice_basis([list(col) for col in zip(*m)])
+    pivots = [next(c for c, x in enumerate(row) if x) for row in basis]
+    assert pivots == _rank_raising_rows(m)
 
 
 # -- rational solvers ------------------------------------------------------
