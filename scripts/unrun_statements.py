@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """List the statements of src/eulerint/ that no tier-1 test runs.
 
-Usage:  python3 scripts/unrun_statements.py [pytest args]
+Usage:  python3 scripts/unrun_statements.py [--max N] [pytest args]
 
 Runs the tier-1 suite (tests/, or the given pytest arguments) in this
 interpreter under a stdlib `sys.settrace` line tracer, then prints each
@@ -13,9 +13,11 @@ ran when any of its lines did.
 Only this interpreter is traced.  A statement that only the tests'
 subprocesses reach (fresh interpreters started by test_startup.py and
 test_cli.py, such as the `if __name__ == "__main__"` body of cli.py) counts
-as unrun.  The exit code is pytest's; the count never fails the run.
+as unrun.  The exit code is pytest's when a test fails.  Otherwise it is 1
+when `--max N` is given and more than N statements are unrun, else 0.
 """
 
+import argparse
 import ast
 import sys
 from collections import defaultdict
@@ -63,6 +65,11 @@ def statements(path):
 
 
 def main(argv):
+    parser = argparse.ArgumentParser(allow_abbrev=False)
+    parser.add_argument("--max", type=int, default=None,
+                        help="fail when more than this many statements are unrun")
+    options, argv = parser.parse_known_args(argv)
+
     import pytest
     from hypothesis import settings
 
@@ -95,7 +102,12 @@ def main(argv):
              if not lines & ran[str(path)]]
     print("\n".join(unrun))
     print(f"{len(unrun)} statements of {PACKAGE.relative_to(ROOT)}/ unrun")
-    return int(code)
+    if code:
+        return int(code)
+    if options.max is not None and len(unrun) > options.max:
+        print(f"more than --max {options.max} statements unrun")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -3,8 +3,10 @@
 The critical equations are cleared to eq_i = prod_k f_k * theta_i log(f^s x^nu)
 / x^{m_i}, x^{m_i} the monomial content and theta_k = x_k d_k the Euler
 operators, which multiply x^e by e_k.  They are solved with a total-degree
-homotopy (random start roots, gamma trick, Euler predictor and Newton
-corrector), with the Jacobian J_ik = theta_k eq_i / x_k read off their terms.
+homotopy H = gamma (1-t) (x_i^{d_i} - r_i) + t eq_i (random start roots,
+gamma trick, Euler predictor and Newton corrector).  H is a sum of terms, the
+cleared equations' own and the start system's x_i^{d_i} and 1, so H, its
+Jacobian theta_k H_i / x_k and dH/dt are read off one power table of them.
 Solutions landing on the cleared locus are filtered out by checking the
 original rational equations.
 """
@@ -71,6 +73,16 @@ class PolySystem:
         return one.evaluate(x, slice(None))
 
 
+def _euler_weights(coeffs, exps):
+    """The weights (..., n + 1, m) of a sum of terms and its Euler operators.
+
+    Per term of `coeffs` (..., m): its c, the weight of the sum, and c e_k,
+    its weight in theta_k of the sum; conjugated, as vecdot conjugates its
+    first operand.
+    """
+    return (coeffs[..., None, :] * np.vstack([np.ones(len(exps)), exps.T])).conj()
+
+
 class _Draws:
     """The cleared systems of several draws, evaluated as one on a batch.
 
@@ -81,11 +93,9 @@ class _Draws:
     def __init__(self, systems, draw):
         tables = [system._table for system in systems]
         self.exps, self.blocks = tables[0][:2]
-        # per draw, (n + 1, m): each term's c, the weight of F, and c e_k, its
-        # weight in theta_k F; vecdot conjugates its first operand
-        euler = np.vstack([np.ones(len(self.exps)), self.exps.T])
-        self.weights = (np.stack([table[2] for table in tables])[:, None] * euler).conj()
+        self.coeffs = np.stack([table[2] for table in tables])
         self.moduli = np.stack([table[3] for table in tables])
+        self.weights = _euler_weights(self.coeffs, self.exps)
         self.draw = draw
 
     def evaluate(self, x, rows):
@@ -115,6 +125,70 @@ class _Draws:
         with np.errstate(invalid="ignore"):   # 0 / 0 at x_k = 0
             jac = values[..., 1:] / x[..., None, :]
         return values[..., 0], jac, scale.reshape(x.shape)
+
+
+class _Homotopy:
+    """H(x,t) = gamma (1-t) G(x) + t F(x), G_i = x_i^{d_i} - r_i, on a tracker batch.
+
+    `system` is a PolySystem or the `_Draws` of the batch, and `gamma` (P,)
+    and `roots` (P, n) are those of each batch row.  One exponent table holds
+    per equation i the terms of F_i, then x_i^{d_i} and 1, so H_i is a sum of
+    terms whose coefficients are F_i's, gamma and -gamma r_i.  Their weights
+    are kept once per run, the rows that share a draw, gamma and roots.
+    """
+
+    def __init__(self, system, gamma, degrees, roots):
+        if isinstance(system, PolySystem):
+            system = _Draws((system,), np.zeros(len(gamma), dtype=int))
+        n = system.exps.shape[1]
+        _, first, self.run = np.unique(np.column_stack([system.draw, gamma, roots]),
+                                       axis=0, return_index=True, return_inverse=True)
+        coeffs, gamma = system.coeffs[system.draw[first]], gamma[first, None]
+        exps, self.blocks, self.weights, self.slopes, self.moduli = [], [], [], [], []
+        for i, cols in enumerate(system.blocks):
+            terms = np.hstack([coeffs[:, cols], gamma, -gamma * roots[first, i:i + 1]])
+            exps.append(np.vstack([system.exps[cols], degrees[i] * np.eye(n)[i],
+                                   np.zeros(n)]))
+            # F's blocks follow one another, each now with two more terms
+            self.blocks.append(slice(cols.start + 2 * i, cols.stop + 2 * i + 2))
+            self.weights.append(_euler_weights(terms, exps[-1]))
+            # dH_i/dt = F_i - gamma G_i: the start terms change sign
+            terms[:, -2:] *= -1
+            self.slopes.append(terms.conj())
+            self.moduli.append(np.abs(terms))
+        self.exps = np.vstack(exps).astype(np.complex128)
+        self.start = np.zeros(len(self.exps), dtype=bool)
+        for cols in self.blocks:
+            self.start[cols.stop - 2:cols.stop] = True
+
+    def evaluate(self, x, t, rows):
+        """H, dH/dx, dH/dt and the scale at the batch rows `rows`, x (P, n) at t (P,).
+
+        The scale is the sum of |term| over both parts of each H_i.  Per row
+        slice of `laurent.power_rows`, one vecdot per equation with its run's
+        weights gives dH_i/dt from the table; then the terms of F are scaled
+        by t and those of G by 1 - t, and one vecdot gives H_i and every
+        theta_k H_i, another the scale.  dH/dx is theta H / x, so column k is
+        not finite at x_k = 0.
+        """
+        n = x.shape[1]
+        run = self.run[rows]
+        values = np.empty((len(x), n, n + 1), dtype=np.complex128)
+        slope = np.empty((len(x), n), dtype=np.complex128)
+        scale = np.empty((len(x), n))
+        for part, mon in power_rows(x, self.exps):
+            r = run[part]
+            for i, cols in enumerate(self.blocks):
+                np.vecdot(self.slopes[i][r], mon[:, cols], out=slope[part, i])
+            s = t[part, None]
+            mon *= np.where(self.start, 1 - s, s)
+            size = np.abs(mon)
+            for i, cols in enumerate(self.blocks):
+                np.vecdot(self.weights[i][r], mon[:, None, cols], out=values[part, i])
+                np.vecdot(self.moduli[i][r], size[:, cols], out=scale[part, i])
+        with np.errstate(invalid="ignore"):   # 0 / 0 at x_k = 0
+            jac = values[..., 1:] / x[:, None, :]
+        return values[..., 0], jac, slope, scale
 
 
 @dataclass(frozen=True)
@@ -232,41 +306,30 @@ _RUNNING, _OK, _DIVERGED, _STALLED = range(len(_STATUSES))
 def _track_paths(system, starts, gamma, degrees, roots):
     """Track the paths of H(x,t) = gamma (1-t) G(x) + t F(x), t: 0 -> 1, in lockstep.
 
-    `system.evaluate(x, rows)` gives the target system F at x, the batch
-    rows `rows`.  `starts` holds one start root per row, shape (P, n).
-    `gamma` is one value or one per path, and `roots`, the constants of G,
-    are (n,) or one row per path, so the paths of several start systems, and
-    of several systems of one exponent table (`_Draws`), share a batch.
-    Every path keeps its own t, step, success count and status.  Each
-    iteration takes one Euler predictor for all running paths at once, then a
-    Newton corrector of up to MAX_NEWTON steps on the paths still iterating.
-    Returns the status ("ok", "diverged" or "stalled"), x and t of every path,
-    and the mask of the paths at which H was ever evaluated beyond the float
-    range; those evaluations are rejected like any failed correction.
+    `system` is the target system F: a PolySystem, or the `_Draws` of the
+    batch, whose rows may be in several draws.  `starts` holds one start root
+    per row, shape (P, n).  `gamma` is one value or one per path, and `roots`,
+    the constants r of G_i = x_i^{d_i} - r_i, are (n,) or one row per path,
+    so the paths of several start systems, and of several draws, share a
+    batch.  H and its derivatives come from `_Homotopy`, one table per
+    evaluation.  Every path keeps its own t, step, success count and status.
+    Each iteration takes one Euler predictor for all running paths at once,
+    then a Newton corrector of up to MAX_NEWTON steps on the paths still
+    iterating.  Returns the status ("ok", "diverged" or "stalled"), x and t of
+    every path, and the mask of the paths at which H was ever evaluated beyond
+    the float range; those evaluations are rejected like any failed correction.
     """
     x = np.array(starts, dtype=np.complex128)
-    gamma = np.broadcast_to(gamma, len(x))[:, None]
-    roots = np.broadcast_to(roots, x.shape)
-    root_moduli = np.abs(roots)
-    diag = np.arange(len(degrees))
-    lower = degrees - 1
+    homotopy = _Homotopy(system, np.broadcast_to(gamma, len(x)), degrees,
+                         np.broadcast_to(roots, x.shape))
     unbounded = np.zeros(len(x), dtype=bool)
 
     def h(ids, x, t):
-        # H, dH/dx, dH/dt and the backward-error scale (the sum of |term| over
-        # both homotopy parts) of the paths `ids` from one evaluation of the
-        # target system
-        f, jac, scale = system.evaluate(x, ids)
-        gam, rts = gamma[ids], roots[ids]
-        s, u = t[:, None], (1 - t)[:, None]
-        g = x ** degrees - rts
-        c = gam * u
-        hx = s[:, :, None] * jac
-        hx[:, diag, diag] += c * (degrees * x ** lower)
-        scale = u * (np.abs(x) ** degrees + root_moduli[ids]) + s * scale
+        # H, dH/dx, dH/dt and the scale of the paths `ids`
+        values = homotopy.evaluate(x, t, ids)
         # the scale bounds |H|, so it is finite where H is
-        unbounded[ids] |= ~np.isfinite(scale).all(axis=1)
-        return c * g + s * f, hx, f - gam * g, scale
+        unbounded[ids] |= ~np.isfinite(values[3]).all(axis=1)
+        return values
 
     t = np.zeros(len(x))
     _, hx, ht, _ = h(slice(None), x, t)

@@ -103,15 +103,12 @@ def kernel_basis(m):
 def lattice_coords(basis, v):
     """Integer coordinates of v in the given lattice basis, or None.
 
-    `basis` must be in row HNF (as produced by lattice_basis).
+    `basis` must be in row HNF without zero rows (as produced by lattice_basis).
     """
     v = list(v)
     coords = []
     for row in basis:
-        pc = next((i for i, x in enumerate(row) if x != 0), None)
-        if pc is None:
-            coords.append(0)
-            continue
+        pc = next(i for i, x in enumerate(row) if x != 0)
         if v[pc] % row[pc] != 0:
             return None
         q = v[pc] // row[pc]

@@ -217,13 +217,21 @@ def power_rows(points, exps):
     """Yield (rows, table) over row slices of a batch of points (P, n).
 
     `table` holds the monomial x^e of each point x of the slice `rows` for
-    each exponent e in `exps` (m, n).  A slice's powers, rows x m x n entries,
-    number at most TABLE_ENTRIES, so a batch of any size takes bounded memory.
+    each exponent e in `exps` (m, n), built as the running product over k of
+    x_k^{e_k}.  A slice has at most TABLE_ENTRIES // (m n) rows, so a batch
+    of any size takes bounded memory.
     """
     step = max(1, TABLE_ENTRIES // max(1, exps.size))
     for lo in range(0, len(points), step):
-        rows = slice(lo, lo + step)
-        yield rows, np.multiply.reduce(points[rows, None, :] ** exps, axis=-1)
+        x = points[lo:lo + step]
+        table = x[:, :1] ** exps[:, 0]
+        for k in range(1, exps.shape[1]):
+            # np.multiply, not `*=` or `*`: numpy runs a one-entry product in
+            # place as a reduction, and `*` multiplies into a large temporary
+            # with the operands swapped; either would make a row's last bit
+            # depend on the table's size
+            table = np.multiply(table, x[:, k:k + 1] ** exps[:, k])
+        yield slice(lo, lo + step), table
 
 
 def power_table(polys):

@@ -495,6 +495,10 @@ _QUADRATIC = json.loads((PROBLEMS / "quadratic_operator.json").read_text())
 _TWO_POINTS = json.loads((PROBLEMS / "two_points.json").read_text())
 # a rational with a zero denominator, refused with a message that says so
 _ZERO_DENOMINATOR = ("gkz", {"f": ["x - 1"], "nu": ["-2/0"]})
+# a string that is no rational at all, and an empty "f"
+_NOT_RATIONAL = [("vol", {"f": ["x - 1"], "s": ["abc"]}),
+                 ("gkz", {"f": ["x - 1"], "nu": ["abc"]})]
+_EMPTY_F = ("chi", {"f": []})
 # the same in a polynomial's text
 _ZERO_DENOMINATOR_TEXT = [("vol", {"f": ["3/0*x + 1"]}),
                           ("chi", {"f": ["1.5/0*x + 1"]}),
@@ -628,7 +632,8 @@ _HUGE_VALUE = [(command, dict(_TWO_POINTS, f=[[[[200], 1e300], [[0], 1]], "x - 2
 # repeated exponents of a term list add up, here to the constant 1
    + [("vol", {"f": [[[[1], 2], [[1], -2], [[0], 1]]]})]
 # a * with no coefficient or variable before it
-   + [("vol", {"f": [text]}) for text in ("*x - 1", "*x + 1", "x + *y + 1")])
+   + [("vol", {"f": [text]}) for text in ("*x - 1", "*x + 1", "x + *y + 1")]
+   + _NOT_RATIONAL + [_EMPTY_F])
 def test_invalid_input_exit_3(tmp_path, capsys, command, obj):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -646,6 +651,10 @@ def test_invalid_input_exit_3(tmp_path, capsys, command, obj):
         assert "beyond the float range" in out["error"]["message"]
     if (command, obj) in _HUGE_VALUE:
         assert "beyond the float range" in out["error"]["message"]
+    if (command, obj) in _NOT_RATIONAL:
+        assert "bad rational 'abc'" in out["error"]["message"]
+    if (command, obj) == _EMPTY_F:
+        assert out["error"]["message"] == '"f" must be a nonempty list of polynomials'
 
 
 # an exponent whose power k*s_j or k*nu is beyond the float range is named

@@ -265,23 +265,132 @@ def test_power_table_memory_is_bounded():
         assert peak <= 3 * 16 * laurent.TABLE_ENTRIES
 
 
+# -- homotopy evaluator against the arithmetic it replaced ------------------
+
+def _start_arithmetic(system, x, t, gamma, degrees, roots):
+    """H, dH/dx, dH/dt and the scale as the tracker built them before
+    `_Homotopy`: one evaluation of F, then the start system x^d - r by hand."""
+    f, jac, scale = system.evaluate(x)
+    s, u = t[:, None], (1 - t)[:, None]
+    g = x ** degrees - roots
+    c = gamma[:, None] * u
+    hx = s[:, :, None] * jac
+    diag = np.arange(len(degrees))
+    hx[:, diag, diag] += c * (degrees * x ** (degrees - 1))
+    return (c * g + s * f, hx, f - gamma[:, None] * g,
+            u * (np.abs(x) ** degrees + np.abs(roots)) + s * scale)
+
+
+def _homotopy_batch(text, rows, seed):
+    """A `_Homotopy` over two draws of two runs each, and `rows` random rows:
+    their points, t in {0, 0.37, 1}, and each row's system, gamma and roots.
+
+    The start degrees differ per equation, which the cleared systems' total
+    degrees here do not.
+    """
+    systems, _ = _draws([text], 2, seed)
+    rng = np.random.default_rng(seed)
+    n = systems[0].nvars
+    degrees = np.array(critical._total_degrees(systems[0]), dtype=np.float64)
+    degrees += np.arange(n)
+    runs = [critical._start_system(degrees, rng)[1:] for _ in range(4)]
+    run = rng.integers(0, 4, size=rows)
+    gamma = np.array([g for g, _ in runs])[run]
+    roots = np.array([r for _, r in runs])[run]
+    homotopy = critical._Homotopy(critical._Draws(systems, run // 2), gamma,
+                                  degrees, roots)
+    x = rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))
+    t = rng.choice([0.0, 0.37, 1.0], size=rows)
+    return homotopy, x, t, [systems[d] for d in run // 2], gamma, degrees, roots
+
+
+@pytest.mark.parametrize("text", [HEXAGON_TEXT, _THREE_TEXT, "x^3 - 2*x + 1"])
+def test_homotopy_matches_start_arithmetic(text):
+    homotopy, x, t, systems, gamma, degrees, roots = _homotopy_batch(text, 24, 15)
+    h, hx, ht, scale = homotopy.evaluate(x, t, np.arange(len(x)))
+    assert h.shape == ht.shape == scale.shape == x.shape
+    assert hx.shape == x.shape + (x.shape[1],)
+    for k, system in enumerate(systems):
+        row = slice(k, k + 1)
+        want = _start_arithmetic(system, x[row], t[row], gamma[row], degrees,
+                                 roots[row])
+        assert np.all(np.abs(scale[k] - want[3][0]) <= 1e-13 * want[3][0])
+        assert np.all(np.abs(h[k] - want[0][0]) <= 1e-13 * want[3][0])
+        # dH/dt = F - gamma G, against the sum of |term| of F and of G
+        both = system.evaluate(x[k])[2] + np.abs(x[k]) ** degrees + np.abs(roots[k])
+        assert np.all(np.abs(ht[k] - want[2][0]) <= 1e-13 * both)
+
+
+@pytest.mark.parametrize("text", [HEXAGON_TEXT, _THREE_TEXT])
+def test_homotopy_jacobian_matches_central_differences(text):
+    homotopy, x, t, *_ = _homotopy_batch(text, 12, 16)
+    ids = np.arange(len(x))
+    _, hx, _, scale = homotopy.evaluate(x, t, ids)
+    step = 1e-5
+    for k in range(x.shape[1]):
+        dx = step * np.eye(x.shape[1])[k]
+        diff = (homotopy.evaluate(x + dx, t, ids)[0]
+                - homotopy.evaluate(x - dx, t, ids)[0]) / (2 * step)
+        assert np.all(np.abs(hx[..., k] - diff)
+                      <= 1e-7 * np.max(scale, axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("text", [HEXAGON_TEXT, _THREE_TEXT])
+@pytest.mark.parametrize("entries", [laurent.TABLE_ENTRIES, 1])
+def test_homotopy_batch_rows_match_rows_alone(text, entries, monkeypatch):
+    homotopy, x, t, *_ = _homotopy_batch(text, 40, 17)
+    rows = np.random.default_rng(18).choice(40, size=11, replace=False)
+    monkeypatch.setattr(laurent, "TABLE_ENTRIES", entries)
+    batch = homotopy.evaluate(x[rows], t[rows], rows)
+    for k, r in enumerate(rows):
+        alone = homotopy.evaluate(x[r:r + 1], t[r:r + 1], [r])
+        for got, want in zip(batch, alone):
+            assert np.array_equal(got[k], want[0])
+
+
+def test_homotopy_memory_is_bounded():
+    # the dense f of degree 32 of test_power_table_memory_is_bounded: H's
+    # table on the 2,048 rows of two runs has 1,126 monomials, about 4.6
+    # million entries; in one piece, it and the gathered weights would take
+    # about 6.6 times 16 TABLE_ENTRIES bytes
+    rng = np.random.default_rng(6)
+    f = LaurentPoly(2, {(i, j): complex(*rng.uniform(-1, 1, 2))
+                        for i in range(33) for j in range(33 - i)})
+    system = build_system(IntegrandSpec([f], (0.5,), (0.5, 0.5)))
+    degrees = np.array(critical._total_degrees(system), dtype=np.float64)
+    runs = [critical._start_system(degrees, rng) for _ in range(2)]
+    x = np.concatenate([starts for starts, _, _ in runs])
+    run = np.repeat([0, 1], len(runs[0][0]))
+    homotopy = critical._Homotopy(system, np.array([g for _, g, _ in runs])[run],
+                                  degrees, np.array([r for *_, r in runs])[run])
+    t = np.full(len(x), 0.37)
+    tracemalloc.start()
+    try:
+        homotopy.evaluate(x, t, slice(None))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a slice's table, its moduli, one equation's gathered weights and the
+    # next slice's table while the last is still held
+    assert peak <= 3 * 16 * laurent.TABLE_ENTRIES
+
+
 # -- lockstep tracker against the one-path-at-a-time tracker ---------------
 
-# The tracker that `_track_paths` replaced, kept verbatim as the reference.
+# The tracker that `_track_paths` replaced, kept verbatim as the reference but
+# for H and its derivatives, which it takes from `_Homotopy` on one row.
 def _track_path(system, start, gamma, degrees, roots):
     """Track one path of H(x,t) = gamma (1-t) G(x) + t F(x) from t=0 to t=1."""
+    homotopy = critical._Homotopy(system, np.array([gamma]), degrees,
+                                  np.array([roots]))
 
     def h(x, t):
-        # H, dH/dx and dH/dt from one evaluation of the target system
-        f, jac, _ = system.evaluate(x)
-        g = x ** degrees - roots
-        hx = gamma * (1 - t) * np.diag(degrees * x ** (degrees - 1)) + t * jac
-        return gamma * (1 - t) * g + t * f, hx, f - gamma * g
+        # H, dH/dx and dH/dt from one evaluation of the homotopy
+        return [v[0] for v in homotopy.evaluate(x[None], np.array([t]), [0])[:3]]
 
     def h_scale(x, t):
         # backward-error scale: sum of |term| over both homotopy parts
-        gs = np.abs(x) ** degrees + np.abs(roots)
-        return (1 - t) * gs + t * system.evaluate(x)[2]
+        return homotopy.evaluate(x[None], np.array([t]), [0])[3][0]
 
     x = np.array(start, dtype=np.complex128)
     t = 0.0

@@ -260,7 +260,8 @@ def test_power_table_layout():
     assert coeffs.tolist() == [-0.5, 3, 1 + 1j, 2]
     assert moduli.tolist() == [0.5, 3, abs(1 + 1j), 2]
     x = np.array([0.3 - 1.1j, 2.0 + 0.5j])
-    mon = np.prod(x ** exps, axis=1)
+    # the monomials are built per variable: x_1^{e_1}, then times x_2^{e_2}
+    mon = x[0] ** exps[:, 0] * x[1] ** exps[:, 1]
     for p, rows in zip((f, g), blocks):
         assert p.evaluate(x) == mon[rows] @ coeffs[rows]
         assert p.magnitude(x) == np.abs(mon[rows]) @ moduli[rows]
