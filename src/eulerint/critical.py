@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+from . import intlinalg, polytope
 from ._lazy import np
 from .laurent import (IntegrandSpec, LaurentPoly, omega_components, power_rows,
                       power_table)
@@ -30,7 +31,7 @@ MIN_STEP = 1e-7          # a path whose step shrinks below this has stalled
 STALL_WINDOW = 1e-2      # a stall after t = 1 - STALL_WINDOW is not a failure
 DIVERGENCE_RADIUS = 1e6  # a path with a coordinate beyond this has diverged
 NEWTON_TOL = 1e-10       # scaled residual accepted by the corrector and at t = 1
-MAX_NEWTON = 6           # corrector iterations per step
+MAX_NEWTON = 6           # corrector evaluations per step
 POLISH_TOL = 1e-13       # scaled residual that ends the endpoint polish early
 POLISH_ITERS = 30        # Newton iterations of the endpoint polish
 RESIDUAL_TOL = 1e-8      # scaled residual of the rational equations at a solution
@@ -74,13 +75,15 @@ class PolySystem:
 
 
 def _euler_weights(coeffs, exps):
-    """The weights (..., n + 1, m) of a sum of terms and its Euler operators.
+    """The weights (..., n + 1, m) of sums of terms and their Euler operators.
 
-    Per term of `coeffs` (..., m): its c, the weight of the sum, and c e_k,
-    its weight in theta_k of the sum; conjugated, as vecdot conjugates its
-    first operand.
+    Per term of `coeffs` (..., m) with exponent in `exps` (..., m, n): its c,
+    the weight of the sum, and c e_k, its weight in theta_k of the sum;
+    conjugated, as vecdot conjugates its first operand.  Stored term-major,
+    so that vecdot sums in term order, a strided BLAS dot: padding keeps bits.
     """
-    return (coeffs[..., None, :] * np.vstack([np.ones(len(exps)), exps.T])).conj()
+    factors = np.concatenate([np.ones_like(exps[..., :1]), exps], axis=-1)
+    return np.swapaxes(coeffs[..., None] * factors, -1, -2).conj()
 
 
 class _Draws:
@@ -131,10 +134,11 @@ class _Homotopy:
     """H(x,t) = gamma (1-t) G(x) + t F(x), G_i = x_i^{d_i} - r_i, on a tracker batch.
 
     `system` is a PolySystem or the `_Draws` of the batch, and `gamma` (P,)
-    and `roots` (P, n) are those of each batch row.  One exponent table holds
-    per equation i the terms of F_i, then x_i^{d_i} and 1, so H_i is a sum of
-    terms whose coefficients are F_i's, gamma and -gamma r_i.  Their weights
-    are kept once per run, the rows that share a draw, gamma and roots.
+    and `roots` (P, n) are those of each batch row.  Equation i's block of
+    the exponent table holds the terms of F_i, then x_i^{d_i} and 1, whose
+    coefficients are gamma and -gamma r_i; every block is padded to one width
+    w with terms of exponent 0 and weight 0.  The weights are kept once per
+    run, the rows that share a draw, gamma and roots.
     """
 
     def __init__(self, system, gamma, degrees, roots):
@@ -143,49 +147,45 @@ class _Homotopy:
         n = system.exps.shape[1]
         _, first, self.run = np.unique(np.column_stack([system.draw, gamma, roots]),
                                        axis=0, return_index=True, return_inverse=True)
-        coeffs, gamma = system.coeffs[system.draw[first]], gamma[first, None]
-        exps, self.blocks, self.weights, self.slopes, self.moduli = [], [], [], [], []
+        coeffs, gamma = system.coeffs[system.draw[first]], gamma[first]
+        width = max(cols.stop - cols.start for cols in system.blocks) + 2
+        exps = np.zeros((n, width, n), dtype=np.complex128)
+        terms = np.zeros((len(first), n, width), dtype=np.complex128)
+        self.start = np.zeros((n, width), dtype=bool)
         for i, cols in enumerate(system.blocks):
-            terms = np.hstack([coeffs[:, cols], gamma, -gamma * roots[first, i:i + 1]])
-            exps.append(np.vstack([system.exps[cols], degrees[i] * np.eye(n)[i],
-                                   np.zeros(n)]))
-            # F's blocks follow one another, each now with two more terms
-            self.blocks.append(slice(cols.start + 2 * i, cols.stop + 2 * i + 2))
-            self.weights.append(_euler_weights(terms, exps[-1]))
-            # dH_i/dt = F_i - gamma G_i: the start terms change sign
-            terms[:, -2:] *= -1
-            self.slopes.append(terms.conj())
-            self.moduli.append(np.abs(terms))
-        self.exps = np.vstack(exps).astype(np.complex128)
-        self.start = np.zeros(len(self.exps), dtype=bool)
-        for cols in self.blocks:
-            self.start[cols.stop - 2:cols.stop] = True
+            m = cols.stop - cols.start
+            exps[i, :m], exps[i, m, i] = system.exps[cols], degrees[i]
+            terms[:, i, :m + 2] = np.column_stack([coeffs[:, cols], gamma,
+                                                   -gamma * roots[first, i]])
+            self.start[i, m:m + 2] = True
+        self.exps = exps.reshape(-1, n)
+        self.weights = _euler_weights(terms, exps)
+        self.moduli = np.abs(terms)
+        # dH_i/dt = F_i - gamma G_i: the start terms change sign
+        self.slopes = np.where(self.start, -terms, terms).conj()
 
     def evaluate(self, x, t, rows):
         """H, dH/dx, dH/dt and the scale at the batch rows `rows`, x (P, n) at t (P,).
 
         The scale is the sum of |term| over both parts of each H_i.  Per row
-        slice of `laurent.power_rows`, one vecdot per equation with its run's
-        weights gives dH_i/dt from the table; then the terms of F are scaled
-        by t and those of G by 1 - t, and one vecdot gives H_i and every
-        theta_k H_i, another the scale.  dH/dx is theta H / x, so column k is
-        not finite at x_k = 0.
+        slice of `laurent.power_rows`, its table read as (rows, n, w), one
+        vecdot with the rows' runs' weights gives every dH_i/dt; then the
+        terms of F are scaled by t and those of G by 1 - t, and one vecdot
+        gives every H_i and theta_k H_i, another the scale.  dH/dx is
+        theta H / x, so column k is not finite at x_k = 0.
         """
         n = x.shape[1]
-        run = self.run[rows]
         values = np.empty((len(x), n, n + 1), dtype=np.complex128)
         slope = np.empty((len(x), n), dtype=np.complex128)
         scale = np.empty((len(x), n))
         for part, mon in power_rows(x, self.exps):
-            r = run[part]
-            for i, cols in enumerate(self.blocks):
-                np.vecdot(self.slopes[i][r], mon[:, cols], out=slope[part, i])
-            s = t[part, None]
+            r = self.run[rows][part]
+            mon = mon.reshape(len(r), n, -1)
+            np.vecdot(self.slopes[r], mon, out=slope[part])
+            s = t[part, None, None]
             mon *= np.where(self.start, 1 - s, s)
-            size = np.abs(mon)
-            for i, cols in enumerate(self.blocks):
-                np.vecdot(self.weights[i][r], mon[:, None, cols], out=values[part, i])
-                np.vecdot(self.moduli[i][r], size[:, cols], out=scale[part, i])
+            np.vecdot(self.weights[r], mon[:, :, None], out=values[part])
+            np.vecdot(self.moduli[r], np.abs(mon), out=scale[part])
         with np.errstate(invalid="ignore"):   # 0 / 0 at x_k = 0
             jac = values[..., 1:] / x[:, None, :]
         return values[..., 0], jac, slope, scale
@@ -269,28 +269,30 @@ def _solve_stack(a, b):
         return y, singular
 
 
-def _newton(evaluate, x, iters, tol):
+def _newton(evaluate, x, tols):
     """Newton's method on the rows of the batch x (P, n), stepped in place.
 
     `evaluate(xk, k)` gives F, its Jacobian and the residual scale at xk, the
-    rows k of x.  A row stops once its scaled residual is below `tol`, and is
-    dropped when its residual is not finite or its Jacobian is singular.
-    Returns the mask of the rows that stopped, and the rows still iterating
-    after `iters` steps, which are not evaluated after their last step.
+    rows k of x.  Evaluation j stops each row whose scaled residual is below
+    `tols[j]`, and drops each row whose residual is not finite or whose
+    Jacobian is singular.  The rows still iterating are stepped after every
+    evaluation but the last.  Returns the mask of the rows that stopped.
     """
     done = np.zeros(len(x), dtype=bool)
     k = np.arange(len(x))
-    for _ in range(iters):
+    for j, tol in enumerate(tols):
         r, jac, scale = evaluate(x[k], k)
         below = _below(r, scale, tol)
         done[k[below]] = True
+        if j == len(tols) - 1:   # no step after the last evaluation
+            break
         step = np.isfinite(r).all(axis=1) & ~below
         delta, singular = _solve_stack(jac[step], -r[step])
         k = k[step][~singular]
         if not k.size:
             break
         x[k] += delta[~singular]
-    return done, k
+    return done
 
 
 def _below(r, scale, tol):
@@ -312,12 +314,14 @@ def _track_paths(system, starts, gamma, degrees, roots):
     the constants r of G_i = x_i^{d_i} - r_i, are (n,) or one row per path,
     so the paths of several start systems, and of several draws, share a
     batch.  H and its derivatives come from `_Homotopy`, one table per
-    evaluation.  Every path keeps its own t, step, success count and status.
-    Each iteration takes one Euler predictor for all running paths at once,
-    then a Newton corrector of up to MAX_NEWTON steps on the paths still
-    iterating.  Returns the status ("ok", "diverged" or "stalled"), x and t of
-    every path, and the mask of the paths at which H was ever evaluated beyond
-    the float range; those evaluations are rejected like any failed correction.
+    evaluation.  Every path keeps its own t, step, success count, status and
+    Euler predictor v = -(dH/dx)^-1 dH/dt, solved at t = 0 and after each
+    accepted step from the corrector's last evaluation; a rejected step
+    retries with v and half the step.  Each iteration predicts all running
+    paths, then corrects them with up to MAX_NEWTON Newton evaluations.
+    Returns the status ("ok", "diverged" or "stalled"), x and t of every
+    path, and the mask of the paths at which H was ever evaluated beyond the
+    float range; those evaluations are rejected like any failed correction.
     """
     x = np.array(starts, dtype=np.complex128)
     homotopy = _Homotopy(system, np.broadcast_to(gamma, len(x)), degrees,
@@ -328,39 +332,36 @@ def _track_paths(system, starts, gamma, degrees, roots):
         # H, dH/dx, dH/dt and the scale of the paths `ids`
         values = homotopy.evaluate(x, t, ids)
         # the scale bounds |H|, so it is finite where H is
-        unbounded[ids] |= ~np.isfinite(values[3]).all(axis=1)
+        if not np.isfinite(values[3]).all():
+            unbounded[ids] |= ~np.isfinite(values[3]).all(axis=1)
         return values
 
     t = np.zeros(len(x))
     _, hx, ht, _ = h(slice(None), x, t)
+    v, singular = _solve_stack(hx, -ht)   # a singular dH/dx stalls its path
+    status = np.where(singular, _STALLED, _RUNNING).astype(np.int8)
     dt = np.full(len(x), INITIAL_STEP)
     successes = np.zeros(len(x), dtype=int)
-    status = np.full(len(x), _RUNNING, dtype=np.int8)
     while (a := np.flatnonzero(status == _RUNNING)).size:
         dt[a] = np.minimum(dt[a], 1.0 - t[a])
-        # Euler predictor
-        dx, singular = _solve_stack(hx[a], -ht[a])
-        status[a[singular]] = _STALLED
-        a, dx = a[~singular], dx[~singular]
         x0, dt0 = x[a], dt[a]
-        dx *= dt0[:, None]
+        dx = v[a] * dt0[:, None]
         xp = x0 + dx
         tp = t[a] + dt0
         # Newton corrector; where ok, hxp and htp are the derivatives at (xp, tp)
-        hxp = np.empty((len(a),) + hx.shape[1:], dtype=hx.dtype)
-        htp = np.empty_like(xp)
+        hxp, htp = np.empty(xp.shape + xp.shape[1:], complex), np.empty_like(xp)
 
         def at(xk, k):
-            r, hxp[k], htp[k], scale = h(a[k], xk, tp[k])
-            return r, hxp[k], scale
+            r, hxp[k], htp[k], scale = values = h(a[k], xk, tp[k])
+            return r, values[1], scale
 
-        ok, _ = _newton(at, xp, MAX_NEWTON, NEWTON_TOL)
+        ok = _newton(at, xp, (NEWTON_TOL,) * MAX_NEWTON)
         # guard against path jumping: the corrected point must stay within the
         # predictor's reach, otherwise shrink the step and retry
         ok &= ~(np.linalg.norm(xp - (x0 + dx), axis=1) > 2.0 * np.linalg.norm(
             dx, axis=1) + 1e-6 * (1.0 + np.linalg.norm(x0, axis=1)))
         acc, rej = a[ok], a[~ok]
-        x[acc], t[acc], hx[acc], ht[acc] = xp[ok], tp[ok], hxp[ok], htp[ok]
+        x[acc], t[acc] = xp[ok], tp[ok]
         successes[acc] += 1
         grow = acc[successes[acc] >= 3]
         dt[grow] = np.minimum(dt[grow] * 2, MAX_STEP)
@@ -370,6 +371,10 @@ def _track_paths(system, starts, gamma, degrees, roots):
         dt[rej] /= 2
         status[rej[dt[rej] < MIN_STEP]] = _STALLED
         status[(status == _RUNNING) & (t >= 1.0)] = _OK
+        # the new direction of the paths that moved and still run
+        go = status[acc] == _RUNNING
+        v[acc[go]], singular = _solve_stack(hxp[ok][go], -htp[ok][go])
+        status[acc[go][singular]] = _STALLED
     return np.array(_STATUSES)[status], x, t, unbounded
 
 
@@ -381,11 +386,7 @@ def _polish(system, x):
     still iterating after POLISH_ITERS steps is kept only if it then passes
     NEWTON_TOL.  Returns the mask of the kept rows.
     """
-    kept, k = _newton(system.evaluate, x, POLISH_ITERS, POLISH_TOL)
-    if k.size:
-        r, _, scale = system.evaluate(x[k], k)
-        kept[k] = _below(r, scale, NEWTON_TOL)
-    return kept
+    return _newton(system.evaluate, x, (POLISH_TOL,) * POLISH_ITERS + (NEWTON_TOL,))
 
 
 def _start_system(degrees, rng):
@@ -578,7 +579,9 @@ def euler_characteristic(spec_or_polys, settings: TrackerSettings | None = None,
     Accepts either a full IntegrandSpec (its s, nu are replaced by random
     draws) or a bare list of LaurentPoly.  The count must agree across
     `draws` independent random parameter draws, which are solved together
-    (`solve_draws`).
+    (`solve_draws`).  A Cayley support of affine rank below n + ell - 1 makes
+    every f_j quasi-homogeneous for one weight, whose one-parameter subgroup
+    acts freely on the complement, so chi = 0 and nothing is tracked.
     """
     settings = settings or TrackerSettings()
     if isinstance(spec_or_polys, IntegrandSpec):
@@ -588,12 +591,14 @@ def euler_characteristic(spec_or_polys, settings: TrackerSettings | None = None,
     n = polys[0].nvars
     ell = len(polys)
     rng = np.random.default_rng(settings.seed)
-    systems = []
-    for _ in range(draws):
-        s = _random_parameters(rng, ell)
-        nu = _random_parameters(rng, n)
-        systems.append(build_system(IntegrandSpec(polys, s, nu)))
-    sols = solve_draws(systems, [settings.seed + 1000 + d for d in range(draws)])
+    specs = [IntegrandSpec(polys, _random_parameters(rng, ell),
+                           _random_parameters(rng, n)) for _ in range(draws)]
+    points = polytope.cayley_support(specs[0]).points
+    steps = [[a - b for a, b in zip(p, points[0])] for p in points]
+    if intlinalg.rank(steps) < n + ell - 1:
+        return 0, 0, True
+    sols = solve_draws([build_system(spec) for spec in specs],
+                       [settings.seed + 1000 + d for d in range(draws)])
     counts = [sol.distinct for sol in sols]
     certified = all(sol.certified for sol in sols)
     if len(set(counts)) != 1:

@@ -93,6 +93,17 @@ def test_chi_one_variable(tmp_path, capsys, text, chi):
     assert out["chi"] == chi
 
 
+# the Cayley points (1,0,2,1), (2,0,2,1) and (0,3,3,1) span a plane, short of
+# n + ell - 1 = 3 dimensions: chi = 0 exactly, read off without tracking
+@pytest.mark.parametrize("seed", range(4))
+def test_chi_flat_support_is_zero(tmp_path, capsys, monkeypatch, seed):
+    monkeypatch.setattr(critical, "solve_draws", None)
+    problem = {"f": [[[[1, 0, 2], 1], [[2, 0, 2], -5], [[0, 3, 3], 5]]]}
+    code, out = run(capsys, ["chi", _problem(tmp_path, problem), "--seed", seed])
+    assert code == 0
+    assert (out["chi"], out["count"], out["certified"]) == (0, 0, True)
+
+
 def test_chi_transient_overflow_is_silent(tmp_path, capsys):
     # correctors overshoot past |x|^150 ~ 1e308 and recover; no path fails
     with warnings.catch_warnings(record=True) as caught:

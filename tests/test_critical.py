@@ -281,14 +281,31 @@ def _start_arithmetic(system, x, t, gamma, degrees, roots):
             u * (np.abs(x) ** degrees + np.abs(roots)) + s * scale)
 
 
+# equations of 10 terms and of 2, so that the homotopy pads the second block
+_UNEQUAL = ("x^5*y + x^4*y^2 + x^4 + x^3*y + x^3 + x^2*y^3 + x^2 + x*y + x + 1",
+            "x*y^2 - 2")
+
+
+def _equation_draws(texts, count, seed):
+    """`count` systems of the equations `texts`, with random coefficients."""
+    rng = np.random.default_rng(seed)
+    polys = [parse_poly(t) for t in texts]
+    spec = IntegrandSpec(polys, (1,) * len(polys), (1,) * polys[0].nvars)
+    return [PolySystem(tuple(LaurentPoly(p.nvars, {e: complex(*rng.uniform(-1, 1, 2))
+                                                   for e in p.terms}) for p in polys),
+                       spec) for _ in range(count)]
+
+
 def _homotopy_batch(text, rows, seed):
     """A `_Homotopy` over two draws of two runs each, and `rows` random rows:
     their points, t in {0, 0.37, 1}, and each row's system, gamma and roots.
 
+    `text` is an f, whose cleared systems are drawn, or a tuple of equations.
     The start degrees differ per equation, which the cleared systems' total
     degrees here do not.
     """
-    systems, _ = _draws([text], 2, seed)
+    systems = (_draws([text], 2, seed)[0] if isinstance(text, str)
+               else _equation_draws(text, 2, seed))
     rng = np.random.default_rng(seed)
     n = systems[0].nvars
     degrees = np.array(critical._total_degrees(systems[0]), dtype=np.float64)
@@ -304,7 +321,8 @@ def _homotopy_batch(text, rows, seed):
     return homotopy, x, t, [systems[d] for d in run // 2], gamma, degrees, roots
 
 
-@pytest.mark.parametrize("text", [HEXAGON_TEXT, _THREE_TEXT, "x^3 - 2*x + 1"])
+@pytest.mark.parametrize("text", [HEXAGON_TEXT, _THREE_TEXT, "x^3 - 2*x + 1",
+                                  pytest.param(_UNEQUAL, id="unequal-terms")])
 def test_homotopy_matches_start_arithmetic(text):
     homotopy, x, t, systems, gamma, degrees, roots = _homotopy_batch(text, 24, 15)
     h, hx, ht, scale = homotopy.evaluate(x, t, np.arange(len(x)))
@@ -335,7 +353,8 @@ def test_homotopy_jacobian_matches_central_differences(text):
                       <= 1e-7 * np.max(scale, axis=1, keepdims=True))
 
 
-@pytest.mark.parametrize("text", [HEXAGON_TEXT, _THREE_TEXT])
+@pytest.mark.parametrize("text", [HEXAGON_TEXT, _THREE_TEXT, "x^3 - 2*x + 1",
+                                  pytest.param(_UNEQUAL, id="unequal-terms")])
 @pytest.mark.parametrize("entries", [laurent.TABLE_ENTRIES, 1])
 def test_homotopy_batch_rows_match_rows_alone(text, entries, monkeypatch):
     homotopy, x, t, *_ = _homotopy_batch(text, 40, 17)
@@ -501,6 +520,65 @@ def test_start_systems_in_one_batch_track_as_alone(text):
         alone = critical._track_paths(system, *args)
         for got, want in zip(together, alone):
             assert np.array_equal(got[run == i], want)
+
+
+class _SolveSpy:
+    """Records, per `_track_paths` call, the systems of each `_solve_stack`
+    call it makes and the evaluations its corrector had made by then, None
+    outside the corrector.  `full` counts the correctors that made MAX_NEWTON
+    evaluations, `unfinished` the rows that correctors left unconverged."""
+
+    def __init__(self, monkeypatch):
+        self.tracks, self.tracking, self.evaluations = [], False, None
+        self.full = self.unfinished = 0
+        track, newton, solve_stack = (critical._track_paths, critical._newton,
+                                      critical._solve_stack)
+
+        def spy_track(*args):
+            self.tracks.append([])
+            self.tracking = True
+            try:
+                return track(*args)
+            finally:
+                self.tracking = False
+
+        def spy_newton(evaluate, x, tols):
+            def counted(xk, k):
+                self.evaluations += 1
+                return evaluate(xk, k)
+
+            self.evaluations = 0
+            done = newton(counted, x, tols)
+            if self.tracking:
+                self.full += self.evaluations == MAX_NEWTON
+                self.unfinished += int((~done).sum())
+            self.evaluations = None
+            return done
+
+        def spy_solve(a, b):
+            if self.tracking:
+                self.tracks[-1].append((self.evaluations, a.copy(), b.copy()))
+            return solve_stack(a, b)
+
+        monkeypatch.setattr(critical, "_track_paths", spy_track)
+        monkeypatch.setattr(critical, "_newton", spy_newton)
+        monkeypatch.setattr(critical, "_solve_stack", spy_solve)
+
+
+@pytest.mark.parametrize("text", [HEXAGON_TEXT, LINES_TEXT])
+def test_tracker_solves_only_systems_it_uses(text, monkeypatch):
+    spy = _SolveSpy(monkeypatch)
+    euler_characteristic([parse_poly(text)], TrackerSettings(seed=0))
+    assert spy.full and spy.unfinished    # the cases below do occur
+    for solves in spy.tracks:
+        # no row is solved after its MAX_NEWTON-th corrector evaluation
+        assert sum(len(b) for evals, _, b in solves if evals == MAX_NEWTON) == 0
+        # a rejected step retries with its predictor direction, so no
+        # predictor system is solved twice
+        predicted = [(ak.tobytes(), bk.tobytes())
+                     for evals, a, b in solves if evals is None
+                     for ak, bk in zip(a, b)]
+        assert len(predicted) - len(set(predicted)) == 0
 
 
 class _StartSpy:

@@ -118,7 +118,7 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("eulerint.
 
 
 # the modules each command loads besides _lazy, cli and laurent
-_LOADS = {"chi": ["critical"],
+_LOADS = {"chi": ["critical", "intlinalg", "polytope"],
           "vol": ["intlinalg", "polytope"],
           "gkz": ["gkz", "intlinalg", "polytope"],
           "integrate": ["twisted"],
