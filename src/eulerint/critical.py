@@ -60,106 +60,36 @@ class PolySystem:
     def _table(self):
         return power_table(self.equations)
 
-    def evaluate(self, x, rows=None):
-        """F, its Jacobian J and the residual scale at a point (n,) or on a batch (P, n).
-
-        F and the scale have shape (n,) or (P, n), J has shape (n, n) or
-        (P, n, n).  Equation i's scale is the sum of |c_k| |x^{e_k}| over its
-        terms.  At a point, F and the scale have the bits of `LaurentPoly`'s
-        `evaluate` and `magnitude`, and a batch row all the bits of its point.
-        This is the one-draw case of `_Draws.evaluate`; `rows`, the rows of a
-        tracker batch that x holds, are all in the one draw.
-        """
-        one = _Draws((self,), np.zeros(np.size(x) // self.nvars, dtype=int))
-        return one.evaluate(x, slice(None))
-
-
-def _euler_weights(coeffs, exps):
-    """The weights (..., n + 1, m) of sums of terms and their Euler operators.
-
-    Per term of `coeffs` (..., m) with exponent in `exps` (..., m, n): its c,
-    the weight of the sum, and c e_k, its weight in theta_k of the sum;
-    conjugated, as vecdot conjugates its first operand.  Stored term-major,
-    so that vecdot sums in term order, a strided BLAS dot: padding keeps bits.
-    """
-    factors = np.concatenate([np.ones_like(exps[..., :1]), exps], axis=-1)
-    return np.swapaxes(coeffs[..., None] * factors, -1, -2).conj()
-
-
-class _Draws:
-    """The cleared systems of several draws, evaluated as one on a batch.
-
-    The systems share one exponent table.  Row r of the batch is in draw
-    `draw[r]`, and is evaluated with that draw's coefficients.
-    """
-
-    def __init__(self, systems, draw):
-        tables = [system._table for system in systems]
-        self.exps, self.blocks = tables[0][:2]
-        self.coeffs = np.stack([table[2] for table in tables])
-        self.moduli = np.stack([table[3] for table in tables])
-        self.weights = _euler_weights(self.coeffs, self.exps)
-        self.draw = draw
-
-    def evaluate(self, x, rows):
-        """F, J and the residual scale at x, which holds the batch rows `rows`.
-
-        The batch is taken in the row slices of `laurent.power_rows`.  Per
-        equation, one vecdot of each row's own draw's weights with its
-        monomials gives F_i and every theta_k F_i.  It takes one dot product
-        per table row, as `LaurentPoly` does at a point, so a batch row keeps
-        the bits of its point, which a matrix-vector product would not.
-        Column k of J is not finite at x_k = 0.
-        """
-        n = self.exps.shape[1]
-        x = np.asarray(x, dtype=np.complex128)
-        points = x.reshape(-1, n)
-        draw = self.draw[rows]
-        values = np.empty((len(points), n, n + 1), dtype=np.complex128)
-        scale = np.empty((len(points), n))
-        for part, mon in power_rows(points, self.exps):
-            d = draw[part]
-            for i, cols in enumerate(self.blocks):
-                np.vecdot(self.weights[:, :, cols][d], mon[:, None, cols],
-                          out=values[part, i])
-                np.vecdot(self.moduli[:, cols][d], np.abs(mon[:, cols]),
-                          out=scale[part, i])
-        values = values.reshape(x.shape[:-1] + (n, n + 1))
-        with np.errstate(invalid="ignore"):   # 0 / 0 at x_k = 0
-            jac = values[..., 1:] / x[..., None, :]
-        return values[..., 0], jac, scale.reshape(x.shape)
-
 
 class _Homotopy:
     """H(x,t) = gamma (1-t) G(x) + t F(x), G_i = x_i^{d_i} - r_i, on a tracker batch.
 
-    `system` is a PolySystem or the `_Draws` of the batch, and `gamma` (P,)
-    and `roots` (P, n) are those of each batch row.  Equation i's block of
-    the exponent table holds the terms of F_i, then x_i^{d_i} and 1, whose
-    coefficients are gamma and -gamma r_i; every block is padded to one width
-    w with terms of exponent 0 and weight 0.  The weights are kept once per
-    run, the rows that share a draw, gamma and roots.
+    Row r of the batch is in draw `draw[r]`, whose cleared system is
+    `systems[draw[r]]`; the systems share one exponent table.  `gamma` (P,)
+    and `roots` (P, n) are those of each row.  Equation i's block of the
+    table holds F_i's block of `laurent.power_table`, padded to w terms,
+    then x_i^{d_i} and 1, whose coefficients are gamma and -gamma r_i.  The weights are kept
+    once per run, the rows that share a draw, gamma and roots.
     """
 
-    def __init__(self, system, gamma, degrees, roots):
-        if isinstance(system, PolySystem):
-            system = _Draws((system,), np.zeros(len(gamma), dtype=int))
-        n = system.exps.shape[1]
-        _, first, self.run = np.unique(np.column_stack([system.draw, gamma, roots]),
+    def __init__(self, systems, draw, gamma, degrees, roots):
+        n = systems[0].nvars
+        _, first, self.run = np.unique(np.column_stack([draw, gamma, roots]),
                                        axis=0, return_index=True, return_inverse=True)
-        coeffs, gamma = system.coeffs[system.draw[first]], gamma[first]
-        width = max(cols.stop - cols.start for cols in system.blocks) + 2
-        exps = np.zeros((n, width, n), dtype=np.complex128)
-        terms = np.zeros((len(first), n, width), dtype=np.complex128)
-        self.start = np.zeros((n, width), dtype=bool)
-        for i, cols in enumerate(system.blocks):
-            m = cols.stop - cols.start
-            exps[i, :m], exps[i, m, i] = system.exps[cols], degrees[i]
-            terms[:, i, :m + 2] = np.column_stack([coeffs[:, cols], gamma,
-                                                   -gamma * roots[first, i]])
-            self.start[i, m:m + 2] = True
+        coeffs = np.stack([system._table[1] for system in systems])[draw[first]]
+        gamma = np.broadcast_to(gamma[first, None], roots[first].shape)
+        start = np.stack([np.diag(degrees), np.zeros((n, n))], axis=1)
+        exps = np.concatenate([systems[0]._table[0].reshape(n, -1, n), start], axis=1)
+        terms = np.concatenate([coeffs, np.stack([gamma, -gamma * roots[first]],
+                                                 axis=-1)], axis=-1)
+        self.start = np.arange(terms.shape[-1]) >= coeffs.shape[-1]
         self.exps = exps.reshape(-1, n)
-        self.weights = _euler_weights(terms, exps)
+        # per term its c, the weight of H_i, and c e_k, its weight in theta_k
+        # H_i; conjugated, as vecdot conjugates its first operand.  Stored
+        # term-major, so that vecdot sums in term order, a strided BLAS dot:
+        # padding keeps bits
+        factors = np.concatenate([np.ones_like(exps[..., :1]), exps], axis=-1)
+        self.weights = np.swapaxes(terms[..., None] * factors, -1, -2).conj()
         self.moduli = np.abs(terms)
         # dH_i/dt = F_i - gamma G_i: the start terms change sign
         self.slopes = np.where(self.start, -terms, terms).conj()
@@ -168,11 +98,12 @@ class _Homotopy:
         """H, dH/dx, dH/dt and the scale at the batch rows `rows`, x (P, n) at t (P,).
 
         The scale is the sum of |term| over both parts of each H_i.  Per row
-        slice of `laurent.power_rows`, its table read as (rows, n, w), one
-        vecdot with the rows' runs' weights gives every dH_i/dt; then the
+        slice of `laurent.power_rows`, its table read as (rows, n, w + 2),
+        one vecdot with the rows' runs' weights gives every dH_i/dt; then the
         terms of F are scaled by t and those of G by 1 - t, and one vecdot
         gives every H_i and theta_k H_i, another the scale.  dH/dx is
-        theta H / x, so column k is not finite at x_k = 0.
+        theta H / x, so column k is not finite at x_k = 0.  At t = 1 the
+        start terms are scaled by 0, so H is F wherever x_i^{d_i} is finite.
         """
         n = x.shape[1]
         values = np.empty((len(x), n, n + 1), dtype=np.complex128)
@@ -305,16 +236,12 @@ _STATUSES = ("running", "ok", "diverged", "stalled")
 _RUNNING, _OK, _DIVERGED, _STALLED = range(len(_STATUSES))
 
 
-def _track_paths(system, starts, gamma, degrees, roots):
+def _track_paths(homotopy, starts):
     """Track the paths of H(x,t) = gamma (1-t) G(x) + t F(x), t: 0 -> 1, in lockstep.
 
-    `system` is the target system F: a PolySystem, or the `_Draws` of the
-    batch, whose rows may be in several draws.  `starts` holds one start root
-    per row, shape (P, n).  `gamma` is one value or one per path, and `roots`,
-    the constants r of G_i = x_i^{d_i} - r_i, are (n,) or one row per path,
-    so the paths of several start systems, and of several draws, share a
-    batch.  H and its derivatives come from `_Homotopy`, one table per
-    evaluation.  Every path keeps its own t, step, success count, status and
+    `homotopy` is the `_Homotopy` of the batch, whose rows may be in several
+    runs and draws, and `starts` holds one start root per row, shape (P, n).
+    Every path keeps its own t, step, success count, status and
     Euler predictor v = -(dH/dx)^-1 dH/dt, solved at t = 0 and after each
     accepted step from the corrector's last evaluation; a rejected step
     retries with v and half the step.  Each iteration predicts all running
@@ -324,8 +251,6 @@ def _track_paths(system, starts, gamma, degrees, roots):
     float range; those evaluations are rejected like any failed correction.
     """
     x = np.array(starts, dtype=np.complex128)
-    homotopy = _Homotopy(system, np.broadcast_to(gamma, len(x)), degrees,
-                         np.broadcast_to(roots, x.shape))
     unbounded = np.zeros(len(x), dtype=bool)
 
     def h(ids, x, t):
@@ -378,15 +303,19 @@ def _track_paths(system, starts, gamma, degrees, roots):
     return np.array(_STATUSES)[status], x, t, unbounded
 
 
-def _polish(system, x):
-    """Newton's method on the target system from every row of x, in place.
+def _polish(homotopy, x, rows):
+    """Newton's method on H(., 1) = F from every row of x, in place.
 
-    `system.evaluate(xk, k)` gives the target system at xk, the rows k of x.
-    A row stops as soon as its scaled residual is below POLISH_TOL.  A row
-    still iterating after POLISH_ITERS steps is kept only if it then passes
-    NEWTON_TOL.  Returns the mask of the kept rows.
+    x holds the rows `rows` of the batch of `homotopy`.  A row stops as soon
+    as its scaled residual is below POLISH_TOL.  A row still iterating after
+    POLISH_ITERS steps is kept only if it then passes NEWTON_TOL.  Returns
+    the mask of the kept rows.
     """
-    return _newton(system.evaluate, x, (POLISH_TOL,) * POLISH_ITERS + (NEWTON_TOL,))
+    def target(xk, k):
+        f, jac, _, scale = homotopy.evaluate(xk, np.ones(len(k)), rows[k])
+        return f, jac, scale
+
+    return _newton(target, x, (POLISH_TOL,) * POLISH_ITERS + (NEWTON_TOL,))
 
 
 def _start_system(degrees, rng):
@@ -416,10 +345,9 @@ def _batches(systems, sizes):
     batch = []
     for d, system in enumerate(systems):
         if batch:
-            exps, blocks = system._table[:2]
-            first, split = systems[batch[0]]._table[:2]
+            first = systems[batch[0]]._table[0]
             if (sum(sizes[b] for b in batch) + sizes[d] > 2 * MAX_PATHS
-                    or not np.array_equal(exps, first) or blocks != split):
+                    or not np.array_equal(system._table[0], first)):
                 yield batch
                 batch = []
         batch.append(d)
@@ -449,16 +377,14 @@ def _run_tracking(systems, degrees, rngs, attempts):
         begun, gammas, roots = map(np.array, zip(*(run for d in batch
                                                    for run in starts[d])))
         run = np.repeat(np.arange(len(begun)), begun.shape[1])
-        draw = run // attempts
-        drawn = [systems[d] for d in batch]
         with np.errstate(over="ignore", invalid="ignore"):
-            status, x, t, unbounded = _track_paths(
-                _Draws(drawn, draw), np.concatenate(begun), gammas[run],
-                degrees[batch[0]], roots[run])
-            live = status != "diverged"
+            homotopy = _Homotopy([systems[d] for d in batch], run // attempts,
+                                 gammas[run], degrees[batch[0]], roots[run])
+            status, x, t, unbounded = _track_paths(homotopy, np.concatenate(begun))
+            live = np.flatnonzero(status != "diverged")
             x, status, t, run, unbounded = (x[live], status[live], t[live],
                                             run[live], unbounded[live])
-            converged = _polish(_Draws(drawn, draw[live]), x)
+            converged = _polish(homotopy, x, live)
         # Paths heading to the toric boundary or to infinity stall with
         # shrinking steps just before t = 1.  Regular target solutions are
         # recovered by Newton polish from the stall point; a failed polish

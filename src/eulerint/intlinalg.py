@@ -77,9 +77,13 @@ def hnf_row(m):
 
 
 def lattice_basis(vectors):
-    """Basis (list of rows) of the lattice generated by the given integer vectors."""
-    h, _ = hnf_row(vectors)
-    return [row for row in h if any(row)]
+    """Basis (list of rows) of the lattice generated by the given integer vectors.
+
+    It is the nonzero rows of their row Hermite form.
+    """
+    a = [list(row) for row in vectors]
+    _echelon(a, len(a[0]) if a else 0)
+    return [row for row in a if any(row)]
 
 
 def rank(m):

@@ -167,26 +167,27 @@ class LaurentPoly:
         The table is f's, or with `gradient` that of f and its partials.  A
         point (n,) is taken as a batch of one row; the result has x's leading
         shape and one entry per polynomial: (k,) at a point, (P, k) on a batch
-        (P, n).  With `modulus`, |c| |x^e| replaces c x^e.
+        (P, n).  With `modulus`, |c| |x^e| replaces c x^e.  Per row slice,
+        one stacked matmul (k, rows, w) @ (k, w, 1) dots every block.
         """
         x = np.asarray(x, dtype=np.complex128)
         if x.ndim not in (1, 2) or x.shape[-1] != self.nvars:
             raise ValueError(f"point has dimension {x.shape}, expected "
                              f"({self.nvars},) or (P, {self.nvars})")
-        (exps, blocks, coeffs, moduli), negative = self._tables(gradient)
+        (exps, coeffs, moduli), negative = self._tables(gradient)
         if len(negative) and (x[..., negative] == 0).any():
             i = int(negative[np.nonzero(x[..., negative] == 0)[-1][0]])
             raise ZeroDivisionError(f"coordinate {i + 1} is zero but appears "
                                     "with negative exponent")
-        weights = moduli if modulus else coeffs
+        weights = (moduli if modulus else coeffs)[:, :, None]
         points = x.reshape(-1, self.nvars)
-        out = np.empty((len(points), len(blocks)), dtype=weights.dtype)
+        out = np.empty((len(points), len(weights)), dtype=weights.dtype)
         for rows, mon in power_rows(points, exps):
             if modulus:
                 mon = np.abs(mon)
-            for k, cols in enumerate(blocks):
-                out[rows, k] = mon[:, cols] @ weights[cols]
-        return out.reshape(x.shape[:-1] + (len(blocks),))
+            blocks = mon.reshape(len(mon), *coeffs.shape).swapaxes(0, 1)
+            out[rows] = (blocks @ weights)[..., 0].T
+        return out.reshape(x.shape[:-1] + (len(weights),))
 
     def evaluate(self, x):
         """Evaluate at a point of shape (n,), or at each row of a batch (P, n).
@@ -200,8 +201,10 @@ class LaurentPoly:
     def value_and_gradient(self, x):
         """f, d_1 f, ..., d_n f on the last axis: shape (n + 1,) or (P, n + 1).
 
-        Each entry equals `evaluate` of that polynomial bit for bit at a point;
-        one power table over the stacked exponents serves all of them.
+        One power table over the stacked exponents serves all of them.  At a
+        point, f's entry equals `evaluate` bit for bit.  A partial's block is
+        padded to f's term count, so its entry may differ in the last bits
+        once f has 8 terms or more, which OpenBLAS sums in SIMD blocks.
         """
         return self._dot(x, gradient=True)
 
@@ -237,19 +240,20 @@ def power_rows(points, exps):
 def power_table(polys):
     """The one power table of `polys`, which share nvars, and its coefficients.
 
-    Returns the exponents of all their terms (m, n), cast to the complex dtype
-    they are raised in; per polynomial, the slice of those m rows that holds
-    its terms in sorted order; and the m complex coefficients and their moduli.
+    Polynomial i's block holds its terms in sorted order, then terms of
+    exponent 0 and coefficient 0 up to w, the most terms of any of them.
+    Returns the exponents of the k blocks (k w, n), cast to the complex dtype
+    they are raised in, and the complex coefficients and their moduli (k, w).
     """
+    n = polys[0].nvars
     terms = [sorted(p.terms.items()) for p in polys]
-    ends = np.cumsum([len(t) for t in terms]).tolist()
-    rows = [term for t in terms for term in t]
+    w = max(map(len, terms))
+    rows = [term for t in terms for term in t + [((0,) * n, 0)] * (w - len(t))]
     # through int64, so an exponent beyond it raises OverflowError, not rounds
-    exps = np.array([e for e, _ in rows], dtype=np.int64).reshape(-1, polys[0].nvars)
-    coeffs = np.array([complex(c) for _, c in rows], dtype=np.complex128)
-    return (exps.astype(np.complex128),
-            [slice(end - len(t), end) for end, t in zip(ends, terms)],
-            coeffs, np.abs(coeffs))
+    exps = np.array([e for e, _ in rows], dtype=np.int64).reshape(-1, n)
+    coeffs = np.array([complex(c) for _, c in rows],
+                      dtype=np.complex128).reshape(len(polys), w)
+    return exps.astype(np.complex128), coeffs, np.abs(coeffs)
 
 
 @dataclass(frozen=True)

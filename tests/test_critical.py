@@ -31,7 +31,8 @@ def test_settings_dedup_exceeds_residual():
 # -- endpoint polish -------------------------------------------------------
 
 class _ConstantSystem:
-    """Row k of a batch has x = k + 1 and F = r[k], scale 1 and Jacobian jac[k].
+    """A homotopy whose row k of a batch has x = k + 1 and, at any t, H = r[k],
+    scale 1 and Jacobian jac[k].
 
     A Jacobian of 1e300 makes every Newton step round away, so x stays k + 1;
     one of 0 is singular.  `evaluations[k]` counts the batches that held row k.
@@ -45,11 +46,11 @@ class _ConstantSystem:
     def points(self):
         return np.arange(1, len(self.r) + 1, dtype=complex)[:, None]
 
-    def evaluate(self, x, rows):
+    def evaluate(self, x, t, rows):
         k = x[:, 0].real.astype(int) - 1
         self.evaluations[k] += 1
         return (self.r[k][:, None], self.jac[k][:, None, None].astype(complex),
-                np.ones((len(k), 1)))
+                np.zeros((len(k), 1), dtype=complex), np.ones((len(k), 1)))
 
 
 @pytest.mark.parametrize("r, kept, evaluations", [
@@ -60,7 +61,7 @@ class _ConstantSystem:
 def test_polish_final_test(r, kept, evaluations):
     system = _ConstantSystem([r])
     x = system.points()
-    assert critical._polish(system, x).tolist() == [kept]
+    assert critical._polish(system, x, np.arange(1)).tolist() == [kept]
     assert system.evaluations.tolist() == [evaluations]
     assert np.array_equal(x, system.points())
 
@@ -69,7 +70,7 @@ def test_polish_mixed_batch():
     # kept at once, kept after the cap, dropped, and a singular Jacobian that
     # drops only its own row at the first step
     system = _ConstantSystem([0.0, 1e-12, 1e-6, 1e-6], jac=[1e300] * 3 + [0.0])
-    kept = critical._polish(system, system.points())
+    kept = critical._polish(system, system.points(), np.arange(4))
     assert kept.tolist() == [True, True, False, False]
     cap = critical.POLISH_ITERS + 1
     assert system.evaluations.tolist() == [1, cap, cap, 1]
@@ -174,19 +175,37 @@ def test_two_point_count(two_point_spec):
 _THREE_TEXT = "x*y + y*z + x*z + x + 2*z - 1"
 
 
+def _target(system, rows):
+    """The evaluator of F, its Jacobian J and the scale at a point (n,) or on
+    a batch (P, n), P <= rows: H(., 1) of a one-draw `_Homotopy` of `rows` rows."""
+    n = system.nvars
+    homotopy = critical._Homotopy([system], np.zeros(rows, dtype=int), np.ones(rows),
+                                  np.ones(n), np.ones((rows, n)))
+
+    def evaluate(x):
+        x = np.asarray(x, dtype=np.complex128)
+        points = x.reshape(-1, n)
+        f, jac, _, scale = homotopy.evaluate(points, np.ones(len(points)),
+                                             np.arange(len(points)))
+        return f.reshape(x.shape), jac.reshape(x.shape + (n,)), scale.reshape(x.shape)
+
+    return evaluate
+
+
 def test_system_jacobian_matches_central_differences():
     rng = np.random.default_rng(8)
     h = 1e-5
     for text, nu in ((HEXAGON_TEXT, (0.3 - 0.2j, 0.7 + 0.4j)),
                      (_THREE_TEXT, (0.3 - 0.2j, 0.7 + 0.4j, -0.6 + 0.1j))):
         system = build_system(IntegrandSpec([parse_poly(text)], (0.5 + 0.1j,), nu))
+        evaluate = _target(system, 5)
         n = system.nvars
         point = np.array([0.8 + 0.3j, -1.1 + 0.6j, 0.5 - 0.9j][:n])
-        assert np.array_equal(system.evaluate(point)[0],
+        assert np.array_equal(evaluate(point)[0],
                               [eq.evaluate(point) for eq in system.equations])
         batch = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
         for x in (point, batch):
-            f, jac, scale = system.evaluate(x)
+            f, jac, scale = evaluate(x)
             assert f.shape == scale.shape == x.shape and jac.shape == x.shape + (n,)
             # the partial polynomials are the reference for the Euler form
             for i, eq in enumerate(system.equations):
@@ -197,8 +216,7 @@ def test_system_jacobian_matches_central_differences():
             scale = np.max(scale, axis=-1, keepdims=True)
             for k in range(n):
                 step = h * np.eye(n)[k]
-                diff = (system.evaluate(x + step)[0]
-                        - system.evaluate(x - step)[0]) / (2 * h)
+                diff = (evaluate(x + step)[0] - evaluate(x - step)[0]) / (2 * h)
                 assert np.all(np.abs(jac[..., k] - diff) <= 1e-7 * scale)
 
 
@@ -206,7 +224,7 @@ def test_system_magnitude_is_per_equation(hexagon_poly):
     spec = IntegrandSpec([hexagon_poly], (0.5,), (0.3, 0.7))
     system = build_system(spec)
     x = np.array([0.8 + 0.3j, -1.1 + 0.6j])
-    assert np.array_equal(system.evaluate(x)[2],
+    assert np.array_equal(_target(system, 1)(x)[2],
                           [eq.magnitude(x) for eq in system.equations])
 
 
@@ -223,10 +241,11 @@ def test_system_batch_matches_points(text):
     system = _random_system([parse_poly(text)], rng)
     n = system.nvars
     x = rng.normal(size=(7, n)) + 1j * rng.normal(size=(7, n))
-    f, jac, scale = system.evaluate(x)
+    evaluate = _target(system, 7)
+    f, jac, scale = evaluate(x)
     assert f.shape == scale.shape == (7, n) and jac.shape == (7, n, n)
     for k in range(7):
-        fk, jk, sk = system.evaluate(x[k])
+        fk, jk, sk = evaluate(x[k])
         assert np.array_equal(f[k], fk)
         assert np.array_equal(jac[k], jk)
         assert np.array_equal(scale[k], sk)
@@ -236,23 +255,24 @@ def test_system_slices_match_whole_batch(monkeypatch):
     rng = np.random.default_rng(5)
     system = _random_system([parse_poly(_THREE_TEXT)], rng)
     x = rng.normal(size=(9, 3)) + 1j * rng.normal(size=(9, 3))
-    whole = system.evaluate(x)
+    evaluate = _target(system, 9)
+    whole = evaluate(x)
     # a budget below one row's table: every row is its own slice
     monkeypatch.setattr(laurent, "TABLE_ENTRIES", 1)
-    for got, want in zip(system.evaluate(x), whole):
+    for got, want in zip(evaluate(x), whole):
         assert np.array_equal(got, want)
 
 
 def test_power_table_memory_is_bounded():
-    # dense f of degree 32 in two variables.  The cleared system on 1,024
-    # paths has 1,122 monomials, a whole-batch table of about 2.3 million
-    # complex entries; f with its gradient on the 3,072 endpoints of three
-    # attempts has 1,617, a table of 9.9 million
+    # dense f of degree 32 in two variables.  H(., 1) of the cleared system
+    # on 1,024 paths has 1,126 monomials, a whole-batch table of about 2.3
+    # million complex entries; f with its gradient on the 3,072 endpoints of
+    # three attempts has 1,683, a table of 10.3 million
     rng = np.random.default_rng(6)
     f = LaurentPoly(2, {(i, j): complex(*rng.uniform(-1, 1, 2))
                         for i in range(33) for j in range(33 - i)})
     system = build_system(IntegrandSpec([f], (0.5,), (0.5, 0.5)))
-    for evaluate, rows in ((system.evaluate, 1024), (f.value_and_gradient, 3072)):
+    for evaluate, rows in ((_target(system, 1024), 1024), (f.value_and_gradient, 3072)):
         x = rng.normal(size=(rows, 2)) + 1j * rng.normal(size=(rows, 2))
         evaluate(x[:1])    # builds the cached exponent table before the trace
         tracemalloc.start()
@@ -268,16 +288,15 @@ def test_power_table_memory_is_bounded():
 # -- homotopy evaluator against the arithmetic it replaced ------------------
 
 def _start_arithmetic(system, x, t, gamma, degrees, roots):
-    """H, dH/dx, dH/dt and the scale as the tracker built them before
-    `_Homotopy`: one evaluation of F, then the start system x^d - r by hand."""
-    f, jac, scale = system.evaluate(x)
+    """H, dH/dt and the scale as the tracker built them before `_Homotopy`:
+    F and its scale from the equations' own `LaurentPoly` evaluators, then
+    the start system x^d - r by hand."""
+    f = np.stack([eq.evaluate(x) for eq in system.equations], axis=-1)
+    scale = np.stack([eq.magnitude(x) for eq in system.equations], axis=-1)
     s, u = t[:, None], (1 - t)[:, None]
     g = x ** degrees - roots
     c = gamma[:, None] * u
-    hx = s[:, :, None] * jac
-    diag = np.arange(len(degrees))
-    hx[:, diag, diag] += c * (degrees * x ** (degrees - 1))
-    return (c * g + s * f, hx, f - gamma[:, None] * g,
+    return (c * g + s * f, f - gamma[:, None] * g,
             u * (np.abs(x) ** degrees + np.abs(roots)) + s * scale)
 
 
@@ -314,8 +333,7 @@ def _homotopy_batch(text, rows, seed):
     run = rng.integers(0, 4, size=rows)
     gamma = np.array([g for g, _ in runs])[run]
     roots = np.array([r for _, r in runs])[run]
-    homotopy = critical._Homotopy(critical._Draws(systems, run // 2), gamma,
-                                  degrees, roots)
+    homotopy = critical._Homotopy(systems, run // 2, gamma, degrees, roots)
     x = rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))
     t = rng.choice([0.0, 0.37, 1.0], size=rows)
     return homotopy, x, t, [systems[d] for d in run // 2], gamma, degrees, roots
@@ -332,11 +350,12 @@ def test_homotopy_matches_start_arithmetic(text):
         row = slice(k, k + 1)
         want = _start_arithmetic(system, x[row], t[row], gamma[row], degrees,
                                  roots[row])
-        assert np.all(np.abs(scale[k] - want[3][0]) <= 1e-13 * want[3][0])
-        assert np.all(np.abs(h[k] - want[0][0]) <= 1e-13 * want[3][0])
+        assert np.all(np.abs(scale[k] - want[2][0]) <= 1e-13 * want[2][0])
+        assert np.all(np.abs(h[k] - want[0][0]) <= 1e-13 * want[2][0])
         # dH/dt = F - gamma G, against the sum of |term| of F and of G
-        both = system.evaluate(x[k])[2] + np.abs(x[k]) ** degrees + np.abs(roots[k])
-        assert np.all(np.abs(ht[k] - want[2][0]) <= 1e-13 * both)
+        both = (np.array([eq.magnitude(x[k]) for eq in system.equations])
+                + np.abs(x[k]) ** degrees + np.abs(roots[k]))
+        assert np.all(np.abs(ht[k] - want[1][0]) <= 1e-13 * both)
 
 
 @pytest.mark.parametrize("text", [HEXAGON_TEXT, _THREE_TEXT])
@@ -380,7 +399,8 @@ def test_homotopy_memory_is_bounded():
     runs = [critical._start_system(degrees, rng) for _ in range(2)]
     x = np.concatenate([starts for starts, _, _ in runs])
     run = np.repeat([0, 1], len(runs[0][0]))
-    homotopy = critical._Homotopy(system, np.array([g for _, g, _ in runs])[run],
+    homotopy = critical._Homotopy([system], np.zeros(len(x), dtype=int),
+                                  np.array([g for _, g, _ in runs])[run],
                                   degrees, np.array([r for *_, r in runs])[run])
     t = np.full(len(x), 0.37)
     tracemalloc.start()
@@ -400,8 +420,8 @@ def test_homotopy_memory_is_bounded():
 # for H and its derivatives, which it takes from `_Homotopy` on one row.
 def _track_path(system, start, gamma, degrees, roots):
     """Track one path of H(x,t) = gamma (1-t) G(x) + t F(x) from t=0 to t=1."""
-    homotopy = critical._Homotopy(system, np.array([gamma]), degrees,
-                                  np.array([roots]))
+    homotopy = critical._Homotopy([system], np.zeros(1, dtype=int), np.array([gamma]),
+                                  degrees, np.array([roots]))
 
     def h(x, t):
         # H, dH/dx and dH/dt from one evaluation of the homotopy
@@ -466,6 +486,15 @@ def _start(system, rng):
     return starts, gamma, degrees, roots
 
 
+def _track(system, starts, gamma, degrees, roots):
+    """`_track_paths` of one draw's paths; gamma is one value or one per path,
+    and roots (n,) or one row per path."""
+    homotopy = critical._Homotopy([system], np.zeros(len(starts), dtype=int),
+                                  np.broadcast_to(gamma, len(starts)), degrees,
+                                  np.broadcast_to(roots, np.shape(starts)))
+    return critical._track_paths(homotopy, starts)
+
+
 def _assert_same_path(got, want):
     (status, x, t), (want_status, want_x, want_t) = got, want
     assert status == want_status
@@ -480,8 +509,7 @@ def test_lockstep_matches_single_path(texts, seed):
     rng = np.random.default_rng(seed)
     system = _random_system([parse_poly(t) for t in texts], rng)
     starts, gamma, degrees, roots = _start(system, rng)
-    status, xs, ts, unbounded = critical._track_paths(system, starts, gamma,
-                                                      degrees, roots)
+    status, xs, ts, unbounded = _track(system, starts, gamma, degrees, roots)
     assert len(status) == len(xs) == len(ts) == len(starts)
     assert not unbounded.any()
     for k, start in enumerate(starts):
@@ -496,11 +524,11 @@ def test_singular_predictor_stalls_only_its_path(hexagon_poly):
     # at x_1 = 0 the Jacobian's column theta_1 F / x_1 is 0 / 0, so dH/dx is
     # not finite even at t = 0, and every step from there fails
     starts = np.concatenate([starts[:4], [[0.0, starts[0, 1]]], starts[4:8]])
-    status, xs, ts, _ = critical._track_paths(system, starts, gamma, degrees, roots)
+    status, xs, ts, _ = _track(system, starts, gamma, degrees, roots)
     assert (status[4], ts[4]) == ("stalled", 0.0)
     assert np.array_equal(xs[4], starts[4])
     for k in (0, 1, 2, 3, 5, 6, 7, 8):
-        alone = critical._track_paths(system, starts[k:k + 1], gamma, degrees, roots)
+        alone = _track(system, starts[k:k + 1], gamma, degrees, roots)
         _assert_same_path((status[k], xs[k], ts[k]), [a[0] for a in alone[:3]])
 
 
@@ -514,10 +542,10 @@ def test_start_systems_in_one_batch_track_as_alone(text):
     gamma = np.array([gamma for _, gamma, _, _ in runs])[run]
     roots = np.array([roots for *_, roots in runs])[run]
     degrees = runs[0][2]
-    together = critical._track_paths(system, starts, gamma, degrees, roots)
+    together = _track(system, starts, gamma, degrees, roots)
     assert not np.array_equal(*(together[1][run == i] for i in (0, 1)))
     for i, args in enumerate(runs):
-        alone = critical._track_paths(system, *args)
+        alone = _track(system, *args)
         for got, want in zip(together, alone):
             assert np.array_equal(got[run == i], want)
 
@@ -607,8 +635,8 @@ def test_third_run_only_after_second_fails(monkeypatch):
     polish = critical._polish
     calls = []
 
-    def second_run_fails(system, x):
-        kept = polish(system, x)
+    def second_run_fails(homotopy, x, rows):
+        kept = polish(homotopy, x, rows)
         if not calls:
             kept[-1] = False    # the last row belongs to the second run
         calls.append(len(x))
@@ -652,9 +680,9 @@ class _TrackSpy:
         self.rows = []
         track = critical._track_paths
 
-        def spy(system, starts, *args):
+        def spy(homotopy, starts):
             self.rows.append(len(starts))
-            return track(system, starts, *args)
+            return track(homotopy, starts)
 
         monkeypatch.setattr(critical, "_track_paths", spy)
 
@@ -694,8 +722,8 @@ def test_third_run_only_for_the_draw_whose_second_fails(monkeypatch):
     polish = critical._polish
     calls = []
 
-    def second_run_of_draw_1_fails(system, x):
-        kept = polish(system, x)
+    def second_run_of_draw_1_fails(homotopy, x, rows):
+        kept = polish(homotopy, x, rows)
         if not calls:
             kept[3] = False     # rows: draw 0 runs 0, 1; draw 1 runs 0, 1
         calls.append(len(x))
@@ -749,9 +777,11 @@ def test_stacked_evaluator_matches_each_draw(text, entries, monkeypatch):
     draw = rng.integers(0, 3, size=40)
     rows = rng.choice(40, size=11, replace=False)
     monkeypatch.setattr(laurent, "TABLE_ENTRIES", entries)
-    f, jac, scale = critical._Draws(systems, draw).evaluate(x, rows)
+    homotopy = critical._Homotopy(systems, draw, np.ones(40), np.ones(n),
+                                  np.ones((40, n)))
+    f, jac, _, scale = homotopy.evaluate(x, np.ones(11), rows)
     for k, r in enumerate(rows):
-        fk, jk, sk = systems[draw[r]].evaluate(x[k])
+        fk, jk, sk = _target(systems[draw[r]], 1)(x[k])
         assert np.array_equal(f[k], fk)
         assert np.array_equal(jac[k], jk)
         assert np.array_equal(scale[k], sk)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eulerint.laurent import (IntegrandSpec, LaurentPoly, OutsideDomainError,
                               ParseError, format_poly, omega_components,
@@ -250,21 +250,27 @@ def test_magnitude_matches_term_sum(hexagon_poly):
 
 
 def test_power_table_layout():
-    # the one table format: complex exponents, one row slice per polynomial
-    # with its terms in sorted order, the coefficients and their moduli
-    f, g = parse_poly("3*x*y^-1 - 1/2"), parse_poly("(1+1j)*y^2 + 2*x")
-    exps, blocks, coeffs, moduli = power_table([f, g, LaurentPoly.zero(2)])
+    # the one table format: complex exponents, each polynomial's block its
+    # terms in sorted order, padded to the most terms of any block with terms
+    # of exponent 0 and coefficient 0; the coefficients and their moduli, one
+    # row per block
+    f, g = parse_poly("3*x*y^-1 - 1/2"), parse_poly("(1+1j)*y^2 + 2*x - x*y")
+    exps, coeffs, moduli = power_table([f, g, LaurentPoly.zero(2)])
     assert exps.dtype == np.complex128
-    assert exps.tolist() == [[0, 0], [1, -1], [0, 2], [1, 0]]
-    assert blocks == [slice(0, 2), slice(2, 4), slice(4, 4)]
-    assert coeffs.tolist() == [-0.5, 3, 1 + 1j, 2]
-    assert moduli.tolist() == [0.5, 3, abs(1 + 1j), 2]
+    assert exps.tolist() == [[0, 0], [1, -1], [0, 0], [0, 2], [1, 0], [1, 1],
+                             [0, 0], [0, 0], [0, 0]]
+    assert coeffs.tolist() == [[-0.5, 3, 0], [1 + 1j, 2, -1], [0, 0, 0]]
+    assert moduli.tolist() == [[0.5, 3, 0], [abs(1 + 1j), 2, 1], [0, 0, 0]]
     x = np.array([0.3 - 1.1j, 2.0 + 0.5j])
     # the monomials are built per variable: x_1^{e_1}, then times x_2^{e_2}
     mon = x[0] ** exps[:, 0] * x[1] ** exps[:, 1]
-    for p, rows in zip((f, g), blocks):
-        assert p.evaluate(x) == mon[rows] @ coeffs[rows]
-        assert p.magnitude(x) == np.abs(mon[rows]) @ moduli[rows]
+    # one stacked matmul (k, rows, w) @ (k, w, 1) dots every block
+    blocks = mon.reshape(1, 3, 3).swapaxes(0, 1)
+    values = (blocks @ coeffs[:, :, None])[:, 0, 0]
+    scales = (np.abs(blocks) @ moduli[:, :, None])[:, 0, 0]
+    for p, value, scale in zip((f, g), values, scales):
+        assert p.evaluate(x) == value
+        assert p.magnitude(x) == scale
 
 
 # -- property-based --------------------------------------------------------
@@ -305,11 +311,21 @@ def test_derivative_of_product_with_x(p):
     assert (x * p).partial(1) == p + x * p.partial(1)
 
 
-@given(polys)
+# integers, fractions, integral floats and complex numbers with half-integer
+# parts, each of which `format_poly` writes in its own form
+format_coeffs = st.one_of(coeffs, st.fractions(-20, 20, max_denominator=9),
+                          coeffs.map(float),
+                          st.builds(lambda a, b: complex(a / 2, b / 2), coeffs, coeffs))
+format_polys = st.dictionaries(exps, format_coeffs, min_size=0, max_size=6).map(
+    lambda d: LaurentPoly(2, d))
+
+
+@given(format_polys)
+@example(LaurentPoly.zero(2))
+@example(LaurentPoly(2, {(1, 0): Fraction(3, 4), (0, 1): -2.0, (1, 1): 1.5 - 0.5j,
+                         (0, 0): 2.5 + 0j}))
 @settings(max_examples=40, deadline=None)
 def test_format_parse_round_trip(p):
-    if p.is_zero():
-        return
     assert parse_poly(format_poly(p), 2) == p
 
 
