@@ -21,7 +21,7 @@ from functools import cached_property
 from . import intlinalg, polytope
 from ._lazy import np
 from .laurent import (IntegrandSpec, LaurentPoly, omega_components, power_rows,
-                      power_table)
+                      power_table, slice_rows)
 
 # Fixed thresholds of the tracker, the endpoint polish and the solution filter.
 # A scaled residual is |residual| / max(1, sum of |term|) at the point.
@@ -105,18 +105,51 @@ class _Homotopy:
         theta H / x, so column k is not finite at x_k = 0.  At t = 1 the
         start terms are scaled by 0, so H is F wherever x_i^{d_i} is finite.
         """
+        runs = self.run[rows]
+        return self._values(x, (self.slopes, self.weights, self.moduli),
+                            lambda part: (runs[part], self._factor(t[part])))
+
+    def bind(self, rows, t):
+        """`evaluate` at the batch rows `rows` and their t (P,), as a function.
+
+        The function takes x and k, x the points of the rows k of `rows`, a
+        slice or indices, and gives `evaluate(x, t[k], rows[k])`, the same
+        bits.  When `rows` fit in one row slice of `laurent.power_rows`, each
+        row's weights and t-factors are gathered here once, so an evaluation
+        of all of `rows` (k = slice(None)) gathers nothing; otherwise each
+        evaluation gathers them per slice, so memory stays bounded.
+        """
+        runs = self.run[rows]
+        weights = (self.slopes, self.weights, self.moduli)
+        if len(runs) > slice_rows(self.exps):
+            return lambda x, k: self._values(
+                x, weights, lambda part: (runs[k][part], self._factor(t[k][part])))
+        weights = tuple(w[runs] for w in weights)
+        factor = self._factor(t)
+        # one slice, so the whole of x
+        return lambda x, k: self._values(x, weights, lambda part: (k, factor[k]))
+
+    def _factor(self, t):
+        """Each term's factor at t (P,), 1 - t for G's and t for F's."""
+        s = t[:, None, None]
+        return np.where(self.start, 1 - s, s)
+
+    def _values(self, x, weights, terms):
+        """`evaluate` at x.  `weights` holds the weights of dH/dt, of (H, theta H)
+        and of the scale, and terms(part) gives the index in them of each of
+        the rows `part` of x and its t-factors."""
+        slopes, both, moduli = weights
         n = x.shape[1]
         values = np.empty((len(x), n, n + 1), dtype=np.complex128)
         slope = np.empty((len(x), n), dtype=np.complex128)
         scale = np.empty((len(x), n))
         for part, mon in power_rows(x, self.exps):
-            r = self.run[rows][part]
-            mon = mon.reshape(len(r), n, -1)
-            np.vecdot(self.slopes[r], mon, out=slope[part])
-            s = t[part, None, None]
-            mon *= np.where(self.start, 1 - s, s)
-            np.vecdot(self.weights[r], mon[:, :, None], out=values[part])
-            np.vecdot(self.moduli[r], np.abs(mon), out=scale[part])
+            r, factor = terms(part)
+            mon = mon.reshape(len(factor), n, -1)
+            np.vecdot(slopes[r], mon, out=slope[part])
+            mon *= factor
+            np.vecdot(both[r], mon[:, :, None], out=values[part])
+            np.vecdot(moduli[r], np.abs(mon), out=scale[part])
         with np.errstate(invalid="ignore"):   # 0 / 0 at x_k = 0
             jac = values[..., 1:] / x[:, None, :]
         return values[..., 0], jac, slope, scale
@@ -203,26 +236,30 @@ def _solve_stack(a, b):
 def _newton(evaluate, x, tols):
     """Newton's method on the rows of the batch x (P, n), stepped in place.
 
-    `evaluate(xk, k)` gives F, its Jacobian and the residual scale at xk, the
-    rows k of x.  Evaluation j stops each row whose scaled residual is below
-    `tols[j]`, and drops each row whose residual is not finite or whose
-    Jacobian is singular.  The rows still iterating are stepped after every
-    evaluation but the last.  Returns the mask of the rows that stopped.
+    `evaluate(xk, k)` gives F, its Jacobian, one more value and the residual
+    scale at xk, the rows k of x: a slice of all of them until a row stops,
+    then their indices.  Evaluation j stops each row whose scaled residual
+    is below `tols[j]`, and drops each row whose residual is not finite or
+    whose Jacobian is singular.  The rows still iterating are stepped after
+    every evaluation but the last.  Returns the mask of the rows that stopped.
     """
     done = np.zeros(len(x), dtype=bool)
-    k = np.arange(len(x))
+    k = slice(None)
     for j, tol in enumerate(tols):
-        r, jac, scale = evaluate(x[k], k)
+        r, jac, _, scale = evaluate(x[k], k)
         below = _below(r, scale, tol)
-        done[k[below]] = True
+        done[k] |= below
         if j == len(tols) - 1:   # no step after the last evaluation
             break
         step = np.isfinite(r).all(axis=1) & ~below
         delta, singular = _solve_stack(jac[step], -r[step])
-        k = k[step][~singular]
-        if not k.size:
-            break
-        x[k] += delta[~singular]
+        step[step] = ~singular
+        if not step.all():
+            k = np.arange(len(x))[k][step]
+            if not k.size:
+                break
+            delta = delta[~singular]
+        x[k] += delta
     return done
 
 
@@ -253,16 +290,14 @@ def _track_paths(homotopy, starts):
     x = np.array(starts, dtype=np.complex128)
     unbounded = np.zeros(len(x), dtype=bool)
 
-    def h(ids, x, t):
-        # H, dH/dx, dH/dt and the scale of the paths `ids`
-        values = homotopy.evaluate(x, t, ids)
+    def flag(ids, values):
         # the scale bounds |H|, so it is finite where H is
         if not np.isfinite(values[3]).all():
             unbounded[ids] |= ~np.isfinite(values[3]).all(axis=1)
         return values
 
     t = np.zeros(len(x))
-    _, hx, ht, _ = h(slice(None), x, t)
+    _, hx, ht, _ = flag(slice(None), homotopy.evaluate(x, t, slice(None)))
     v, singular = _solve_stack(hx, -ht)   # a singular dH/dx stalls its path
     status = np.where(singular, _STALLED, _RUNNING).astype(np.int8)
     dt = np.full(len(x), INITIAL_STEP)
@@ -275,16 +310,19 @@ def _track_paths(homotopy, starts):
         tp = t[a] + dt0
         # Newton corrector; where ok, hxp and htp are the derivatives at (xp, tp)
         hxp, htp = np.empty(xp.shape + xp.shape[1:], complex), np.empty_like(xp)
+        step = homotopy.bind(a, tp)
 
         def at(xk, k):
-            r, hxp[k], htp[k], scale = values = h(a[k], xk, tp[k])
-            return r, values[1], scale
+            values = flag(a[k], step(xk, k))
+            hxp[k], htp[k] = values[1:3]
+            return values
 
         ok = _newton(at, xp, (NEWTON_TOL,) * MAX_NEWTON)
         # guard against path jumping: the corrected point must stay within the
-        # predictor's reach, otherwise shrink the step and retry
-        ok &= ~(np.linalg.norm(xp - (x0 + dx), axis=1) > 2.0 * np.linalg.norm(
-            dx, axis=1) + 1e-6 * (1.0 + np.linalg.norm(x0, axis=1)))
+        # predictor's reach, otherwise shrink the step and retry.  The norms
+        # are np.linalg.norm's sum of |z|^2, one reduction for all three
+        jump, reach, start = _norms(np.stack([xp - (x0 + dx), dx, x0]))
+        ok &= ~(jump > 2.0 * reach + 1e-6 * (1.0 + start))
         acc, rej = a[ok], a[~ok]
         x[acc], t[acc] = xp[ok], tp[ok]
         successes[acc] += 1
@@ -303,6 +341,11 @@ def _track_paths(homotopy, starts):
     return np.array(_STATUSES)[status], x, t, unbounded
 
 
+def _norms(z):
+    """The 2-norm of each row of z along its last axis, as np.linalg.norm sums it."""
+    return np.sqrt(np.add.reduce((z.conj() * z).real, axis=-1))
+
+
 def _polish(homotopy, x, rows):
     """Newton's method on H(., 1) = F from every row of x, in place.
 
@@ -311,11 +354,8 @@ def _polish(homotopy, x, rows):
     POLISH_ITERS steps is kept only if it then passes NEWTON_TOL.  Returns
     the mask of the kept rows.
     """
-    def target(xk, k):
-        f, jac, _, scale = homotopy.evaluate(xk, np.ones(len(k)), rows[k])
-        return f, jac, scale
-
-    return _newton(target, x, (POLISH_TOL,) * POLISH_ITERS + (NEWTON_TOL,))
+    return _newton(homotopy.bind(rows, np.ones(len(rows))), x,
+                   (POLISH_TOL,) * POLISH_ITERS + (NEWTON_TOL,))
 
 
 def _start_system(degrees, rng):

@@ -216,15 +216,20 @@ class LaurentPoly:
         return self._dot(x, modulus=True)[..., 0][()]
 
 
+def slice_rows(exps):
+    """The most rows of one slice of `power_rows` over the exponents `exps`."""
+    return max(1, TABLE_ENTRIES // max(1, exps.size))
+
+
 def power_rows(points, exps):
     """Yield (rows, table) over row slices of a batch of points (P, n).
 
     `table` holds the monomial x^e of each point x of the slice `rows` for
     each exponent e in `exps` (m, n), built as the running product over k of
-    x_k^{e_k}.  A slice has at most TABLE_ENTRIES // (m n) rows, so a batch
-    of any size takes bounded memory.
+    x_k^{e_k}.  A slice has at most `slice_rows(exps)`, TABLE_ENTRIES // (m n),
+    rows, so a batch of any size takes bounded memory.
     """
-    step = max(1, TABLE_ENTRIES // max(1, exps.size))
+    step = slice_rows(exps)
     for lo in range(0, len(points), step):
         x = points[lo:lo + step]
         table = x[:, :1] ** exps[:, 0]

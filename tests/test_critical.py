@@ -52,6 +52,9 @@ class _ConstantSystem:
         return (self.r[k][:, None], self.jac[k][:, None, None].astype(complex),
                 np.zeros((len(k), 1), dtype=complex), np.ones((len(k), 1)))
 
+    def bind(self, rows, t):
+        return lambda x, k: self.evaluate(x, t[k], rows[k])
+
 
 @pytest.mark.parametrize("r, kept, evaluations", [
     (0.0, True, 1),                                # passes POLISH_TOL at once
