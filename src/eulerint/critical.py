@@ -30,6 +30,9 @@ MAX_STEP = 0.1           # largest step in t
 MIN_STEP = 1e-7          # a path whose step shrinks below this has stalled
 STALL_WINDOW = 1e-2      # a stall after t = 1 - STALL_WINDOW is not a failure
 DIVERGENCE_RADIUS = 1e6  # a path with a coordinate beyond this has diverged
+TAIL_RATIO = 3.0         # 1 - t falls by this factor between log-tail estimates
+TAIL_GROWTH = 0.5        # least growth exponent of a log tail that diverges
+TAIL_AGREEMENT = 0.2     # relative gap of two log-tail estimates that agree
 NEWTON_TOL = 1e-10       # scaled residual accepted by the corrector and at t = 1
 MAX_NEWTON = 6           # corrector evaluations per step
 POLISH_TOL = 1e-13       # scaled residual that ends the endpoint polish early
@@ -119,12 +122,10 @@ class _Homotopy:
         of all of `rows` (k = slice(None)) gathers nothing; otherwise each
         evaluation gathers them per slice, so memory stays bounded.
         """
+        if len(t) > slice_rows(self.exps):
+            return lambda x, k: self.evaluate(x, t[k], rows[k])
         runs = self.run[rows]
-        weights = (self.slopes, self.weights, self.moduli)
-        if len(runs) > slice_rows(self.exps):
-            return lambda x, k: self._values(
-                x, weights, lambda part: (runs[k][part], self._factor(t[k][part])))
-        weights = tuple(w[runs] for w in weights)
+        weights = tuple(w[runs] for w in (self.slopes, self.weights, self.moduli))
         factor = self._factor(t)
         # one slice, so the whole of x
         return lambda x, k: self._values(x, weights, lambda part: (k, factor[k]))
@@ -134,17 +135,17 @@ class _Homotopy:
         s = t[:, None, None]
         return np.where(self.start, 1 - s, s)
 
-    def _values(self, x, weights, terms):
+    def _values(self, x, weights, index):
         """`evaluate` at x.  `weights` holds the weights of dH/dt, of (H, theta H)
-        and of the scale, and terms(part) gives the index in them of each of
-        the rows `part` of x and its t-factors."""
+        and of the scale, and index(part) gives, for the rows `part` of x,
+        their index in them and their t-factors."""
         slopes, both, moduli = weights
         n = x.shape[1]
         values = np.empty((len(x), n, n + 1), dtype=np.complex128)
         slope = np.empty((len(x), n), dtype=np.complex128)
         scale = np.empty((len(x), n))
         for part, mon in power_rows(x, self.exps):
-            r, factor = terms(part)
+            r, factor = index(part)
             mon = mon.reshape(len(factor), n, -1)
             np.vecdot(slopes[r], mon, out=slope[part])
             mon *= factor
@@ -282,7 +283,19 @@ def _track_paths(homotopy, starts):
     Euler predictor v = -(dH/dx)^-1 dH/dt, solved at t = 0 and after each
     accepted step from the corrector's last evaluation; a rejected step
     retries with v and half the step.  Each iteration predicts all running
-    paths, then corrects them with up to MAX_NEWTON Newton evaluations.
+    paths, then corrects them with up to MAX_NEWTON Newton evaluations of H
+    bound to their rows and t (`_Homotopy.bind`).
+
+    A path diverges when a coordinate passes DIVERGENCE_RADIUS, or by its
+    log tail (after Morgan, Sommese and Wampler's power-series endgame).
+    Inside the stall window it keeps an anchor, 1 - t and log|x| at an
+    accepted step.  Each time 1 - t has fallen by TAIL_RATIO since the
+    anchor, it estimates the growth exponent alpha of |x| ~ (1 - t)^-alpha as
+    max_i log(|x_i| / |x_i at the anchor|) / log(fall of 1 - t), and
+    re-anchors.  Two consecutive estimates above TAIL_GROWTH that agree
+    within the relative gap TAIL_AGREEMENT end the path.  Only growth
+    counts: a coordinate tending to 0 ends no path.
+
     Returns the status ("ok", "diverged" or "stalled"), x and t of every
     path, and the mask of the paths at which H was ever evaluated beyond the
     float range; those evaluations are rejected like any failed correction.
@@ -302,6 +315,10 @@ def _track_paths(homotopy, starts):
     status = np.where(singular, _STALLED, _RUNNING).astype(np.int8)
     dt = np.full(len(x), INITIAL_STEP)
     successes = np.zeros(len(x), dtype=int)
+    # the log tail: 1 - t and log|x| at each path's anchor (0: none), and its
+    # last growth estimate
+    anchor, anchor_x = np.zeros(len(x)), np.zeros(x.shape)
+    growth = np.zeros(len(x))
     while (a := np.flatnonzero(status == _RUNNING)).size:
         dt[a] = np.minimum(dt[a], 1.0 - t[a])
         x0, dt0 = x[a], dt[a]
@@ -319,9 +336,10 @@ def _track_paths(homotopy, starts):
 
         ok = _newton(at, xp, (NEWTON_TOL,) * MAX_NEWTON)
         # guard against path jumping: the corrected point must stay within the
-        # predictor's reach, otherwise shrink the step and retry.  The norms
-        # are np.linalg.norm's sum of |z|^2, one reduction for all three
-        jump, reach, start = _norms(np.stack([xp - (x0 + dx), dx, x0]))
+        # predictor's reach, otherwise shrink the step and retry.  The three
+        # 2-norms are summed as np.linalg.norm sums them, in one reduction
+        z = np.stack([xp - (x0 + dx), dx, x0])
+        jump, reach, start = np.sqrt(np.add.reduce((z.conj() * z).real, axis=-1))
         ok &= ~(jump > 2.0 * reach + 1e-6 * (1.0 + start))
         acc, rej = a[ok], a[~ok]
         x[acc], t[acc] = xp[ok], tp[ok]
@@ -330,6 +348,25 @@ def _track_paths(homotopy, starts):
         dt[grow] = np.minimum(dt[grow] * 2, MAX_STEP)
         successes[grow] = 0
         status[acc[np.max(np.abs(x[acc]), axis=1) > DIVERGENCE_RADIUS]] = _DIVERGED
+        # the log tail of the accepted paths in the stall window
+        tail = acc[(t[acc] > 1 - STALL_WINDOW) & (t[acc] < 1.0)
+                   & (status[acc] == _RUNNING)]
+        if tail.size:
+            gap = 1.0 - t[tail]
+            # log 0 = -inf at x_i = 0, which no growth estimate counts
+            with np.errstate(divide="ignore", invalid="ignore"):
+                logx = np.log(np.abs(x[tail]))
+                due = gap * TAIL_RATIO <= anchor[tail]
+                p = tail[due]
+                rate = (np.max(logx[due] - anchor_x[p], axis=1)
+                        / np.log(anchor[p] / gap[due]))
+                last = growth[p]
+                steady = ((rate > TAIL_GROWTH) & (last > TAIL_GROWTH)
+                          & (np.abs(rate - last) <= TAIL_AGREEMENT * last))
+            status[p[steady]] = _DIVERGED
+            growth[p] = rate
+            new = due | (anchor[tail] == 0)
+            anchor[tail[new]], anchor_x[tail[new]] = gap[new], logx[new]
         successes[rej] = 0
         dt[rej] /= 2
         status[rej[dt[rej] < MIN_STEP]] = _STALLED
@@ -339,11 +376,6 @@ def _track_paths(homotopy, starts):
         v[acc[go]], singular = _solve_stack(hxp[ok][go], -htp[ok][go])
         status[acc[go][singular]] = _STALLED
     return np.array(_STATUSES)[status], x, t, unbounded
-
-
-def _norms(z):
-    """The 2-norm of each row of z along its last axis, as np.linalg.norm sums it."""
-    return np.sqrt(np.add.reduce((z.conj() * z).real, axis=-1))
 
 
 def _polish(homotopy, x, rows):

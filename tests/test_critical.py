@@ -7,9 +7,10 @@ from hypothesis import given, settings as hsettings, strategies as st
 
 from eulerint import critical, laurent, polytope
 from eulerint.critical import (DIVERGENCE_RADIUS, INITIAL_STEP, MAX_NEWTON,
-                               MAX_STEP, MIN_STEP, NEWTON_TOL, PolySystem,
-                               SolutionSet, TrackerSettings, build_system,
-                               euler_characteristic, solve)
+                               MAX_STEP, MIN_STEP, NEWTON_TOL, STALL_WINDOW,
+                               TAIL_AGREEMENT, TAIL_GROWTH, TAIL_RATIO,
+                               PolySystem, SolutionSet, TrackerSettings,
+                               build_system, euler_characteristic, solve)
 from eulerint.laurent import IntegrandSpec, LaurentPoly, omega_components, parse_poly
 
 from conftest import HEXAGON_TEXT, LINES_TEXT
@@ -19,8 +20,9 @@ from conftest import HEXAGON_TEXT, LINES_TEXT
 
 def test_settings_reject_nonpositive():
     for name in ("INITIAL_STEP", "MAX_STEP", "MIN_STEP", "STALL_WINDOW",
-                 "DIVERGENCE_RADIUS", "NEWTON_TOL", "MAX_NEWTON", "POLISH_TOL",
-                 "POLISH_ITERS", "RESIDUAL_TOL", "BOUNDARY_TOL", "DEDUP_DISTANCE"):
+                 "DIVERGENCE_RADIUS", "TAIL_RATIO", "TAIL_GROWTH", "TAIL_AGREEMENT",
+                 "NEWTON_TOL", "MAX_NEWTON", "POLISH_TOL", "POLISH_ITERS",
+                 "RESIDUAL_TOL", "BOUNDARY_TOL", "DEDUP_DISTANCE"):
         assert getattr(critical, name) > 0, name
 
 
@@ -389,6 +391,22 @@ def test_homotopy_batch_rows_match_rows_alone(text, entries, monkeypatch):
             assert np.array_equal(got[k], want[0])
 
 
+@pytest.mark.parametrize("text", [HEXAGON_TEXT, pytest.param(_UNEQUAL, id="unequal-terms")])
+@pytest.mark.parametrize("entries", [laurent.TABLE_ENTRIES, 1])
+def test_bound_evaluator_keeps_bits(text, entries, monkeypatch):
+    # all of the bound rows, then some of them, as the corrector passes them;
+    # with entries = 1 every row is its own slice and nothing is kept bound
+    homotopy, x, t, *_ = _homotopy_batch(text, 40, 19)
+    rows = np.random.default_rng(20).choice(40, size=11, replace=False)
+    monkeypatch.setattr(laurent, "TABLE_ENTRIES", entries)
+    bound = homotopy.bind(rows, t[rows])
+    for k in (slice(None), np.array([0, 3, 4, 9])):
+        got = bound(x[rows][k], k)
+        want = homotopy.evaluate(x[rows][k], t[rows][k], rows[k])
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
 def test_homotopy_memory_is_bounded():
     # the dense f of degree 32 of test_power_table_memory_is_bounded: H's
     # table on the 2,048 rows of two runs has 1,126 monomials, about 4.6
@@ -439,6 +457,7 @@ def _track_path(system, start, gamma, degrees, roots):
     _, hx, ht = h(x, t)
     dt = INITIAL_STEP
     successes = 0
+    anchor, growth = None, 0.0
     while t < 1.0:
         dt = min(dt, 1.0 - t)
         # Euler predictor
@@ -474,6 +493,22 @@ def _track_path(system, start, gamma, degrees, roots):
                 successes = 0
             if np.max(np.abs(x)) > DIVERGENCE_RADIUS:
                 return "diverged", x, t
+            # the log tail: each time 1 - t has fallen by TAIL_RATIO since
+            # the anchor, estimate alpha in |x| ~ (1 - t)^-alpha, re-anchor,
+            # and stop on two steady estimates above TAIL_GROWTH
+            if 1 - STALL_WINDOW < t < 1.0:
+                gap = 1.0 - t
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    logx = np.log(np.abs(x))
+                    if anchor is not None and gap * TAIL_RATIO <= anchor[0]:
+                        rate = np.max(logx - anchor[1]) / np.log(anchor[0] / gap)
+                        if (rate > TAIL_GROWTH and growth > TAIL_GROWTH
+                                and abs(rate - growth) <= TAIL_AGREEMENT * growth):
+                            return "diverged", x, t
+                        growth = rate
+                        anchor = None
+                if anchor is None:
+                    anchor = gap, logx
         else:
             successes = 0
             dt /= 2
@@ -533,6 +568,56 @@ def test_singular_predictor_stalls_only_its_path(hexagon_poly):
     for k in (0, 1, 2, 3, 5, 6, 7, 8):
         alone = _track(system, starts[k:k + 1], gamma, degrees, roots)
         _assert_same_path((status[k], xs[k], ts[k]), [a[0] for a in alone[:3]])
+
+
+def _equations(texts):
+    """The system of the equations `texts` in x and y, coefficients as written."""
+    polys = [parse_poly(t, 2) for t in texts]
+    return PolySystem(tuple(polys), IntegrandSpec(polys, (1,) * len(polys), (1, 1)))
+
+
+def _counted_track(monkeypatch, system, rng):
+    """`_track` of a system's paths from `_start`, and its evaluations of H."""
+    evaluations = 0
+    newton = critical._newton
+
+    def counted(evaluate, x, tols):
+        def at(xk, k):
+            nonlocal evaluations
+            evaluations += 1
+            return evaluate(xk, k)
+        return newton(at, x, tols)
+
+    monkeypatch.setattr(critical, "_newton", counted)
+    status, xs, _, _ = _track(system, *_start(system, rng))
+    return status, xs, evaluations
+
+
+def test_log_tail_ends_path_to_infinity(monkeypatch):
+    # {x y - 1, x - 2} has one root; along the other path y grows like
+    # 1 / (1 - t).  Under most start systems that path lands on the root at
+    # its last step; under this one it creeps towards t = 1
+    system = _equations(["x*y - 1", "x - 2"])
+    status, xs, evaluations = _counted_track(monkeypatch, system,
+                                             np.random.default_rng(45))
+    assert status.tolist() == ["diverged", "ok"]
+    assert np.max(np.abs(xs[0])) < DIVERGENCE_RADIUS
+    assert np.allclose(xs[1], [2, 0.5])
+    # without the log tail the path runs out to DIVERGENCE_RADIUS
+    monkeypatch.setattr(critical, "TAIL_GROWTH", np.inf)
+    parent = _counted_track(monkeypatch, system, np.random.default_rng(45))
+    assert parent[0].tolist() == ["diverged", "ok"]
+    assert np.max(np.abs(parent[1][0])) > DIVERGENCE_RADIUS
+    assert evaluations < parent[2]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_log_tail_keeps_large_finite_root(seed, monkeypatch):
+    # the root (1e4, 1e-4) is finite, and its path reaches it
+    system = _equations(["x*y - 1", "0.0001*x - 1"])
+    status, xs, _ = _counted_track(monkeypatch, system, np.random.default_rng(seed))
+    assert sorted(status.tolist()) == ["diverged", "ok"]
+    assert np.allclose(xs[status == "ok"], [[1e4, 1e-4]])
 
 
 @pytest.mark.parametrize("text", [HEXAGON_TEXT, _THREE_TEXT])
@@ -663,6 +748,12 @@ def test_two_runs_when_second_succeeds(monkeypatch):
     sol = _linear_root_solve(seed=4)
     assert len(spy.draws) == 2
     assert (sol.raw_paths, sol.converged, sol.failed_paths) == (2, 2, 0)
+
+
+def test_solve_refuses_a_non_square_system():
+    system = _equations(["x*y - 1"])
+    with pytest.raises(ValueError, match="square"):
+        solve(system)
 
 
 def test_path_count_is_capped():
