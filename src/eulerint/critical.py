@@ -237,9 +237,9 @@ def _solve_stack(a, b):
 def _newton(evaluate, x, tols):
     """Newton's method on the rows of the batch x (P, n), stepped in place.
 
-    `evaluate(xk, k)` gives F, its Jacobian, one more value and the residual
-    scale at xk, the rows k of x: a slice of all of them until a row stops,
-    then their indices.  Evaluation j stops each row whose scaled residual
+    `evaluate(xk, k)` gives F, its Jacobian, a value not read here (dH/dt of
+    `_Homotopy`) and the residual scale at xk, the rows k of x: a slice of
+    all of them until a row stops, then their indices.  Evaluation j stops each row whose scaled residual
     is below `tols[j]`, and drops each row whose residual is not finite or
     whose Jacobian is singular.  The rows still iterating are stepped after
     every evaluation but the last.  Returns the mask of the rows that stopped.
@@ -327,10 +327,10 @@ def _track_paths(homotopy, starts):
         tp = t[a] + dt0
         # Newton corrector; where ok, hxp and htp are the derivatives at (xp, tp)
         hxp, htp = np.empty(xp.shape + xp.shape[1:], complex), np.empty_like(xp)
-        step = homotopy.bind(a, tp)
+        bound = homotopy.bind(a, tp)
 
         def at(xk, k):
-            values = flag(a[k], step(xk, k))
+            values = flag(a[k], bound(xk, k))
             hxp[k], htp[k] = values[1:3]
             return values
 
