@@ -31,7 +31,7 @@ MIN_STEP = 1e-7          # a path whose step shrinks below this has stalled
 STALL_WINDOW = 1e-2      # a stall after t = 1 - STALL_WINDOW is not a failure
 DIVERGENCE_RADIUS = 1e6  # a path with a coordinate beyond this has diverged
 TAIL_RATIO = 3.0         # 1 - t falls by this factor between log-tail estimates
-TAIL_GROWTH = 0.5        # least growth exponent of a log tail that diverges
+TAIL_GROWTH = 0.5        # least growth exponent of a log tail that stops a path
 TAIL_AGREEMENT = 0.2     # relative gap of two log-tail estimates that agree
 NEWTON_TOL = 1e-10       # scaled residual accepted by the corrector and at t = 1
 MAX_NEWTON = 6           # corrector evaluations per step
@@ -239,10 +239,11 @@ def _newton(evaluate, x, tols):
 
     `evaluate(xk, k)` gives F, its Jacobian, a value not read here (dH/dt of
     `_Homotopy`) and the residual scale at xk, the rows k of x: a slice of
-    all of them until a row stops, then their indices.  Evaluation j stops each row whose scaled residual
-    is below `tols[j]`, and drops each row whose residual is not finite or
-    whose Jacobian is singular.  The rows still iterating are stepped after
-    every evaluation but the last.  Returns the mask of the rows that stopped.
+    all of them until a row stops, then their indices.  Evaluation j stops
+    each row whose scaled residual is below `tols[j]`, and drops each row
+    whose residual is not finite or whose Jacobian is singular.  The rows
+    still iterating are stepped after every evaluation but the last.
+    Returns the mask of the rows that stopped.
     """
     done = np.zeros(len(x), dtype=bool)
     k = slice(None)
@@ -286,15 +287,18 @@ def _track_paths(homotopy, starts):
     paths, then corrects them with up to MAX_NEWTON Newton evaluations of H
     bound to their rows and t (`_Homotopy.bind`).
 
-    A path diverges when a coordinate passes DIVERGENCE_RADIUS, or by its
-    log tail (after Morgan, Sommese and Wampler's power-series endgame).
-    Inside the stall window it keeps an anchor, 1 - t and log|x| at an
-    accepted step.  Each time 1 - t has fallen by TAIL_RATIO since the
-    anchor, it estimates the growth exponent alpha of |x| ~ (1 - t)^-alpha as
+    A path diverges when a coordinate passes DIVERGENCE_RADIUS.  A path
+    that grows towards infinity stops earlier by its log tail (after Morgan,
+    Sommese and Wampler's power-series endgame).  Inside the stall window it
+    keeps an anchor, 1 - t and log|x| at an accepted step.  Each time 1 - t
+    has fallen by TAIL_RATIO since the anchor, it estimates the growth
+    exponent alpha of |x| ~ (1 - t)^-alpha as
     max_i log(|x_i| / |x_i at the anchor|) / log(fall of 1 - t), and
     re-anchors.  Two consecutive estimates above TAIL_GROWTH that agree
-    within the relative gap TAIL_AGREEMENT end the path.  Only growth
-    counts: a coordinate tending to 0 ends no path.
+    within the relative gap TAIL_AGREEMENT end the path as "stalled", so
+    that the polish decides it: a path that only reaches a large finite root
+    late grows like one to infinity until 1 - t is near the root's inverse
+    size.  Only growth counts: a coordinate tending to 0 ends no path.
 
     Returns the status ("ok", "diverged" or "stalled"), x and t of every
     path, and the mask of the paths at which H was ever evaluated beyond the
@@ -336,11 +340,9 @@ def _track_paths(homotopy, starts):
 
         ok = _newton(at, xp, (NEWTON_TOL,) * MAX_NEWTON)
         # guard against path jumping: the corrected point must stay within the
-        # predictor's reach, otherwise shrink the step and retry.  The three
-        # 2-norms are summed as np.linalg.norm sums them, in one reduction
-        z = np.stack([xp - (x0 + dx), dx, x0])
-        jump, reach, start = np.sqrt(np.add.reduce((z.conj() * z).real, axis=-1))
-        ok &= ~(jump > 2.0 * reach + 1e-6 * (1.0 + start))
+        # predictor's reach, otherwise shrink the step and retry
+        ok &= ~(np.linalg.norm(xp - (x0 + dx), axis=1) > 2.0 * np.linalg.norm(
+            dx, axis=1) + 1e-6 * (1.0 + np.linalg.norm(x0, axis=1)))
         acc, rej = a[ok], a[~ok]
         x[acc], t[acc] = xp[ok], tp[ok]
         successes[acc] += 1
@@ -363,7 +365,7 @@ def _track_paths(homotopy, starts):
                 last = growth[p]
                 steady = ((rate > TAIL_GROWTH) & (last > TAIL_GROWTH)
                           & (np.abs(rate - last) <= TAIL_AGREEMENT * last))
-            status[p[steady]] = _DIVERGED
+            status[p[steady]] = _STALLED
             growth[p] = rate
             new = due | (anchor[tail] == 0)
             anchor[tail[new]], anchor_x[tail[new]] = gap[new], logx[new]

@@ -495,7 +495,7 @@ def _track_path(system, start, gamma, degrees, roots):
                 return "diverged", x, t
             # the log tail: each time 1 - t has fallen by TAIL_RATIO since
             # the anchor, estimate alpha in |x| ~ (1 - t)^-alpha, re-anchor,
-            # and stop on two steady estimates above TAIL_GROWTH
+            # and stall on two steady estimates above TAIL_GROWTH
             if 1 - STALL_WINDOW < t < 1.0:
                 gap = 1.0 - t
                 with np.errstate(divide="ignore", invalid="ignore"):
@@ -504,7 +504,7 @@ def _track_path(system, start, gamma, degrees, roots):
                         rate = np.max(logx - anchor[1]) / np.log(anchor[0] / gap)
                         if (rate > TAIL_GROWTH and growth > TAIL_GROWTH
                                 and abs(rate - growth) <= TAIL_AGREEMENT * growth):
-                            return "diverged", x, t
+                            return "stalled", x, t
                         growth = rate
                         anchor = None
                 if anchor is None:
@@ -600,7 +600,7 @@ def test_log_tail_ends_path_to_infinity(monkeypatch):
     system = _equations(["x*y - 1", "x - 2"])
     status, xs, evaluations = _counted_track(monkeypatch, system,
                                              np.random.default_rng(45))
-    assert status.tolist() == ["diverged", "ok"]
+    assert status.tolist() == ["stalled", "ok"]
     assert np.max(np.abs(xs[0])) < DIVERGENCE_RADIUS
     assert np.allclose(xs[1], [2, 0.5])
     # without the log tail the path runs out to DIVERGENCE_RADIUS
@@ -611,13 +611,24 @@ def test_log_tail_ends_path_to_infinity(monkeypatch):
     assert evaluations < parent[2]
 
 
+@pytest.mark.parametrize("texts", [["x*y - 1", "0.0001*x - 1"],
+                                   ["0.0001*x - 1", "x*y - 1"]])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_log_tail_keeps_large_finite_root(seed, monkeypatch):
-    # the root (1e4, 1e-4) is finite, and its path reaches it
-    system = _equations(["x*y - 1", "0.0001*x - 1"])
-    status, xs, _ = _counted_track(monkeypatch, system, np.random.default_rng(seed))
-    assert sorted(status.tolist()) == ["diverged", "ok"]
-    assert np.allclose(xs[status == "ok"], [[1e4, 1e-4]])
+def test_log_tail_keeps_large_finite_root(texts, seed):
+    # the root (1e4, 1e-4) is finite.  With x - r_1 started against
+    # 0.0001 x - 1, its path grows like 1 / (0.0001 + c (1 - t)) and looks
+    # like one to infinity until 1 - t is near 1e-4, so the log tail stalls
+    # it and the polish reaches the root
+    system = _equations(texts)
+    status, xs, ts, _ = _track(system, *_start(system, np.random.default_rng(seed)))
+    assert np.allclose(xs[status == "ok"], [1e4, 1e-4])
+    assert (ts[status == "stalled"] > 1 - STALL_WINDOW).all()
+    degrees = np.array([max(1, eq.total_degree()) for eq in system.equations],
+                       dtype=np.float64)
+    [[(ends, failed, unbounded)]] = critical._run_tracking(
+        [system], [degrees], [np.random.default_rng(seed)], 1)
+    assert (failed, unbounded) == (0, False)
+    assert len(ends) and np.allclose(ends, [1e4, 1e-4])
 
 
 @pytest.mark.parametrize("text", [HEXAGON_TEXT, _THREE_TEXT])
@@ -888,7 +899,7 @@ def test_solutions_satisfy_omega(hexagon_poly):
     sol = solve(build_system(spec), TrackerSettings(seed=5))
     assert sol.distinct == 6
     assert (sol.raw_paths, sol.converged, sol.filtered,
-            sol.failed_paths) == (18, 14, 2, 0)
+            sol.failed_paths) == (18, 18, 2, 0)
     for x in sol.solutions:
         w = omega_components(spec, np.array(x))
         assert np.max(np.abs(w)) <= 1e-6 * max(1.0, np.max(np.abs(np.array(x))))
