@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import intlinalg, polytope
+from . import polytope
 from ._lazy import np
 from .laurent import (IntegrandSpec, LaurentPoly, omega_components, power_rows,
                       power_table, slice_rows)
@@ -271,11 +271,11 @@ def _below(r, scale, tol):
 
 
 # the path states of `_track_paths`, coded by their index
-_STATUSES = ("running", "ok", "diverged", "stalled")
-_RUNNING, _OK, _DIVERGED, _STALLED = range(len(_STATUSES))
+_STATUSES = ("running", "ok", "diverged", "stalled", "dropped")
+_RUNNING, _OK, _DIVERGED, _STALLED, _DROPPED = range(len(_STATUSES))
 
 
-def _track_paths(homotopy, starts):
+def _track_paths(homotopy, starts, stop=None):
     """Track the paths of H(x,t) = gamma (1-t) G(x) + t F(x), t: 0 -> 1, in lockstep.
 
     `homotopy` is the `_Homotopy` of the batch, whose rows may be in several
@@ -300,9 +300,14 @@ def _track_paths(homotopy, starts):
     late grows like one to infinity until 1 - t is near the root's inverse
     size.  Only growth counts: a coordinate tending to 0 ends no path.
 
-    Returns the status ("ok", "diverged" or "stalled"), x and t of every
-    path, and the mask of the paths at which H was ever evaluated beyond the
-    float range; those evaluations are rejected like any failed correction.
+    After each iteration in which paths end "ok", `stop(rows, x)`, when
+    given, gets those paths and their endpoints and returns the paths to
+    stop; each of them still running ends as "dropped".
+
+    Returns the status ("ok", "diverged", "stalled" or "dropped"), x and t of
+    every path, and the mask of the paths at which H was ever evaluated
+    beyond the float range; those evaluations are rejected like any failed
+    correction.
     """
     x = np.array(starts, dtype=np.complex128)
     unbounded = np.zeros(len(x), dtype=bool)
@@ -373,6 +378,9 @@ def _track_paths(homotopy, starts):
         dt[rej] /= 2
         status[rej[dt[rej] < MIN_STEP]] = _STALLED
         status[(status == _RUNNING) & (t >= 1.0)] = _OK
+        if stop is not None and (ended := acc[status[acc] == _OK]).size:
+            drop = stop(ended, x[ended])
+            status[drop[status[drop] == _RUNNING]] = _DROPPED
         # the new direction of the paths that moved and still run
         go = status[acc] == _RUNNING
         v[acc[go]], singular = _solve_stack(hxp[ok][go], -htp[ok][go])
@@ -429,18 +437,44 @@ def _batches(systems, sizes):
         yield batch
 
 
-def _run_tracking(systems, degrees, rngs, attempts):
+class _Tally:
+    """A draw's distinct verified points so far, and the most it can have.
+
+    Endpoints wait unverified while they and the points number fewer than
+    the bound, since they cannot fill it; then each is verified once, into
+    the points (`_add_solutions`).
+    """
+
+    def __init__(self, spec, bound):
+        self.spec, self.bound, self.points, self.waiting = spec, bound, [], []
+
+    def add(self, x):
+        self.waiting.append(x)
+        if len(self.points) + sum(map(len, self.waiting)) >= self.bound:
+            _add_solutions(self.spec, np.concatenate(self.waiting), self.points)
+            self.waiting = []
+
+    @property
+    def full(self):
+        return len(self.points) >= self.bound
+
+
+def _run_tracking(systems, degrees, rngs, attempts, tallies=None):
     """Total-degree tracking runs of several draws, `attempts` fresh ones per draw.
 
     Draw d's start systems (random constants and gamma) are drawn from
     `rngs[d]` one after another.  The paths of all runs of a batch of draws
     (`_batches`) are tracked and polished together; a path's trajectory
     depends on its own row alone, so each run ends as it would alone.
+    With `tallies`, one `_Tally` per draw, the endpoint of each path that
+    ends "ok" goes to its draw's tally as it ends; once the tally is full,
+    the draw's running paths are dropped, neither polished nor failed.
     Returns per draw, per run, (endpoints, failed, unbounded): the polished
     endpoints of its converged paths, one per row, the count of its paths that
     did not diverge, could not be polished and did not stall near t = 1, and
     whether one of those met a value beyond the float range.  Values beyond
-    it are dropped like any failed correction, without a warning.
+    it are dropped like any failed correction, without a warning.  A draw
+    whose tally is full counts no failed path and no such value.
     """
     starts = [[_start_system(deg, rng) for _ in range(attempts)]
               for deg, rng in zip(degrees, rngs)]
@@ -451,11 +485,24 @@ def _run_tracking(systems, degrees, rngs, attempts):
         begun, gammas, roots = map(np.array, zip(*(run for d in batch
                                                    for run in starts[d])))
         run = np.repeat(np.arange(len(begun)), begun.shape[1])
+        draw = run // attempts
+        counted = [tallies[d] for d in batch] if tallies else []
+
+        def full():
+            return np.array([tally.full for tally in counted])
+
+        def stop(rows, x):
+            for i in np.unique(draw[rows]):
+                if not counted[i].full:
+                    counted[i].add(x[draw[rows] == i])
+            return np.flatnonzero(full()[draw])
+
         with np.errstate(over="ignore", invalid="ignore"):
-            homotopy = _Homotopy([systems[d] for d in batch], run // attempts,
+            homotopy = _Homotopy([systems[d] for d in batch], draw,
                                  gammas[run], degrees[batch[0]], roots[run])
-            status, x, t, unbounded = _track_paths(homotopy, np.concatenate(begun))
-            live = np.flatnonzero(status != "diverged")
+            status, x, t, unbounded = _track_paths(homotopy, np.concatenate(begun),
+                                                   stop if counted else None)
+            live = np.flatnonzero((status != "diverged") & (status != "dropped"))
             x, status, t, run, unbounded = (x[live], status[live], t[live],
                                             run[live], unbounded[live])
             converged = _polish(homotopy, x, live)
@@ -465,6 +512,8 @@ def _run_tracking(systems, degrees, rngs, attempts):
         # that close to t = 1 means the path has no finite regular limit.
         # Only mid-domain stalls count as genuine tracking failures.
         failed = ~converged & ~((status == "stalled") & (t > 1 - STALL_WINDOW))
+        if counted:
+            failed &= ~full()[run // attempts]
         ends = [(x[converged & mine], int((failed & mine).sum()),
                  bool((failed & unbounded & mine).any()))
                 for mine in (run == i for i in range(len(begun)))]
@@ -493,30 +542,37 @@ def solve(system: PolySystem, settings: TrackerSettings | None = None) -> Soluti
     return solve_draws((system,), (settings.seed,))[0]
 
 
-def solve_draws(systems, seeds) -> tuple:
+def solve_draws(systems, seeds, bounds=None) -> tuple:
     """`solve` of each draw's cleared system under its own seed, tracked together.
 
     Per draw, two runs under independent random gammas are tracked, and a
     third when the second leaves failed paths; the strictly verified
     endpoints are pooled.  The verified solution set does not depend on
     gamma, so pooling cannot introduce spurious points.  The runs of all
-    draws share batches (`_run_tracking`), and each draw's SolutionSet is
-    the one it gets alone.  When a path that failed in a draw's last run met
+    draws share batches (`_run_tracking`), and without `bounds` each draw's
+    SolutionSet is the one it gets alone.  `bounds`, when given, holds the
+    most distinct solutions each draw can have: a draw stops tracking once
+    the endpoints of its paths that ended "ok", in any of its runs, hold
+    that many, and then reports no failed path, so it is certified and
+    starts no third run.  When a path that failed in a draw's last run met
     a value beyond the float range, the count cannot be trusted, and
     FloatingPointError is raised.
     """
     total_degrees = [_total_degrees(system) for system in systems]
     degrees = [np.array(deg, dtype=np.float64) for deg in total_degrees]
     rngs = [np.random.default_rng(seed) for seed in seeds]
+    tallies = bounds and [_Tally(system.spec, bound)
+                          for system, bound in zip(systems, bounds)]
 
     # Two independent runs are always pooled: a path jump or an unresolved
     # stall under one gamma is overwhelmingly unlikely to recur at the same
     # solution under an independent gamma.  A third run is added only when
     # the second reports genuine mid-domain tracking failures.
-    runs = _run_tracking(systems, degrees, rngs, 2)
+    runs = _run_tracking(systems, degrees, rngs, 2, tallies)
     again = [d for d, r in enumerate(runs) if r[-1][1]]
     third = _run_tracking([systems[d] for d in again], [degrees[d] for d in again],
-                          [rngs[d] for d in again], 1)
+                          [rngs[d] for d in again], 1,
+                          tallies and [tallies[d] for d in again])
     for d, extra in zip(again, third):
         runs[d] += extra
     if any(r[-1][2] for r in runs):
@@ -530,12 +586,32 @@ def _solution_set(spec, raw_paths, runs):
     """The filtered, deduplicated SolutionSet of one draw's runs."""
     endpoints = [ep for ep, *_ in runs]
     converged = sum(len(ep) for ep in endpoints)
-    failed = runs[-1][1]
+    distinct = []
+    filtered = converged - _add_solutions(spec, np.concatenate(endpoints), distinct)
+    return SolutionSet(
+        solutions=tuple(s for s, _ in distinct),
+        residuals=tuple(r for _, r in distinct),
+        raw_paths=raw_paths,
+        converged=converged,
+        filtered=filtered,
+        distinct=len(distinct),
+        failed_paths=runs[-1][1],
+    )
 
-    # filter to the torus complement and check the original rational equations;
-    # all thresholds are relative to the term magnitudes at x, so badly scaled
-    # but genuine solutions are not rejected
-    x = np.concatenate(endpoints)
+
+def _add_solutions(spec, x, distinct):
+    """Add the verified rows of x (P, n) to `distinct`, a list of (point, residual).
+
+    A row is verified when it lies in the torus complement and satisfies the
+    original rational equations: every |x_i| and scaled |f_j| is at least
+    BOUNDARY_TOL, and the scaled residual of omega at most RESIDUAL_TOL.  All
+    thresholds are relative to the term magnitudes at x, so badly scaled but
+    genuine solutions are not rejected.  The verified rows are taken in sorted
+    order, and each joins `distinct` unless a point there lies within
+    DEDUP_DISTANCE of it in the max norm; so into an empty list the points
+    do not depend on the order of the rows.  Returns the count of verified
+    rows.
+    """
     x = x[~np.any(np.abs(x) < BOUNDARY_TOL, axis=1)]
     grads = [fj.value_and_gradient(x) for fj in spec.f]
     on_torus = np.ones(len(x), dtype=bool)
@@ -548,24 +624,11 @@ def _solution_set(spec, raw_paths, runs):
     resid = np.max(np.abs(omega_components(spec, x)) / np.maximum(1.0, scale),
                    axis=1)
     kept = [(xk, float(rk)) for xk, rk in zip(x, resid) if rk <= RESIDUAL_TOL]
-    filtered = converged - len(kept)
-
-    # order-independent dedup: sort, then cluster in the max norm
     kept.sort(key=lambda p: tuple((round(c.real, 8), round(c.imag, 8)) for c in p[0]))
-    distinct = []
     for x, resid in kept:
         if all(np.max(np.abs(x - np.array(y))) > DEDUP_DISTANCE for y, _ in distinct):
             distinct.append((tuple(x), resid))
-
-    return SolutionSet(
-        solutions=tuple(s for s, _ in distinct),
-        residuals=tuple(r for _, r in distinct),
-        raw_paths=raw_paths,
-        converged=converged,
-        filtered=filtered,
-        distinct=len(distinct),
-        failed_paths=failed,
-    )
+    return len(kept)
 
 
 def _random_parameters(rng, count):
@@ -582,6 +645,12 @@ def euler_characteristic(spec_or_polys, settings: TrackerSettings | None = None,
     (`solve_draws`).  A Cayley support of affine rank below n + ell - 1 makes
     every f_j quasi-homogeneous for one weight, whose one-parameter subgroup
     acts freely on the complement, so chi = 0 and nothing is tracked.
+    Otherwise the critical points are the torus solutions of the Cayley
+    polynomial's Euler system, so by Bernstein's theorem a draw has at most
+    the support's normalized volume times its lattice index of them; each
+    draw stops tracking once it holds that many.  Draws that agree on a
+    count below that bound while one of them is not certified raise
+    RuntimeError, as do draws that disagree.
     """
     settings = settings or TrackerSettings()
     if isinstance(spec_or_polys, IntegrandSpec):
@@ -593,17 +662,21 @@ def euler_characteristic(spec_or_polys, settings: TrackerSettings | None = None,
     rng = np.random.default_rng(settings.seed)
     specs = [IntegrandSpec(polys, _random_parameters(rng, ell),
                            _random_parameters(rng, n)) for _ in range(draws)]
-    points = polytope.cayley_support(specs[0]).points
-    steps = [[a - b for a, b in zip(p, points[0])] for p in points]
-    if intlinalg.rank(steps) < n + ell - 1:
+    report = polytope.normalized_volume(polytope.cayley_support(specs[0]))
+    if report.affine_dim < n + ell - 1:
         return 0, 0, True
+    bound = report.normalized_volume * report.index
     sols = solve_draws([build_system(spec) for spec in specs],
-                       [settings.seed + 1000 + d for d in range(draws)])
+                       [settings.seed + 1000 + d for d in range(draws)],
+                       [bound] * draws)
     counts = [sol.distinct for sol in sols]
     certified = all(sol.certified for sol in sols)
     if len(set(counts)) != 1:
         raise RuntimeError(f"critical point counts disagree across draws: {counts}; "
                            "non-generic parameters or tracking failure")
     count = counts[0]
+    if count < bound and not certified:
+        raise RuntimeError(f"the draws agree on {count} critical points, below the "
+                           f"bound {bound} = volume x index, and paths failed")
     chi = (-1) ** n * count
     return chi, count, certified

@@ -34,6 +34,7 @@ class VolumeReport:
     normalized_volume: int
     affine_dim: int
     lattice_index_note: str
+    index: int        # of the affinely generated lattice in its saturation
 
 
 def cayley_support(spec: IntegrandSpec) -> LatticePointSet:
@@ -98,7 +99,9 @@ def normalized_volume(pts: LatticePointSet) -> VolumeReport:
 
     The volume is measured against the lattice generated by the differences of
     the points together with one translate, i.e. the lattice affinely generated
-    by the points, with the origin appended as cone apex.
+    by the points, with the origin appended as cone apex.  `index` is the
+    index of the points' difference lattice in the integer points of its
+    span, so the volume times the index is measured against the integers.
     """
     points = list(pts.points)
     if not points:
@@ -107,7 +110,7 @@ def normalized_volume(pts: LatticePointSet) -> VolumeReport:
     diffs = [[a - b for a, b in zip(p, p0)] for p in points]
     basis = ila.lattice_basis(diffs)
     if not basis:
-        return VolumeReport(0, 0, "degenerate: single point")
+        return VolumeReport(0, 0, "degenerate: single point", 1)
     index = ila.lattice_index_in_saturation(basis)
     if index == 1:
         note = "difference lattice is saturated in the ambient lattice"
@@ -115,7 +118,7 @@ def normalized_volume(pts: LatticePointSet) -> VolumeReport:
         note = (f"difference lattice has index {index} in the ambient lattice "
                 "intersected with the affine span; volume is measured against "
                 "the affinely generated sublattice")
-    return VolumeReport(_place(points)[0], len(basis), note)
+    return VolumeReport(_place(points)[0], len(basis), note, index)
 
 
 def facets(pts: LatticePointSet):

@@ -114,6 +114,50 @@ def test_chi_transient_overflow_is_silent(tmp_path, capsys):
     assert not caught
 
 
+# -- each draw stops at the volume bound vol x index -------------------------
+
+def test_chi_bound_saves_evaluations(capsys, monkeypatch):
+    values = critical._Homotopy._values
+    calls = []
+
+    def counted(self, *args):
+        calls.append(1)
+        return values(self, *args)
+
+    monkeypatch.setattr(critical._Homotopy, "_values", counted)
+    argv = ["chi", PROBLEMS / "hexagon.json", "--seed", 0]
+    bounded, evaluations = run(capsys, argv), len(calls)
+    solve_draws = critical.solve_draws
+    monkeypatch.setattr(critical, "solve_draws",
+                        lambda systems, seeds, bounds: solve_draws(systems, seeds))
+    calls.clear()
+    assert run(capsys, argv) == bounded == (0, {"certified": True, "chi": 6, "count": 6,
+                                               "draws": 2, "seed": 0})
+    assert evaluations < len(calls)
+
+
+# vol 1 x index 5; without the bound, each draw's third run leaves failed paths
+@pytest.mark.parametrize("seed", range(4))
+def test_chi_at_the_bound_is_certified(tmp_path, capsys, seed):
+    problem = {"f": [[[[1, 0, 1], -2], [[0, 1, 2], -9], [[2, 1, 3], -9],
+                      [[2, 2, 2], 7]]]}
+    code, out = run(capsys, ["chi", _problem(tmp_path, problem), "--seed", seed])
+    assert code == 0
+    assert (out["count"], out["certified"]) == (5, True)
+
+
+# the four critical points lie at |x| about (0.73, 6e-16) and (2e-16, 6.8),
+# which the filter drops
+@pytest.mark.parametrize("seed", range(4))
+def test_chi_short_uncertified_count_exit_2(tmp_path, capsys, seed):
+    problem = {"f": ["1e30*x^2*y^2 + x + y + 1"]}
+    code, out = run(capsys, ["chi", _problem(tmp_path, problem), "--seed", seed])
+    assert code == 2
+    assert out["error"] == {"type": "numerical-failure", "message":
+                            "the draws agree on 0 critical points, below the "
+                            "bound 4 = volume x index, and paths failed"}
+
+
 def test_terms_form_agrees_with_function_form(tmp_path, capsys):
     # the function g f^a x^b is the term (k = 1, g, a, b + 1)
     forms = [{"function": "x - 3", "a": [1, 0], "b": [0]},
@@ -280,7 +324,7 @@ def test_integrate_multivariate_exit_2(tmp_path, capsys):
 
 
 def test_draw_disagreement_exit_2(tmp_path, capsys, monkeypatch):
-    def solve_draws(systems, seeds):
+    def solve_draws(systems, seeds, bounds):
         return tuple(critical.SolutionSet(solutions=(), residuals=(), raw_paths=0,
                                           converged=0, filtered=0,
                                           distinct=count, failed_paths=0)

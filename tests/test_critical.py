@@ -779,15 +779,17 @@ def test_path_count_is_capped():
 # -- all draws in one batch -------------------------------------------------
 
 class _TrackSpy:
-    """Records the row count of every `_track_paths` batch."""
+    """Records the row count and the path statuses of every `_track_paths` batch."""
 
     def __init__(self, monkeypatch):
-        self.rows = []
+        self.rows, self.statuses = [], []
         track = critical._track_paths
 
-        def spy(homotopy, starts):
+        def spy(homotopy, starts, stop=None):
             self.rows.append(len(starts))
-            return track(homotopy, starts)
+            tracked = track(homotopy, starts, stop)
+            self.statuses.append(tracked[0])
+            return tracked
 
         monkeypatch.setattr(critical, "_track_paths", spy)
 
@@ -953,6 +955,81 @@ def test_monomial_factor_changes_neither_count_nor_work(monkeypatch):
     assert got == [2, 2]
     # one batch per chi: 2 draws x 2 runs x 2 paths
     assert spy.rows == [8, 8]
+
+
+# -- each draw stops at the volume bound -----------------------------------
+
+class _BoundSpy:
+    """Records the `_Tally` and the SolutionSet of every draw `solve_draws` solves."""
+
+    def __init__(self, monkeypatch):
+        self.tallies, self.sols = [], []
+        spy, solve_draws = self, critical.solve_draws
+
+        class Tally(critical._Tally):
+            def __init__(self, spec, bound):
+                super().__init__(spec, bound)
+                spy.tallies.append(self)
+
+        def recorded(systems, seeds, bounds=None):
+            sols = solve_draws(systems, seeds, bounds)
+            self.sols += sols
+            return sols
+
+        monkeypatch.setattr(critical, "_Tally", Tally)
+        monkeypatch.setattr(critical, "solve_draws", recorded)
+
+    def stopped(self):
+        """(bound, distinct) of each draw whose tally reached its bound."""
+        return [(tally.bound, sol.distinct)
+                for tally, sol in zip(self.tallies, self.sols) if tally.full]
+
+
+# vol 1 x index 5: without the bound, third runs leave failed paths
+_INDEX_FIVE = [LaurentPoly(3, {(1, 0, 1): -2, (0, 1, 2): -9, (2, 1, 3): -9,
+                               (2, 2, 2): 7})]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_draw_at_its_bound_starts_no_third_run(seed, monkeypatch):
+    starts = _StartSpy(monkeypatch)
+    spy = _BoundSpy(monkeypatch)
+    assert euler_characteristic(_INDEX_FIVE, TrackerSettings(seed=seed)) == (-5, 5, True)
+    assert len(starts.draws) == 4      # 2 draws x 2 runs
+    assert spy.stopped() == [(5, 5), (5, 5)]
+
+
+def test_without_the_bound_a_third_run_starts(monkeypatch):
+    solve_draws = critical.solve_draws
+    starts = _StartSpy(monkeypatch)
+    monkeypatch.setattr(critical, "solve_draws",
+                        lambda systems, seeds, bounds: solve_draws(systems, seeds))
+    assert euler_characteristic(_INDEX_FIVE, TrackerSettings(seed=0)) == (-5, 5, False)
+    assert len(starts.draws) > 4
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lines_drops_no_path(lines_poly, seed, monkeypatch):
+    # count 2 < bound 6: every path is tracked as without the bound
+    tracks = _TrackSpy(monkeypatch)
+    spy = _BoundSpy(monkeypatch)
+    assert euler_characteristic([lines_poly], TrackerSettings(seed=seed))[1:] == (2, True)
+    assert [tally.bound for tally in spy.tallies] == [6, 6]
+    assert spy.stopped() == []
+    assert not any("dropped" in statuses for statuses in tracks.statuses)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stopped_draws_in_two_batches_print_their_bound(hexagon_poly, seed,
+                                                        monkeypatch):
+    # 9 paths a run: each batch of at most 18 rows holds one draw's two runs
+    monkeypatch.setattr(critical, "MAX_PATHS", 9)
+    tracks = _TrackSpy(monkeypatch)
+    spy = _BoundSpy(monkeypatch)
+    assert euler_characteristic([hexagon_poly], TrackerSettings(seed=seed)) == (6, 6, True)
+    assert tracks.rows == [18, 18]
+    assert spy.stopped() == [(6, 6), (6, 6)]
+    assert all("dropped" in statuses for statuses in tracks.statuses)
 
 
 # -- cross-module oracle: count == volume for generic coefficients ----------
