@@ -493,8 +493,7 @@ def _run_tracking(systems, degrees, rngs, attempts, tallies=None):
 
         def stop(rows, x):
             for i in np.unique(draw[rows]):
-                if not counted[i].full:
-                    counted[i].add(x[draw[rows] == i])
+                counted[i].add(x[draw[rows] == i])
             return np.flatnonzero(full()[draw])
 
         with np.errstate(over="ignore", invalid="ignore"):
@@ -561,8 +560,8 @@ def solve_draws(systems, seeds, bounds=None) -> tuple:
     total_degrees = [_total_degrees(system) for system in systems]
     degrees = [np.array(deg, dtype=np.float64) for deg in total_degrees]
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    tallies = bounds and [_Tally(system.spec, bound)
-                          for system, bound in zip(systems, bounds)]
+    tallies = ([_Tally(system.spec, bound) for system, bound in zip(systems, bounds)]
+               if bounds else None)
 
     # Two independent runs are always pooled: a path jump or an unresolved
     # stall under one gamma is overwhelmingly unlikely to recur at the same
@@ -572,7 +571,7 @@ def solve_draws(systems, seeds, bounds=None) -> tuple:
     again = [d for d, r in enumerate(runs) if r[-1][1]]
     third = _run_tracking([systems[d] for d in again], [degrees[d] for d in again],
                           [rngs[d] for d in again], 1,
-                          tallies and [tallies[d] for d in again])
+                          [tallies[d] for d in again] if tallies else None)
     for d, extra in zip(again, third):
         runs[d] += extra
     if any(r[-1][2] for r in runs):

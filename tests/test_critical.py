@@ -994,7 +994,8 @@ _INDEX_FIVE = [LaurentPoly(3, {(1, 0, 1): -2, (0, 1, 2): -9, (2, 1, 3): -9,
 def test_draw_at_its_bound_starts_no_third_run(seed, monkeypatch):
     starts = _StartSpy(monkeypatch)
     spy = _BoundSpy(monkeypatch)
-    assert euler_characteristic(_INDEX_FIVE, TrackerSettings(seed=seed)) == (-5, 5, True)
+    chi = euler_characteristic(_INDEX_FIVE, TrackerSettings(seed=seed))
+    assert chi == (-5, 5, True)
     assert len(starts.draws) == 4      # 2 draws x 2 runs
     assert spy.stopped() == [(5, 5), (5, 5)]
 
@@ -1013,7 +1014,8 @@ def test_lines_drops_no_path(lines_poly, seed, monkeypatch):
     # count 2 < bound 6: every path is tracked as without the bound
     tracks = _TrackSpy(monkeypatch)
     spy = _BoundSpy(monkeypatch)
-    assert euler_characteristic([lines_poly], TrackerSettings(seed=seed))[1:] == (2, True)
+    chi = euler_characteristic([lines_poly], TrackerSettings(seed=seed))
+    assert chi[1:] == (2, True)
     assert [tally.bound for tally in spy.tallies] == [6, 6]
     assert spy.stopped() == []
     assert not any("dropped" in statuses for statuses in tracks.statuses)
@@ -1026,7 +1028,8 @@ def test_stopped_draws_in_two_batches_print_their_bound(hexagon_poly, seed,
     monkeypatch.setattr(critical, "MAX_PATHS", 9)
     tracks = _TrackSpy(monkeypatch)
     spy = _BoundSpy(monkeypatch)
-    assert euler_characteristic([hexagon_poly], TrackerSettings(seed=seed)) == (6, 6, True)
+    chi = euler_characteristic([hexagon_poly], TrackerSettings(seed=seed))
+    assert chi == (6, 6, True)
     assert tracks.rows == [18, 18]
     assert spy.stopped() == [(6, 6), (6, 6)]
     assert all("dropped" in statuses for statuses in tracks.statuses)
