@@ -647,9 +647,10 @@ def euler_characteristic(spec_or_polys, settings: TrackerSettings | None = None,
     Otherwise the critical points are the torus solutions of the Cayley
     polynomial's Euler system, so by Bernstein's theorem a draw has at most
     the support's normalized volume times its lattice index of them; each
-    draw stops tracking once it holds that many.  Draws that agree on a
-    count below that bound while one of them is not certified raise
-    RuntimeError, as do draws that disagree.
+    draw stops tracking once it holds that many.  The count is certified
+    when it equals that bound or no draw's last run has failed paths; draws
+    that agree on an uncertified count below the bound raise RuntimeError,
+    as do draws that disagree.
     """
     settings = settings or TrackerSettings()
     if isinstance(spec_or_polys, IntegrandSpec):
@@ -669,11 +670,12 @@ def euler_characteristic(spec_or_polys, settings: TrackerSettings | None = None,
                        [settings.seed + 1000 + d for d in range(draws)],
                        [bound] * draws)
     counts = [sol.distinct for sol in sols]
-    certified = all(sol.certified for sol in sols)
     if len(set(counts)) != 1:
         raise RuntimeError(f"critical point counts disagree across draws: {counts}; "
                            "non-generic parameters or tracking failure")
     count = counts[0]
+    # draws that hold the bound's count of points have them all
+    certified = count == bound or all(sol.certified for sol in sols)
     if count < bound and not certified:
         raise RuntimeError(f"the draws agree on {count} critical points, below the "
                            f"bound {bound} = volume x index, and paths failed")

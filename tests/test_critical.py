@@ -1001,12 +1001,28 @@ def test_draw_at_its_bound_starts_no_third_run(seed, monkeypatch):
 
 
 def test_without_the_bound_a_third_run_starts(monkeypatch):
-    solve_draws = critical.solve_draws
+    solve_draws, sols = critical.solve_draws, []
+
+    def unbounded(systems, seeds, bounds):
+        sols[:] = solve_draws(systems, seeds)
+        return sols
+
     starts = _StartSpy(monkeypatch)
-    monkeypatch.setattr(critical, "solve_draws",
-                        lambda systems, seeds, bounds: solve_draws(systems, seeds))
-    assert euler_characteristic(_INDEX_FIVE, TrackerSettings(seed=0)) == (-5, 5, False)
+    monkeypatch.setattr(critical, "solve_draws", unbounded)
+    assert euler_characteristic(_INDEX_FIVE, TrackerSettings(seed=0))[1] == 5
     assert len(starts.draws) > 4
+    assert not all(sol.certified for sol in sols)
+
+
+def test_count_at_the_bound_is_certified(monkeypatch):
+    # vol 4 x index 1: both draws reach 4 only through the endpoint polish,
+    # and a draw's last run leaves failed paths
+    f = [LaurentPoly(3, {(3, 0, 1): 6, (3, 0, 3): -5, (3, 1, 1): -1}),
+         LaurentPoly(3, {(1, 3, 2): 8, (2, 0, 3): -9, (1, 3, 0): 6})]
+    spy = _BoundSpy(monkeypatch)
+    assert euler_characteristic(f, TrackerSettings(seed=3)) == (-4, 4, True)
+    assert spy.stopped() == []
+    assert not all(sol.certified for sol in spy.sols)
 
 
 @pytest.mark.parametrize("seed", range(4))
