@@ -131,8 +131,8 @@ def test_chi_bound_saves_evaluations(capsys, monkeypatch):
     monkeypatch.setattr(critical, "solve_draws",
                         lambda systems, seeds, bounds: solve_draws(systems, seeds))
     calls.clear()
-    assert run(capsys, argv) == bounded == (0, {"certified": True, "chi": 6, "count": 6,
-                                               "draws": 2, "seed": 0})
+    payload = {"certified": True, "chi": 6, "count": 6, "draws": 2, "seed": 0}
+    assert run(capsys, argv) == bounded == (0, payload)
     assert evaluations < len(calls)
 
 

@@ -74,6 +74,7 @@ def test_volume_segment_against_affine_lattice():
     rep = normalized_volume(ps)
     assert rep.normalized_volume == 3
     assert "index 4" in rep.lattice_index_note
+    assert rep.index == 4
 
 
 # -- cone facets -----------------------------------------------------------
