@@ -301,8 +301,8 @@ def _track_paths(homotopy, starts, stop=None):
     size.  Only growth counts: a coordinate tending to 0 ends no path.
 
     After each iteration in which paths end "ok", `stop(rows, x)`, when
-    given, gets those paths and their endpoints and returns the paths to
-    stop; each of them still running ends as "dropped".
+    given, gets those paths and their endpoints; when it returns True,
+    every path still running ends as "dropped".
 
     Returns the status ("ok", "diverged", "stalled" or "dropped"), x and t of
     every path, and the mask of the paths at which H was ever evaluated
@@ -378,9 +378,9 @@ def _track_paths(homotopy, starts, stop=None):
         dt[rej] /= 2
         status[rej[dt[rej] < MIN_STEP]] = _STALLED
         status[(status == _RUNNING) & (t >= 1.0)] = _OK
-        if stop is not None and (ended := acc[status[acc] == _OK]).size:
-            drop = stop(ended, x[ended])
-            status[drop[status[drop] == _RUNNING]] = _DROPPED
+        if (stop is not None and (ended := acc[status[acc] == _OK]).size
+                and stop(ended, x[ended])):
+            status[status == _RUNNING] = _DROPPED
         # the new direction of the paths that moved and still run
         go = status[acc] == _RUNNING
         v[acc[go]], singular = _solve_stack(hxp[ok][go], -htp[ok][go])
@@ -442,21 +442,35 @@ class _Tally:
 
     Endpoints wait unverified while they and the points number fewer than
     the bound, since they cannot fill it; then each is verified once, into
-    the points (`_add_solutions`).
+    the points (`_add_solutions`).  `taken` counts the endpoints added and
+    `verified` those verified.
     """
 
     def __init__(self, spec, bound):
         self.spec, self.bound, self.points, self.waiting = spec, bound, [], []
+        self.taken = self.verified = 0
 
     def add(self, x):
+        self.taken += len(x)
         self.waiting.append(x)
         if len(self.points) + sum(map(len, self.waiting)) >= self.bound:
-            _add_solutions(self.spec, np.concatenate(self.waiting), self.points)
+            self.verified += _add_solutions(self.spec, np.concatenate(self.waiting),
+                                            self.points)
             self.waiting = []
 
     @property
     def full(self):
         return len(self.points) >= self.bound
+
+    def solution_set(self, raw_paths):
+        """The SolutionSet of a draw that this full tally decides: its points,
+        every endpoint taken counted as converged, and no failed path."""
+        return _from_points(self.points, raw_paths, self.taken, self.verified, 0)
+
+
+def _decided(tallies):
+    """Whether a tally of `tallies`, a list or None, is full."""
+    return any(tally.full for tally in tallies or ())
 
 
 def _run_tracking(systems, degrees, rngs, attempts, tallies=None):
@@ -467,14 +481,15 @@ def _run_tracking(systems, degrees, rngs, attempts, tallies=None):
     (`_batches`) are tracked and polished together; a path's trajectory
     depends on its own row alone, so each run ends as it would alone.
     With `tallies`, one `_Tally` per draw, the endpoint of each path that
-    ends "ok" goes to its draw's tally as it ends; once the tally is full,
-    the draw's running paths are dropped, neither polished nor failed.
-    Returns per draw, per run, (endpoints, failed, unbounded): the polished
-    endpoints of its converged paths, one per row, the count of its paths that
-    did not diverge, could not be polished and did not stall near t = 1, and
-    whether one of those met a value beyond the float range.  Values beyond
-    it are dropped like any failed correction, without a warning.  A draw
-    whose tally is full counts no failed path and no such value.
+    ends "ok" goes to its draw's tally as it ends.  Once a tally is full,
+    its batch is decided: every running path of the batch is dropped, none
+    is polished, and no later batch is tracked.
+    Returns per draw of the batches tracked before a decided one, per run,
+    (endpoints, failed, unbounded): the polished endpoints of its converged
+    paths, one per row, the count of its paths that did not diverge, could
+    not be polished and did not stall near t = 1, and whether one of those
+    met a value beyond the float range.  Values beyond it are dropped like
+    any failed correction, without a warning.
     """
     starts = [[_start_system(deg, rng) for _ in range(attempts)]
               for deg, rng in zip(degrees, rngs)]
@@ -488,20 +503,19 @@ def _run_tracking(systems, degrees, rngs, attempts, tallies=None):
         draw = run // attempts
         counted = [tallies[d] for d in batch] if tallies else []
 
-        def full():
-            return np.array([tally.full for tally in counted])
-
         def stop(rows, x):
             for i in np.unique(draw[rows]):
                 counted[i].add(x[draw[rows] == i])
-            return np.flatnonzero(full()[draw])
+            return _decided(counted)
 
         with np.errstate(over="ignore", invalid="ignore"):
             homotopy = _Homotopy([systems[d] for d in batch], draw,
                                  gammas[run], degrees[batch[0]], roots[run])
             status, x, t, unbounded = _track_paths(homotopy, np.concatenate(begun),
                                                    stop if counted else None)
-            live = np.flatnonzero((status != "diverged") & (status != "dropped"))
+            if _decided(counted):
+                break
+            live = np.flatnonzero(status != "diverged")
             x, status, t, run, unbounded = (x[live], status[live], t[live],
                                             run[live], unbounded[live])
             converged = _polish(homotopy, x, live)
@@ -511,8 +525,6 @@ def _run_tracking(systems, degrees, rngs, attempts, tallies=None):
         # that close to t = 1 means the path has no finite regular limit.
         # Only mid-domain stalls count as genuine tracking failures.
         failed = ~converged & ~((status == "stalled") & (t > 1 - STALL_WINDOW))
-        if counted:
-            failed &= ~full()[run // attempts]
         ends = [(x[converged & mine], int((failed & mine).sum()),
                  bool((failed & unbounded & mine).any()))
                 for mine in (run == i for i in range(len(begun)))]
@@ -549,13 +561,18 @@ def solve_draws(systems, seeds, bounds=None) -> tuple:
     endpoints are pooled.  The verified solution set does not depend on
     gamma, so pooling cannot introduce spurious points.  The runs of all
     draws share batches (`_run_tracking`), and without `bounds` each draw's
-    SolutionSet is the one it gets alone.  `bounds`, when given, holds the
-    most distinct solutions each draw can have: a draw stops tracking once
-    the endpoints of its paths that ended "ok", in any of its runs, hold
-    that many, and then reports no failed path, so it is certified and
-    starts no third run.  When a path that failed in a draw's last run met
-    a value beyond the float range, the count cannot be trusted, and
-    FloatingPointError is raised.
+    SolutionSet is the one it gets alone.  When a path that failed in a
+    draw's last run met a value beyond the float range, the count cannot be
+    trusted, and FloatingPointError is raised.
+
+    `bounds`, when given, holds the most distinct solutions each draw can
+    have.  Once the endpoints of the paths of a draw that ended "ok", in
+    any of its runs, hold that many, the solve is decided: tracking stops
+    for every draw, nothing is polished, and no third run or later batch
+    starts.  A decided draw's SolutionSet is read off its tally: `raw_paths`
+    counts the paths started, `converged` the endpoints taken, `filtered`
+    those that failed verification, and `failed_paths` is 0.  Every other
+    draw then gets None in place of its SolutionSet.
     """
     total_degrees = [_total_degrees(system) for system in systems]
     degrees = [np.array(deg, dtype=np.float64) for deg in total_degrees]
@@ -568,10 +585,14 @@ def solve_draws(systems, seeds, bounds=None) -> tuple:
     # solution under an independent gamma.  A third run is added only when
     # the second reports genuine mid-domain tracking failures.
     runs = _run_tracking(systems, degrees, rngs, 2, tallies)
-    again = [d for d, r in enumerate(runs) if r[-1][1]]
+    again = [] if _decided(tallies) else [d for d, r in enumerate(runs) if r[-1][1]]
     third = _run_tracking([systems[d] for d in again], [degrees[d] for d in again],
                           [rngs[d] for d in again], 1,
                           [tallies[d] for d in again] if tallies else None)
+    if _decided(tallies):
+        return tuple(tally.solution_set(math.prod(deg) * (2 + (d in again)))
+                     if tally.full else None
+                     for d, (tally, deg) in enumerate(zip(tallies, total_degrees)))
     for d, extra in zip(again, third):
         runs[d] += extra
     if any(r[-1][2] for r in runs):
@@ -583,18 +604,23 @@ def solve_draws(systems, seeds, bounds=None) -> tuple:
 
 def _solution_set(spec, raw_paths, runs):
     """The filtered, deduplicated SolutionSet of one draw's runs."""
-    endpoints = [ep for ep, *_ in runs]
-    converged = sum(len(ep) for ep in endpoints)
+    endpoints = np.concatenate([ep for ep, *_ in runs])
     distinct = []
-    filtered = converged - _add_solutions(spec, np.concatenate(endpoints), distinct)
+    verified = _add_solutions(spec, endpoints, distinct)
+    return _from_points(distinct, raw_paths, len(endpoints), verified, runs[-1][1])
+
+
+def _from_points(points, raw_paths, converged, verified, failed_paths):
+    """The SolutionSet of `points`, (point, residual) pairs, verified from
+    `converged` endpoints."""
     return SolutionSet(
-        solutions=tuple(s for s, _ in distinct),
-        residuals=tuple(r for _, r in distinct),
+        solutions=tuple(s for s, _ in points),
+        residuals=tuple(r for _, r in points),
         raw_paths=raw_paths,
         converged=converged,
-        filtered=filtered,
-        distinct=len(distinct),
-        failed_paths=runs[-1][1],
+        filtered=converged - verified,
+        distinct=len(points),
+        failed_paths=failed_paths,
     )
 
 
@@ -639,18 +665,22 @@ def euler_characteristic(spec_or_polys, settings: TrackerSettings | None = None,
     """Signed Euler characteristic via critical point counts.
 
     Accepts either a full IntegrandSpec (its s, nu are replaced by random
-    draws) or a bare list of LaurentPoly.  The count must agree across
-    `draws` independent random parameter draws, which are solved together
+    draws) or a bare list of LaurentPoly.  The count is read off `draws`
+    independent random parameter draws, which are solved together
     (`solve_draws`).  A Cayley support of affine rank below n + ell - 1 makes
     every f_j quasi-homogeneous for one weight, whose one-parameter subgroup
     acts freely on the complement, so chi = 0 and nothing is tracked.
     Otherwise the critical points are the torus solutions of the Cayley
     polynomial's Euler system, so by Bernstein's theorem a draw has at most
-    the support's normalized volume times its lattice index of them; each
-    draw stops tracking once it holds that many.  The count is certified
-    when it equals that bound or no draw's last run has failed paths; draws
-    that agree on an uncertified count below the bound raise RuntimeError,
-    as do draws that disagree.
+    the support's normalized volume times its lattice index of them, and no
+    draw has more isolated ones than random parameters give.  So a draw
+    that holds that many verified points, and none holds more, proves the
+    count: it is the bound, certified.  The first draw whose tracked
+    endpoints hold that many decides the solve, and no other draw is
+    waited for (`solve_draws`).  Otherwise the count must agree across the
+    draws, and it is certified when no draw's last run has failed paths.
+    Draws that agree on an uncertified count below the bound raise
+    RuntimeError, as do draws that disagree.
     """
     settings = settings or TrackerSettings()
     if isinstance(spec_or_polys, IntegrandSpec):
@@ -666,16 +696,20 @@ def euler_characteristic(spec_or_polys, settings: TrackerSettings | None = None,
     if report.affine_dim < n + ell - 1:
         return 0, 0, True
     bound = report.normalized_volume * report.index
-    sols = solve_draws([build_system(spec) for spec in specs],
-                       [settings.seed + 1000 + d for d in range(draws)],
-                       [bound] * draws)
+    systems = [build_system(spec) for spec in specs]
+    seeds = [settings.seed + 1000 + d for d in range(draws)]
+    # a decided solve gives None for each draw it did not wait for
+    sols = [sol for sol in solve_draws(systems, seeds, [bound] * draws)
+            if sol is not None]
     counts = [sol.distinct for sol in sols]
+    # a draw that holds the bound's count of points has them all
+    if max(counts) == bound:
+        return (-1) ** n * bound, bound, True
     if len(set(counts)) != 1:
         raise RuntimeError(f"critical point counts disagree across draws: {counts}; "
                            "non-generic parameters or tracking failure")
     count = counts[0]
-    # draws that hold the bound's count of points have them all
-    certified = count == bound or all(sol.certified for sol in sols)
+    certified = all(sol.certified for sol in sols)
     if count < bound and not certified:
         raise RuntimeError(f"the draws agree on {count} critical points, below the "
                            f"bound {bound} = volume x index, and paths failed")

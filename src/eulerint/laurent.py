@@ -74,9 +74,6 @@ class LaurentPoly:
             t[e] = t.get(e, 0) + c
         return LaurentPoly(self.nvars, t)
 
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + other.scale(-1)
-
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
         t = {}

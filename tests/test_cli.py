@@ -146,6 +146,37 @@ def test_chi_at_the_bound_is_certified(tmp_path, capsys, seed):
     assert (out["count"], out["certified"]) == (5, True)
 
 
+# One draw holding vol x index points decides chi.  Each of these exited 2
+# on disagreeing draws when every draw had to reach the bound: gen3 of the
+# perfbench homotopy workload at seed 7101, run at --seed 7101, on [4, 3],
+# and cayley1 of the exact workload at seed 977, run at --seed 0, on [22, 21].
+_GEN3_7101 = {"f": [[[[0, 1, 0], [0.8516119600831107, 0.653529154224537]],
+                     [[0, 0, 0], [1.7033800916967201, -0.27526829911565964]],
+                     [[0, 0, 1], [1.122645880888749, 0.3744008445977711]],
+                     [[1, 0, 0], [1.9195105392633398, -0.33000613730078454]]],
+                    [[[0, 0, 1], [0.7516456618025082, 0.864966471823535]],
+                     [[0, 0, 0], [1.0608612932265642, 0.5158441943142169]],
+                     [[0, 1, 0], [1.1871835767237027, 0.7260518392827993]],
+                     [[1, 0, 0], [1.5445367682719318, 0.8056081277779197]]]],
+              "s": ["1/2", "1/2"], "nu": ["1/3", "1/5", "1/7"]}
+_CAYLEY1_977 = {"f": [[[[0, 0], 2], [[0, 1], 3], [[0, 2], 1], [[1, 2], 4],
+                       [[2, 0], 2], [[2, 1], 3], [[2, 2], 3]],
+                      [[[0, 2], 5], [[1, 0], 1], [[1, 1], 5], [[1, 2], 3],
+                       [[2, 0], 2], [[2, 1], 3], [[2, 2], 5]]],
+                "s": ["1/2", "1/2"], "nu": ["1/3", "1/5"]}
+
+
+@pytest.mark.parametrize("problem, seed, count", [(_GEN3_7101, 7101, 4),
+                                                  (_CAYLEY1_977, 0, 22)])
+def test_chi_one_draw_at_the_bound_decides(tmp_path, capsys, problem, seed, count):
+    path = _problem(tmp_path, problem)
+    code, vol = run(capsys, ["vol", path])
+    assert (code, vol["normalized_volume"]) == (0, count)   # index 1
+    code, out = run(capsys, ["chi", path, "--seed", seed])
+    assert code == 0
+    assert (out["count"], out["certified"]) == (count, True)
+
+
 # the four critical points lie at |x| about (0.73, 6e-16) and (2e-16, 6.8),
 # which the filter drops
 @pytest.mark.parametrize("seed", range(4))

@@ -997,7 +997,8 @@ def test_draw_at_its_bound_starts_no_third_run(seed, monkeypatch):
     chi = euler_characteristic(_INDEX_FIVE, TrackerSettings(seed=seed))
     assert chi == (-5, 5, True)
     assert len(starts.draws) == 4      # 2 draws x 2 runs
-    assert spy.stopped() == [(5, 5), (5, 5)]
+    # the first draw to hold 5 points decides; the other is not waited for
+    assert spy.stopped() == [(5, 5)]
 
 
 def test_without_the_bound_a_third_run_starts(monkeypatch):
@@ -1046,9 +1047,54 @@ def test_stopped_draws_in_two_batches_print_their_bound(hexagon_poly, seed,
     spy = _BoundSpy(monkeypatch)
     chi = euler_characteristic([hexagon_poly], TrackerSettings(seed=seed))
     assert chi == (6, 6, True)
-    assert tracks.rows == [18, 18]
-    assert spy.stopped() == [(6, 6), (6, 6)]
+    # the first batch decides, so the second never starts
+    assert tracks.rows == [18]
+    assert spy.stopped() == [(6, 6)]
     assert all("dropped" in statuses for statuses in tracks.statuses)
+
+
+# per seed: the deciding draw and its raw_paths, converged, filtered,
+# distinct and failed_paths
+@pytest.mark.parametrize("seed, decided, counts", [(0, 0, (18, 13, 2, 6, 0)),
+                                                   (1, 1, (18, 12, 2, 6, 0)),
+                                                   (2, 0, (18, 13, 2, 6, 0)),
+                                                   (3, 0, (18, 12, 2, 6, 0))])
+def test_decided_draw_accounts_for_its_paths(hexagon_poly, seed, decided, counts,
+                                             monkeypatch):
+    tracks = _TrackSpy(monkeypatch)
+    spy = _BoundSpy(monkeypatch)
+    chi = euler_characteristic([hexagon_poly], TrackerSettings(seed=seed))
+    assert chi == (6, 6, True)
+    # one batch of 2 draws x 2 runs x 9 paths; only the deciding draw is solved
+    [statuses] = tracks.statuses
+    assert [sol is not None for sol in spy.sols] == [d == decided for d in range(2)]
+    sol, tally = spy.sols[decided], spy.tallies[decided]
+    assert (sol.raw_paths, sol.converged, sol.filtered, sol.distinct,
+            sol.failed_paths) == counts
+    # the paths started, the endpoints the tally took, those it could not
+    # verify and the points it holds
+    assert sol.raw_paths == len(statuses) // 2
+    mine = statuses[18 * decided:18 * (decided + 1)]
+    assert sol.converged == tally.taken == (mine == "ok").sum()
+    assert sol.filtered == tally.taken - tally.verified
+    assert sol.distinct == len(tally.points)
+    assert sol.solutions == tuple(point for point, _ in tally.points)
+
+
+@pytest.mark.parametrize("max_paths", [critical.MAX_PATHS, 9])
+def test_decided_batch_is_neither_polished_nor_verified_again(hexagon_poly, max_paths,
+                                                              monkeypatch):
+    calls = []
+    for name in ("_polish", "_solution_set"):
+        monkeypatch.setattr(critical, name, lambda *args, name=name: calls.append(name))
+    monkeypatch.setattr(critical, "MAX_PATHS", max_paths)
+    tracks = _TrackSpy(monkeypatch)
+    spy = _BoundSpy(monkeypatch)
+    assert euler_characteristic([hexagon_poly], TrackerSettings(seed=0)) == (6, 6, True)
+    assert [tally.full for tally in spy.tallies] == [True, False]
+    # in one batch, or the first of two, and the second is never tracked
+    assert tracks.rows == [36 if max_paths > 9 else 18]
+    assert calls == []
 
 
 # -- cross-module oracle: count == volume for generic coefficients ----------

@@ -32,6 +32,17 @@ def test_addition_cancels_exactly():
     assert (p + q).terms == {(0, 1): 2}
 
 
+def test_equal_polynomials_hash_equal():
+    # built apart, in another term order: equal, so one dict key
+    p = parse_poly("2 - 3*x + x^2")
+    q = parse_poly("x - 1") * parse_poly("x - 2")
+    assert p == q and list(p.terms) != list(q.terms)
+    assert hash(p) == hash(q)
+    keys = {p: "first", parse_poly("x - 2"): "other"}
+    keys[q] = "second"
+    assert keys == {p: "second", parse_poly("x - 2"): "other"}
+
+
 def test_product_known():
     # (x - 1)(x - 2) = x^2 - 3x + 2
     p = parse_poly("x - 1") * parse_poly("x - 2")
