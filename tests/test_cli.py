@@ -114,7 +114,7 @@ def test_chi_transient_overflow_is_silent(tmp_path, capsys):
     assert not caught
 
 
-# -- each draw stops at the volume bound vol x index -------------------------
+# -- the first draw at the volume bound vol x index decides ----------------
 
 def test_chi_bound_saves_evaluations(capsys, monkeypatch):
     values = critical._Homotopy._values

@@ -957,10 +957,11 @@ def test_monomial_factor_changes_neither_count_nor_work(monkeypatch):
     assert spy.rows == [8, 8]
 
 
-# -- each draw stops at the volume bound -----------------------------------
+# -- the first draw at the volume bound decides ----------------------------
 
 class _BoundSpy:
-    """Records the `_Tally` and the SolutionSet of every draw `solve_draws` solves."""
+    """Records the `_Tally` and the SolutionSet of every draw `solve_draws` solves;
+    None for each draw that a decided solve did not wait for."""
 
     def __init__(self, monkeypatch):
         self.tallies, self.sols = [], []
