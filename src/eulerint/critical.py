@@ -275,7 +275,7 @@ _STATUSES = ("running", "ok", "diverged", "stalled", "dropped")
 _RUNNING, _OK, _DIVERGED, _STALLED, _DROPPED = range(len(_STATUSES))
 
 
-def _track_paths(homotopy, starts, stop=None):
+def _track_paths(homotopy, starts, stop):
     """Track the paths of H(x,t) = gamma (1-t) G(x) + t F(x), t: 0 -> 1, in lockstep.
 
     `homotopy` is the `_Homotopy` of the batch, whose rows may be in several
@@ -300,9 +300,9 @@ def _track_paths(homotopy, starts, stop=None):
     late grows like one to infinity until 1 - t is near the root's inverse
     size.  Only growth counts: a coordinate tending to 0 ends no path.
 
-    After each iteration in which paths end "ok", `stop(rows, x)`, when
-    given, gets those paths and their endpoints; when it returns True,
-    every path still running ends as "dropped".
+    After each iteration in which paths end "ok", `stop(rows, x)` gets
+    those paths and their endpoints; when it returns True, every path still
+    running ends as "dropped".
 
     Returns the status ("ok", "diverged", "stalled" or "dropped"), x and t of
     every path, and the mask of the paths at which H was ever evaluated
@@ -378,8 +378,7 @@ def _track_paths(homotopy, starts, stop=None):
         dt[rej] /= 2
         status[rej[dt[rej] < MIN_STEP]] = _STALLED
         status[(status == _RUNNING) & (t >= 1.0)] = _OK
-        if (stop is not None and (ended := acc[status[acc] == _OK]).size
-                and stop(ended, x[ended])):
+        if (ended := acc[status[acc] == _OK]).size and stop(ended, x[ended]):
             status[status == _RUNNING] = _DROPPED
         # the new direction of the paths that moved and still run
         go = status[acc] == _RUNNING
@@ -441,9 +440,9 @@ class _Tally:
     """A draw's distinct verified points so far, and the most it can have.
 
     Endpoints wait unverified while they and the points number fewer than
-    the bound, since they cannot fill it; then each is verified once, into
-    the points (`_add_solutions`).  `taken` counts the endpoints added and
-    `verified` those verified.
+    the bound, since they cannot fill it (under an infinite bound, for
+    good); then each is verified once, into the points (`_add_solutions`).
+    `taken` counts the endpoints added and `verified` those verified.
     """
 
     def __init__(self, spec, bound):
@@ -462,34 +461,39 @@ class _Tally:
     def full(self):
         return len(self.points) >= self.bound
 
-    def solution_set(self, raw_paths):
-        """The SolutionSet of a draw that this full tally decides: its points,
-        every endpoint taken counted as converged, and no failed path."""
-        return _from_points(self.points, raw_paths, self.taken, self.verified, 0)
+    def solution_set(self, raw_paths, failed_paths):
+        """The SolutionSet of the points, every endpoint taken counted as
+        converged and each one not verified as filtered."""
+        return SolutionSet(solutions=tuple(s for s, _ in self.points),
+                           residuals=tuple(r for _, r in self.points),
+                           raw_paths=raw_paths, converged=self.taken,
+                           filtered=self.taken - self.verified,
+                           distinct=len(self.points), failed_paths=failed_paths)
 
 
 def _decided(tallies):
-    """Whether a tally of `tallies`, a list or None, is full."""
-    return any(tally.full for tally in tallies or ())
+    """Whether a tally of `tallies` is full."""
+    return any(tally.full for tally in tallies)
 
 
-def _run_tracking(systems, degrees, rngs, attempts, tallies=None):
+def _run_tracking(systems, degrees, rngs, attempts, tallies):
     """Total-degree tracking runs of several draws, `attempts` fresh ones per draw.
 
     Draw d's start systems (random constants and gamma) are drawn from
     `rngs[d]` one after another.  The paths of all runs of a batch of draws
     (`_batches`) are tracked and polished together; a path's trajectory
     depends on its own row alone, so each run ends as it would alone.
-    With `tallies`, one `_Tally` per draw, the endpoint of each path that
-    ends "ok" goes to its draw's tally as it ends.  Once a tally is full,
-    its batch is decided: every running path of the batch is dropped, none
-    is polished, and no later batch is tracked.
-    Returns per draw of the batches tracked before a decided one, per run,
+    The endpoint of each path that ends "ok" goes to its draw's `_Tally`,
+    `tallies[d]`, as it ends.  Once a tally is full, its batch is decided:
+    every running path of the batch is dropped, none is polished, and no
+    later batch is tracked.
+    Returns per draw of the batches tracked before a decided one
     (endpoints, failed, unbounded): the polished endpoints of its converged
-    paths, one per row, the count of its paths that did not diverge, could
-    not be polished and did not stall near t = 1, and whether one of those
-    met a value beyond the float range.  Values beyond it are dropped like
-    any failed correction, without a warning.
+    paths, one per row, run after run; the count of the paths of its last
+    run that did not diverge, could not be polished and did not stall near
+    t = 1; and whether one of those met a value beyond the float range.
+    Values beyond it are dropped like any failed correction, without a
+    warning.
     """
     starts = [[_start_system(deg, rng) for _ in range(attempts)]
               for deg, rng in zip(degrees, rngs)]
@@ -501,7 +505,7 @@ def _run_tracking(systems, degrees, rngs, attempts, tallies=None):
                                                    for run in starts[d])))
         run = np.repeat(np.arange(len(begun)), begun.shape[1])
         draw = run // attempts
-        counted = [tallies[d] for d in batch] if tallies else []
+        counted = [tallies[d] for d in batch]
 
         def stop(rows, x):
             for i in np.unique(draw[rows]):
@@ -512,7 +516,7 @@ def _run_tracking(systems, degrees, rngs, attempts, tallies=None):
             homotopy = _Homotopy([systems[d] for d in batch], draw,
                                  gammas[run], degrees[batch[0]], roots[run])
             status, x, t, unbounded = _track_paths(homotopy, np.concatenate(begun),
-                                                   stop if counted else None)
+                                                   stop)
             if _decided(counted):
                 break
             live = np.flatnonzero(status != "diverged")
@@ -525,10 +529,10 @@ def _run_tracking(systems, degrees, rngs, attempts, tallies=None):
         # that close to t = 1 means the path has no finite regular limit.
         # Only mid-domain stalls count as genuine tracking failures.
         failed = ~converged & ~((status == "stalled") & (t > 1 - STALL_WINDOW))
-        ends = [(x[converged & mine], int((failed & mine).sum()),
-                 bool((failed & unbounded & mine).any()))
-                for mine in (run == i for i in range(len(begun)))]
-        results += [ends[i:i + attempts] for i in range(0, len(ends), attempts)]
+        failed &= run % attempts == attempts - 1    # in its draw's last run
+        results += [(x[converged & mine], int((failed & mine).sum()),
+                     bool((failed & unbounded & mine).any()))
+                    for mine in (run // attempts == i for i in range(len(batch)))]
     return results
 
 
@@ -553,75 +557,62 @@ def solve(system: PolySystem, settings: TrackerSettings | None = None) -> Soluti
     return solve_draws((system,), (settings.seed,))[0]
 
 
-def solve_draws(systems, seeds, bounds=None) -> tuple:
+def solve_draws(systems, seeds, bound=math.inf) -> tuple:
     """`solve` of each draw's cleared system under its own seed, tracked together.
 
     Per draw, two runs under independent random gammas are tracked, and a
     third when the second leaves failed paths; the strictly verified
     endpoints are pooled.  The verified solution set does not depend on
     gamma, so pooling cannot introduce spurious points.  The runs of all
-    draws share batches (`_run_tracking`), and without `bounds` each draw's
-    SolutionSet is the one it gets alone.  When a path that failed in a
+    draws share batches (`_run_tracking`).  When a path that failed in a
     draw's last run met a value beyond the float range, the count cannot be
     trusted, and FloatingPointError is raised.
 
-    `bounds`, when given, holds the most distinct solutions each draw can
-    have.  Once the endpoints of the paths of a draw that ended "ok", in
-    any of its runs, hold that many, the solve is decided: tracking stops
-    for every draw, nothing is polished, and no third run or later batch
-    starts.  A decided draw's SolutionSet is read off its tally: `raw_paths`
-    counts the paths started, `converged` the endpoints taken, `filtered`
-    those that failed verification, and `failed_paths` is 0.  Every other
-    draw then gets None in place of its SolutionSet.
+    `bound` is the most distinct solutions a draw can have, and each draw's
+    `_Tally` holds the endpoints of its paths that ended "ok", in any of its
+    runs.  Once one holds that many verified points, the solve is decided:
+    tracking stops for every draw, nothing is polished, and no third run or
+    later batch starts.  A decided draw's SolutionSet is read off its tally:
+    `raw_paths` counts the paths started, `converged` the endpoints taken,
+    `filtered` those that failed verification, and `failed_paths` is 0.
+    Every other draw then gets None in place of its SolutionSet.  An
+    infinite bound never decides, so each draw's SolutionSet is then the one
+    it gets alone, verified once from its polished endpoints.
     """
     total_degrees = [_total_degrees(system) for system in systems]
     degrees = [np.array(deg, dtype=np.float64) for deg in total_degrees]
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    tallies = ([_Tally(system.spec, bound) for system, bound in zip(systems, bounds)]
-               if bounds else None)
+    tallies = [_Tally(system.spec, bound) for system in systems]
 
     # Two independent runs are always pooled: a path jump or an unresolved
     # stall under one gamma is overwhelmingly unlikely to recur at the same
     # solution under an independent gamma.  A third run is added only when
     # the second reports genuine mid-domain tracking failures.
-    runs = _run_tracking(systems, degrees, rngs, 2, tallies)
-    again = [] if _decided(tallies) else [d for d, r in enumerate(runs) if r[-1][1]]
+    draws = _run_tracking(systems, degrees, rngs, 2, tallies)
+    again = [] if _decided(tallies) else [d for d, (_, failed, _) in enumerate(draws)
+                                          if failed]
     third = _run_tracking([systems[d] for d in again], [degrees[d] for d in again],
-                          [rngs[d] for d in again], 1,
-                          [tallies[d] for d in again] if tallies else None)
+                          [rngs[d] for d in again], 1, [tallies[d] for d in again])
+    paths = [math.prod(deg) * (2 + (d in again))
+             for d, deg in enumerate(total_degrees)]
     if _decided(tallies):
-        return tuple(tally.solution_set(math.prod(deg) * (2 + (d in again)))
-                     if tally.full else None
-                     for d, (tally, deg) in enumerate(zip(tallies, total_degrees)))
-    for d, extra in zip(again, third):
-        runs[d] += extra
-    if any(r[-1][2] for r in runs):
+        return tuple(tally.solution_set(raw_paths, 0) if tally.full else None
+                     for tally, raw_paths in zip(tallies, paths))
+    for d, (ends, failed, unbounded) in zip(again, third):
+        draws[d] = np.concatenate([draws[d][0], ends]), failed, unbounded
+    if any(unbounded for *_, unbounded in draws):
         raise FloatingPointError("the critical equations reach a value beyond "
                                  "the float range on a path that failed")
-    return tuple(_solution_set(system.spec, math.prod(deg) * len(r), r)
-                 for system, deg, r in zip(systems, total_degrees, runs))
+    return tuple(_solution_set(system.spec, raw_paths, ends, failed)
+                 for system, raw_paths, (ends, failed, _) in zip(systems, paths, draws))
 
 
-def _solution_set(spec, raw_paths, runs):
-    """The filtered, deduplicated SolutionSet of one draw's runs."""
-    endpoints = np.concatenate([ep for ep, *_ in runs])
-    distinct = []
-    verified = _add_solutions(spec, endpoints, distinct)
-    return _from_points(distinct, raw_paths, len(endpoints), verified, runs[-1][1])
-
-
-def _from_points(points, raw_paths, converged, verified, failed_paths):
-    """The SolutionSet of `points`, (point, residual) pairs, verified from
-    `converged` endpoints."""
-    return SolutionSet(
-        solutions=tuple(s for s, _ in points),
-        residuals=tuple(r for _, r in points),
-        raw_paths=raw_paths,
-        converged=converged,
-        filtered=converged - verified,
-        distinct=len(points),
-        failed_paths=failed_paths,
-    )
+def _solution_set(spec, raw_paths, endpoints, failed_paths):
+    """The filtered, deduplicated SolutionSet of an undecided draw's polished
+    endpoints, each verified once into a fresh `_Tally`."""
+    tally = _Tally(spec, 0)
+    tally.add(endpoints)
+    return tally.solution_set(raw_paths, failed_paths)
 
 
 def _add_solutions(spec, x, distinct):
@@ -699,8 +690,7 @@ def euler_characteristic(spec_or_polys, settings: TrackerSettings | None = None,
     systems = [build_system(spec) for spec in specs]
     seeds = [settings.seed + 1000 + d for d in range(draws)]
     # a decided solve gives None for each draw it did not wait for
-    sols = [sol for sol in solve_draws(systems, seeds, [bound] * draws)
-            if sol is not None]
+    sols = [sol for sol in solve_draws(systems, seeds, bound) if sol is not None]
     counts = [sol.distinct for sol in sols]
     # a draw that holds the bound's count of points has them all
     if max(counts) == bound:

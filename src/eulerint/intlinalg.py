@@ -97,8 +97,6 @@ def kernel_basis(m):
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    if cols == 0:
-        return []
     mt = [[m[r][c] for r in range(rows)] for c in range(cols)]
     h, u = hnf_row(mt)
     return [u[i] for i in range(cols) if not any(h[i])]

@@ -129,7 +129,7 @@ def test_chi_bound_saves_evaluations(capsys, monkeypatch):
     bounded, evaluations = run(capsys, argv), len(calls)
     solve_draws = critical.solve_draws
     monkeypatch.setattr(critical, "solve_draws",
-                        lambda systems, seeds, bounds: solve_draws(systems, seeds))
+                        lambda systems, seeds, bound: solve_draws(systems, seeds))
     calls.clear()
     payload = {"certified": True, "chi": 6, "count": 6, "draws": 2, "seed": 0}
     assert run(capsys, argv) == bounded == (0, payload)
@@ -355,7 +355,7 @@ def test_integrate_multivariate_exit_2(tmp_path, capsys):
 
 
 def test_draw_disagreement_exit_2(tmp_path, capsys, monkeypatch):
-    def solve_draws(systems, seeds, bounds):
+    def solve_draws(systems, seeds, bound):
         return tuple(critical.SolutionSet(solutions=(), residuals=(), raw_paths=0,
                                           converged=0, filtered=0,
                                           distinct=count, failed_paths=0)
@@ -585,6 +585,9 @@ _ZERO_DENOMINATOR = ("gkz", {"f": ["x - 1"], "nu": ["-2/0"]})
 _NOT_RATIONAL = [("vol", {"f": ["x - 1"], "s": ["abc"]}),
                  ("gkz", {"f": ["x - 1"], "nu": ["abc"]})]
 _EMPTY_F = ("chi", {"f": []})
+# finite coefficients whose relation has one beyond the float range
+_HUGE_RELATION = ("relations", {"f": ["1e200*x - 1"],
+                                "forms": [{"function": "1e200*x"}]})
 # the same in a polynomial's text
 _ZERO_DENOMINATOR_TEXT = [("vol", {"f": ["3/0*x + 1"]}),
                           ("chi", {"f": ["1.5/0*x + 1"]}),
@@ -719,7 +722,7 @@ _HUGE_VALUE = [(command, dict(_TWO_POINTS, f=[[[[200], 1e300], [[0], 1]], "x - 2
    + [("vol", {"f": [[[[1], 2], [[1], -2], [[0], 1]]]})]
 # a * with no coefficient or variable before it
    + [("vol", {"f": [text]}) for text in ("*x - 1", "*x + 1", "x + *y + 1")]
-   + _NOT_RATIONAL + [_EMPTY_F])
+   + _NOT_RATIONAL + [_EMPTY_F, _HUGE_RELATION])
 def test_invalid_input_exit_3(tmp_path, capsys, command, obj):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -741,6 +744,9 @@ def test_invalid_input_exit_3(tmp_path, capsys, command, obj):
         assert "bad rational 'abc'" in out["error"]["message"]
     if (command, obj) == _EMPTY_F:
         assert out["error"]["message"] == '"f" must be a nonempty list of polynomials'
+    if (command, obj) == _HUGE_RELATION:
+        assert out["error"]["message"] == ("a relation coefficient is beyond the "
+                                           "float range")
 
 
 # an exponent whose power k*s_j or k*nu is beyond the float range is named

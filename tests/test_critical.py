@@ -530,7 +530,7 @@ def _track(system, starts, gamma, degrees, roots):
     homotopy = critical._Homotopy([system], np.zeros(len(starts), dtype=int),
                                   np.broadcast_to(gamma, len(starts)), degrees,
                                   np.broadcast_to(roots, np.shape(starts)))
-    return critical._track_paths(homotopy, starts)
+    return critical._track_paths(homotopy, starts, lambda rows, x: False)
 
 
 def _assert_same_path(got, want):
@@ -625,8 +625,9 @@ def test_log_tail_keeps_large_finite_root(texts, seed):
     assert (ts[status == "stalled"] > 1 - STALL_WINDOW).all()
     degrees = np.array([max(1, eq.total_degree()) for eq in system.equations],
                        dtype=np.float64)
-    [[(ends, failed, unbounded)]] = critical._run_tracking(
-        [system], [degrees], [np.random.default_rng(seed)], 1)
+    [(ends, failed, unbounded)] = critical._run_tracking(
+        [system], [degrees], [np.random.default_rng(seed)], 1,
+        [critical._Tally(system.spec, math.inf)])
     assert (failed, unbounded) == (0, False)
     assert len(ends) and np.allclose(ends, [1e4, 1e-4])
 
@@ -785,7 +786,7 @@ class _TrackSpy:
         self.rows, self.statuses = [], []
         track = critical._track_paths
 
-        def spy(homotopy, starts, stop=None):
+        def spy(homotopy, starts, stop):
             self.rows.append(len(starts))
             tracked = track(homotopy, starts, stop)
             self.statuses.append(tracked[0])
@@ -960,8 +961,9 @@ def test_monomial_factor_changes_neither_count_nor_work(monkeypatch):
 # -- the first draw at the volume bound decides ----------------------------
 
 class _BoundSpy:
-    """Records the `_Tally` and the SolutionSet of every draw `solve_draws` solves;
-    None for each draw that a decided solve did not wait for."""
+    """Records every `_Tally` made, each draw's and then the one `_solution_set`
+    makes per undecided draw, and the SolutionSet of every draw `solve_draws`
+    solves; None for each draw that a decided solve did not wait for."""
 
     def __init__(self, monkeypatch):
         self.tallies, self.sols = [], []
@@ -972,8 +974,8 @@ class _BoundSpy:
                 super().__init__(spec, bound)
                 spy.tallies.append(self)
 
-        def recorded(systems, seeds, bounds=None):
-            sols = solve_draws(systems, seeds, bounds)
+        def recorded(systems, seeds, bound=math.inf):
+            sols = solve_draws(systems, seeds, bound)
             self.sols += sols
             return sols
 
@@ -1005,7 +1007,7 @@ def test_draw_at_its_bound_starts_no_third_run(seed, monkeypatch):
 def test_without_the_bound_a_third_run_starts(monkeypatch):
     solve_draws, sols = critical.solve_draws, []
 
-    def unbounded(systems, seeds, bounds):
+    def unbounded(systems, seeds, bound):
         sols[:] = solve_draws(systems, seeds)
         return sols
 
@@ -1034,9 +1036,31 @@ def test_lines_drops_no_path(lines_poly, seed, monkeypatch):
     spy = _BoundSpy(monkeypatch)
     chi = euler_characteristic([lines_poly], TrackerSettings(seed=seed))
     assert chi[1:] == (2, True)
-    assert [tally.bound for tally in spy.tallies] == [6, 6]
+    # each draw's tally, then the two its polished endpoints are verified into
+    assert [tally.bound for tally in spy.tallies] == [6, 6, 0, 0]
     assert spy.stopped() == []
     assert not any("dropped" in statuses for statuses in tracks.statuses)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_unbounded_solve_verifies_each_endpoint_once(hexagon_poly, seed, monkeypatch):
+    # under no bound the draw's tally takes the endpoints that end "ok" and
+    # verifies none; `_solution_set` verifies the polished ones in one call
+    add, verified = critical._add_solutions, []
+
+    def counted(spec, x, distinct):
+        verified.append(len(x))
+        return add(spec, x, distinct)
+
+    monkeypatch.setattr(critical, "_add_solutions", counted)
+    spy = _BoundSpy(monkeypatch)
+    spec = IntegrandSpec([hexagon_poly], (0.5 + 0.1j,), (0.3 - 0.2j, 0.7 + 0.4j))
+    sol = solve(build_system(spec), TrackerSettings(seed=seed))
+    draw, fresh = spy.tallies
+    assert draw.bound == math.inf and draw.taken > 0
+    assert (draw.verified, draw.points) == (0, [])
+    assert verified == [fresh.taken] == [sol.converged]
+    assert sol.distinct == 6
 
 
 @pytest.mark.parametrize("seed", range(4))

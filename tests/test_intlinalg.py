@@ -51,6 +51,10 @@ def test_kernel_of_identity_empty():
     assert ila.kernel_basis([[1, 0], [0, 1]]) == []
 
 
+def test_kernel_of_no_columns_empty():
+    assert ila.kernel_basis([]) == ila.kernel_basis([[], []]) == []
+
+
 def test_kernel_known_vector():
     # [TRIVIAL] (1,1) matrix row -> kernel spanned by (1,-1)
     basis = ila.kernel_basis([[1, 1]])
@@ -136,6 +140,8 @@ def test_lattice_membership_negative():
     basis = ila.lattice_basis([[2, 0], [0, 2]])
     assert not ila.in_lattice(basis, [1, 0])
     assert ila.in_lattice(basis, [4, -2])
+    # outside the span, though every pivot divides
+    assert ila.lattice_coords(ila.lattice_basis([[1, 0, 0]]), [0, 1, 0]) is None
 
 
 def test_index_in_saturation():

@@ -20,6 +20,21 @@ def test_zero_and_constant():
     assert (z + c).terms == c.terms
 
 
+def test_polynomial_is_immutable():
+    # a polynomial is a dict key and caches its power table, so it refuses
+    # to change
+    p = parse_poly("x + 1")
+    with pytest.raises(AttributeError, match="LaurentPoly is immutable"):
+        p.terms = {}
+    assert p == parse_poly("x + 1")
+
+
+@pytest.mark.parametrize("combine", [lambda p, q: p + q, lambda p, q: p * q])
+def test_arithmetic_refuses_other_nvars(combine):
+    with pytest.raises(ValueError, match="nvars mismatch"):
+        combine(LaurentPoly.constant(1, 2), LaurentPoly.constant(2, 3))
+
+
 def test_monomial_negative_exponents():
     m = LaurentPoly.monomial((-1, 2), 3)
     assert m.has_negative_exponents()
@@ -53,6 +68,10 @@ def test_partial_derivative():
     p = parse_poly("x^2*y + 3*y^2")
     assert p.partial(1) == parse_poly("2*x*y")
     assert p.partial(2) == parse_poly("x^2 + 6*y")
+    for i in (0, 3):
+        with pytest.raises(ValueError,
+                           match=rf"variable index {i} out of range 1\.\.2"):
+            p.partial(i)
 
 
 def test_partial_of_negative_exponent():
@@ -70,6 +89,7 @@ def test_total_degree_and_support():
     p = parse_poly("x^3*y - x*y^2")
     assert p.total_degree() == 4
     assert set(p.support()) == {(3, 1), (1, 2)}
+    assert LaurentPoly.zero(2).total_degree() == 0
 
 
 # -- parser ----------------------------------------------------------------
@@ -150,6 +170,10 @@ def test_spec_length_checks():
         IntegrandSpec(f, (1, 2), (1,))
     with pytest.raises(ValueError):
         IntegrandSpec(f, (1,), (1, 2))
+    with pytest.raises(ValueError, match="need at least one polynomial"):
+        IntegrandSpec([], (), (1,))
+    with pytest.raises(ValueError, match="all polynomials must share the same nvars"):
+        IntegrandSpec(f + [parse_poly("x + y")], (1, 1), (1,))
 
 
 def test_omega_simple_pole_structure():
@@ -170,6 +194,9 @@ def test_omega_outside_domain(two_point_spec):
         omega_components(two_point_spec, [1.0])
     with pytest.raises(OutsideDomainError):
         omega_components(two_point_spec, [0.0])
+    with pytest.raises(ValueError, match=r"point has dimension \(2,\), expected "
+                                         r"\(1,\) or \(P, 1\)"):
+        omega_components(two_point_spec, [3.0, 4.0])
 
 
 BATCH = np.array([[0.7 + 0.3j, -1.2 + 0.1j], [2.0, 0.5j], [-0.4 - 1j, 3.0]])

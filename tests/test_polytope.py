@@ -19,6 +19,8 @@ def test_pointset_dedupes_preserving_order():
 def test_pointset_dimension_check():
     with pytest.raises(ValueError):
         LatticePointSet(2, [(1, 0, 0)])
+    with pytest.raises(ValueError, match="dim must be positive"):
+        LatticePointSet(0, [])
 
 
 def test_cayley_support_block_indicators(two_point_spec):
@@ -65,6 +67,9 @@ def test_volume_degenerate_single_point():
     rep = normalized_volume(LatticePointSet(2, [(1, 1)]))
     assert rep.normalized_volume == 0
     assert rep.affine_dim == 0
+    # no point at all has no volume
+    with pytest.raises(ValueError, match="empty point set"):
+        normalized_volume(LatticePointSet(2, []))
 
 
 def test_volume_segment_against_affine_lattice():
@@ -124,6 +129,13 @@ def test_facets_of_one_dimensional_points():
     # orthogonal complement is empty
     assert facets(LatticePointSet(1, [(2,), (3,)])) == [(1,)]
     assert facets(LatticePointSet(1, [(-2,), (-3,)])) == [(-1,)]
+
+
+@pytest.mark.parametrize("points", [[], [(0, 0)]])
+def test_facets_refuse_a_zero_dimensional_cone(points):
+    # no generator, or the apex alone: the cone is the origin
+    with pytest.raises(ValueError, match="zero-dimensional cone"):
+        facets(LatticePointSet(2, points))
 
 
 def test_half_plane_with_the_origin_inside_an_edge():

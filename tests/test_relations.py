@@ -37,6 +37,11 @@ def test_zero_form_gives_empty_relation(quadratic_spec):
     assert rel.is_empty()
 
 
+def test_forms_in_other_variable_counts_do_not_add():
+    with pytest.raises(ValueError, match="variable counts differ"):
+        LogForm.zero(1) + LogForm.zero(2)
+
+
 def test_normalize_sets_largest_entry_to_one(quadratic_spec):
     phi = LogForm.from_function(LaurentPoly.constant(1, 1), (0,), (0,))
     rel = nabla_apply(phi, quadratic_spec).normalize()
@@ -118,6 +123,9 @@ def test_operator_membership(quadratic_spec):
     assert good.annihilates(quadratic_spec)
     bad = AnnOperator((f,), parse_poly("x"))
     assert not bad.annihilates(quadratic_spec)
+    two = IntegrandSpec([f, parse_poly("x + 1")], (HALF, HALF), (HALF,))
+    with pytest.raises(ValueError, match="operator check requires a single f"):
+        good.annihilates(two)
 
 
 def test_mellin_rejects_non_annihilator(quadratic_spec):

@@ -47,6 +47,9 @@ def test_branch_curve_requires_rational_exponents():
     spec = IntegrandSpec([parse_poly("x - 1")], (0.5 + 0.1j,), (0.5,))
     with pytest.raises(ValueError):
         BranchCurve.from_spec(spec)
+    spec = IntegrandSpec([parse_poly("x - 1")], ("1/2",), (0.5,))
+    with pytest.raises(ValueError, match="exponent s must be rational, got '1/2'"):
+        BranchCurve.from_spec(spec)
 
 
 def test_principal_value_on_curve(two_point_spec):
@@ -281,6 +284,12 @@ def test_pairing_matrix_refinement_stable(two_point_spec):
     assert np.max(np.abs(a - b)) < 1e-3 * max(1.0, np.max(np.abs(b)))
 
 
+def test_pairing_needs_a_cycle_and_a_cocycle(two_point_spec):
+    for cycles, cocycles in (((), COCYCLES), (_cycles(two_point_spec), ())):
+        with pytest.raises(ValueError, match="need at least one cycle and one cocycle"):
+            pairing_matrix(cycles, cocycles, 100, two_point_spec)
+
+
 def test_pairing_requires_univariate(hexagon_poly):
     spec = IntegrandSpec([hexagon_poly], (Fraction(1, 2),),
                          (Fraction(1, 2), Fraction(1, 2)))
@@ -305,6 +314,11 @@ def test_kernel_of_reference_matrix(two_point_spec):
 def test_nullspace_zero_matrix():
     kers = nullspace(np.zeros((2, 3)))
     assert len(kers) == 3
+
+
+def test_nullspace_refuses_a_vector():
+    with pytest.raises(ValueError, match="matrix must be two-dimensional"):
+        nullspace(np.zeros(3))
 
 
 def test_nullspace_identity_empty():
