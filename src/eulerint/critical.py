@@ -20,7 +20,7 @@ from functools import cached_property
 
 from . import polytope
 from ._lazy import np
-from .laurent import (IntegrandSpec, LaurentPoly, omega_components, power_rows,
+from .laurent import (IntegrandSpec, LaurentPoly, _monomials, omega_components,
                       power_table, slice_rows)
 
 # Fixed thresholds of the tracker, the endpoint polish and the solution filter.
@@ -72,13 +72,14 @@ class _Homotopy:
     and `roots` (P, n) are those of each row.  Equation i's block of the
     table holds F_i's block of `laurent.power_table`, padded to w terms,
     then x_i^{d_i} and 1, whose coefficients are gamma and -gamma r_i.  The weights are kept
-    once per run, the rows that share a draw, gamma and roots.
+    once per run, a block of adjacent rows with one draw, gamma and roots.
     """
 
     def __init__(self, systems, draw, gamma, degrees, roots):
         n = systems[0].nvars
-        _, first, self.run = np.unique(np.column_stack([draw, gamma, roots]),
-                                       axis=0, return_index=True, return_inverse=True)
+        key = np.column_stack([draw, gamma, roots])
+        new = np.concatenate([[True], (key[1:] != key[:-1]).any(axis=1)])
+        first, self.run = np.flatnonzero(new), np.cumsum(new) - 1
         coeffs = np.stack([system._table[1] for system in systems])[draw[first]]
         gamma = np.broadcast_to(gamma[first, None], roots[first].shape)
         start = np.stack([np.diag(degrees), np.zeros((n, n))], axis=1)
@@ -101,7 +102,7 @@ class _Homotopy:
         """H, dH/dx, dH/dt and the scale at the batch rows `rows`, x (P, n) at t (P,).
 
         The scale is the sum of |term| over both parts of each H_i.  Per row
-        slice of `laurent.power_rows`, its table read as (rows, n, w + 2),
+        slice (`laurent.slice_rows` rows), its table read as (rows, n, w + 2),
         one vecdot with the rows' runs' weights gives every dH_i/dt; then the
         terms of F are scaled by t and those of G by 1 - t, and one vecdot
         gives every H_i and theta_k H_i, another the scale.  dH/dx is
@@ -109,8 +110,12 @@ class _Homotopy:
         start terms are scaled by 0, so H is F wherever x_i^{d_i} is finite.
         """
         runs = self.run[rows]
-        return self._values(x, (self.slopes, self.weights, self.moduli),
-                            lambda part: (runs[part], self._factor(t[part])))
+        weights = (self.slopes, self.weights, self.moduli)
+        step = slice_rows(self.exps)
+        parts = [self._values(x[lo:lo + step], weights, runs[lo:lo + step],
+                              self._factor(t[lo:lo + step]))
+                 for lo in range(0, len(x), step)]
+        return tuple(map(np.concatenate, zip(*parts)))
 
     def bind(self, rows, t):
         """`evaluate` at the batch rows `rows` and their t (P,), as a function.
@@ -127,30 +132,24 @@ class _Homotopy:
         runs = self.run[rows]
         weights = tuple(w[runs] for w in (self.slopes, self.weights, self.moduli))
         factor = self._factor(t)
-        # one slice, so the whole of x
-        return lambda x, k: self._values(x, weights, lambda part: (k, factor[k]))
+        # one slice, so one table of the whole of x
+        return lambda x, k: self._values(x, weights, k, factor[k])
 
     def _factor(self, t):
         """Each term's factor at t (P,), 1 - t for G's and t for F's."""
         s = t[:, None, None]
         return np.where(self.start, 1 - s, s)
 
-    def _values(self, x, weights, index):
-        """`evaluate` at x.  `weights` holds the weights of dH/dt, of (H, theta H)
-        and of the scale, and index(part) gives, for the rows `part` of x,
-        their index in them and their t-factors."""
+    def _values(self, x, weights, r, factor):
+        """`evaluate` at x, rows of one slice, from the weights of dH/dt, of
+        (H, theta H) and of the scale, gathered at r as they are used, and
+        the rows' t-factors."""
         slopes, both, moduli = weights
-        n = x.shape[1]
-        values = np.empty((len(x), n, n + 1), dtype=np.complex128)
-        slope = np.empty((len(x), n), dtype=np.complex128)
-        scale = np.empty((len(x), n))
-        for part, mon in power_rows(x, self.exps):
-            r, factor = index(part)
-            mon = mon.reshape(len(factor), n, -1)
-            np.vecdot(slopes[r], mon, out=slope[part])
-            mon *= factor
-            np.vecdot(both[r], mon[:, :, None], out=values[part])
-            np.vecdot(moduli[r], np.abs(mon), out=scale[part])
+        mon = _monomials(x, self.exps).reshape(len(x), *moduli.shape[1:])
+        slope = np.vecdot(slopes[r], mon)
+        mon *= factor
+        values = np.vecdot(both[r], mon[:, :, None])
+        scale = np.vecdot(moduli[r], np.abs(mon))
         with np.errstate(invalid="ignore"):   # 0 / 0 at x_k = 0
             jac = values[..., 1:] / x[:, None, :]
         return values[..., 0], jac, slope, scale
@@ -242,8 +241,8 @@ def _newton(evaluate, x, tols):
     all of them until a row stops, then their indices.  Evaluation j stops
     each row whose scaled residual is below `tols[j]`, and drops each row
     whose residual is not finite or whose Jacobian is singular.  The rows
-    still iterating are stepped after every evaluation but the last.
-    Returns the mask of the rows that stopped.
+    still iterating are stepped after every evaluation but the last, until
+    none is left.  Returns the mask of the rows that stopped.
     """
     done = np.zeros(len(x), dtype=bool)
     k = slice(None)
@@ -251,9 +250,9 @@ def _newton(evaluate, x, tols):
         r, jac, _, scale = evaluate(x[k], k)
         below = _below(r, scale, tol)
         done[k] |= below
-        if j == len(tols) - 1:   # no step after the last evaluation
-            break
         step = np.isfinite(r).all(axis=1) & ~below
+        if j == len(tols) - 1 or not step.any():   # last evaluation, or no row steps
+            break
         delta, singular = _solve_stack(jac[step], -r[step])
         step[step] = ~singular
         if not step.all():
@@ -268,6 +267,11 @@ def _newton(evaluate, x, tols):
 def _below(r, scale, tol):
     """Per row, whether every residual is below tol times max(1, its scale)."""
     return (np.abs(r) < tol * np.maximum(1.0, scale)).all(axis=1)
+
+
+def _norms(v):
+    """The 2-norm of each row of v, as `np.linalg.norm(v, axis=1)` computes it."""
+    return np.sqrt(np.add.reduce((v.conj() * v).real, axis=1))
 
 
 # the path states of `_track_paths`, coded by their index
@@ -312,14 +316,14 @@ def _track_paths(homotopy, starts, stop):
     x = np.array(starts, dtype=np.complex128)
     unbounded = np.zeros(len(x), dtype=bool)
 
-    def flag(ids, values):
+    def flag(values, rows, k=slice(None)):
         # the scale bounds |H|, so it is finite where H is
         if not np.isfinite(values[3]).all():
-            unbounded[ids] |= ~np.isfinite(values[3]).all(axis=1)
+            unbounded[rows[k]] |= ~np.isfinite(values[3]).all(axis=1)
         return values
 
     t = np.zeros(len(x))
-    _, hx, ht, _ = flag(slice(None), homotopy.evaluate(x, t, slice(None)))
+    _, hx, ht, _ = flag(homotopy.evaluate(x, t, slice(None)), np.arange(len(x)))
     v, singular = _solve_stack(hx, -ht)   # a singular dH/dx stalls its path
     status = np.where(singular, _STALLED, _RUNNING).astype(np.int8)
     dt = np.full(len(x), INITIAL_STEP)
@@ -329,40 +333,43 @@ def _track_paths(homotopy, starts, stop):
     anchor, anchor_x = np.zeros(len(x)), np.zeros(x.shape)
     growth = np.zeros(len(x))
     while (a := np.flatnonzero(status == _RUNNING)).size:
-        dt[a] = np.minimum(dt[a], 1.0 - t[a])
-        x0, dt0 = x[a], dt[a]
+        x0, t0 = x[a], t[a]
+        dt0 = np.minimum(dt[a], 1.0 - t0)
         dx = v[a] * dt0[:, None]
         xp = x0 + dx
-        tp = t[a] + dt0
+        tp = t0 + dt0
         # Newton corrector; where ok, hxp and htp are the derivatives at (xp, tp)
         hxp, htp = np.empty(xp.shape + xp.shape[1:], complex), np.empty_like(xp)
         bound = homotopy.bind(a, tp)
 
         def at(xk, k):
-            values = flag(a[k], bound(xk, k))
+            values = flag(bound(xk, k), a, k)
             hxp[k], htp[k] = values[1:3]
             return values
 
         ok = _newton(at, xp, (NEWTON_TOL,) * MAX_NEWTON)
         # guard against path jumping: the corrected point must stay within the
         # predictor's reach, otherwise shrink the step and retry
-        ok &= ~(np.linalg.norm(xp - (x0 + dx), axis=1) > 2.0 * np.linalg.norm(
-            dx, axis=1) + 1e-6 * (1.0 + np.linalg.norm(x0, axis=1)))
-        acc, rej = a[ok], a[~ok]
-        x[acc], t[acc] = xp[ok], tp[ok]
-        successes[acc] += 1
-        grow = acc[successes[acc] >= 3]
-        dt[grow] = np.minimum(dt[grow] * 2, MAX_STEP)
-        successes[grow] = 0
-        status[acc[np.max(np.abs(x[acc]), axis=1) > DIVERGENCE_RADIUS]] = _DIVERGED
+        ok &= ~(_norms(xp - (x0 + dx)) > 2.0 * _norms(dx) + 1e-6 * (1.0 + _norms(x0)))
+        # the third accepted step in a row doubles the step, a rejected one
+        # halves it; a rejected path whose step falls below MIN_STEP stalls
+        wins = np.where(ok, successes[a] + 1, 0)
+        grow = wins >= 3
+        successes[a] = np.where(grow, 0, wins)
+        dt1 = np.where(grow, np.minimum(dt0 * 2, MAX_STEP), np.where(ok, dt0, dt0 / 2))
+        dt[a] = dt1
+        status[a[~ok & (dt1 < MIN_STEP)]] = _STALLED
+        acc, xa, ta = a[ok], xp[ok], tp[ok]
+        x[acc], t[acc] = xa, ta
+        far = np.max(np.abs(xa), axis=1) > DIVERGENCE_RADIUS
+        status[acc[far]] = _DIVERGED
         # the log tail of the accepted paths in the stall window
-        tail = acc[(t[acc] > 1 - STALL_WINDOW) & (t[acc] < 1.0)
-                   & (status[acc] == _RUNNING)]
-        if tail.size:
-            gap = 1.0 - t[tail]
+        near = (ta > 1 - STALL_WINDOW) & (ta < 1.0) & ~far
+        if near.any():
+            tail, gap = acc[near], 1.0 - ta[near]
             # log 0 = -inf at x_i = 0, which no growth estimate counts
             with np.errstate(divide="ignore", invalid="ignore"):
-                logx = np.log(np.abs(x[tail]))
+                logx = np.log(np.abs(xa[near]))
                 due = gap * TAIL_RATIO <= anchor[tail]
                 p = tail[due]
                 rate = (np.max(logx[due] - anchor_x[p], axis=1)
@@ -374,16 +381,17 @@ def _track_paths(homotopy, starts, stop):
             growth[p] = rate
             new = due | (anchor[tail] == 0)
             anchor[tail[new]], anchor_x[tail[new]] = gap[new], logx[new]
-        successes[rej] = 0
-        dt[rej] /= 2
-        status[rej[dt[rej] < MIN_STEP]] = _STALLED
-        status[(status == _RUNNING) & (t >= 1.0)] = _OK
-        if (ended := acc[status[acc] == _OK]).size and stop(ended, x[ended]):
+        # only an accepted path reaches t = 1
+        end = (ta >= 1.0) & ~far
+        ended = acc[end]
+        status[ended] = _OK
+        if ended.size and stop(ended, xa[end]):
             status[status == _RUNNING] = _DROPPED
         # the new direction of the paths that moved and still run
-        go = status[acc] == _RUNNING
-        v[acc[go]], singular = _solve_stack(hxp[ok][go], -htp[ok][go])
-        status[acc[go][singular]] = _STALLED
+        moved = np.flatnonzero(ok)[status[acc] == _RUNNING]
+        if moved.size:
+            v[a[moved]], singular = _solve_stack(hxp[moved], -htp[moved])
+            status[a[moved[singular]]] = _STALLED
     return np.array(_STATUSES)[status], x, t, unbounded
 
 
@@ -622,11 +630,13 @@ def _add_solutions(spec, x, distinct):
     original rational equations: every |x_i| and scaled |f_j| is at least
     BOUNDARY_TOL, and the scaled residual of omega at most RESIDUAL_TOL.  All
     thresholds are relative to the term magnitudes at x, so badly scaled but
-    genuine solutions are not rejected.  The verified rows are taken in sorted
-    order, and each joins `distinct` unless a point there lies within
-    DEDUP_DISTANCE of it in the max norm; so into an empty list the points
-    do not depend on the order of the rows.  Returns the count of verified
-    rows.
+    genuine solutions are not rejected.  The verified rows are taken in the
+    order of their coordinates rounded to 8 decimals, compared as (re, im)
+    of the first coordinate, then of the next, and so on, rows that tie
+    in the order given.  Each joins `distinct` unless a point there lies
+    within DEDUP_DISTANCE of it in the max norm; so into an empty list the
+    points do not depend on the order of the rows.  Returns the count of
+    verified rows.
     """
     x = x[~np.any(np.abs(x) < BOUNDARY_TOL, axis=1)]
     grads = [fj.value_and_gradient(x) for fj in spec.f]
@@ -639,12 +649,16 @@ def _add_solutions(spec, x, distinct):
     scale = scale + np.abs([complex(v) for v in spec.nu]) / np.abs(x)
     resid = np.max(np.abs(omega_components(spec, x)) / np.maximum(1.0, scale),
                    axis=1)
-    kept = [(xk, float(rk)) for xk, rk in zip(x, resid) if rk <= RESIDUAL_TOL]
-    kept.sort(key=lambda p: tuple((round(c.real, 8), round(c.imag, 8)) for c in p[0]))
-    for x, resid in kept:
-        if all(np.max(np.abs(x - np.array(y))) > DEDUP_DISTANCE for y, _ in distinct):
-            distinct.append((tuple(x), resid))
-    return len(kept)
+    kept = resid <= RESIDUAL_TOL
+    x, resid = x[kept], resid[kept]
+    # lexsort's last key is its first: (re, im) of each coordinate, reversed
+    order = np.lexsort(np.round(x, 8).view(np.float64)[:, ::-1].T)
+    points = np.reshape([y for y, _ in distinct], (-1, x.shape[1]))
+    for xk, rk in zip(x[order], resid[order]):
+        if (np.max(np.abs(xk - points), axis=1) > DEDUP_DISTANCE).all():
+            distinct.append((tuple(xk), float(rk)))
+            points = np.vstack([points, xk])
+    return len(x)
 
 
 def _random_parameters(rng, count):

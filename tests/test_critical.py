@@ -58,17 +58,41 @@ class _ConstantSystem:
         return lambda x, k: self.evaluate(x, t[k], rows[k])
 
 
+def _stack_sizes(monkeypatch):
+    """The list that gets the stack size of each `_solve_stack` call."""
+    sizes, solve_stack = [], critical._solve_stack
+
+    def spy(a, b):
+        sizes.append(len(b))
+        return solve_stack(a, b)
+
+    monkeypatch.setattr(critical, "_solve_stack", spy)
+    return sizes
+
+
 @pytest.mark.parametrize("r, kept, evaluations", [
     (0.0, True, 1),                                # passes POLISH_TOL at once
     (1e-12, True, critical.POLISH_ITERS + 1),      # passes NEWTON_TOL after the cap
     (1e-6, False, critical.POLISH_ITERS + 1),      # fails both
 ])
-def test_polish_final_test(r, kept, evaluations):
+def test_polish_final_test(r, kept, evaluations, monkeypatch):
+    stacks = _stack_sizes(monkeypatch)
     system = _ConstantSystem([r])
     x = system.points()
     assert critical._polish(system, x, np.arange(1)).tolist() == [kept]
     assert system.evaluations.tolist() == [evaluations]
     assert np.array_equal(x, system.points())
+    # one solve per step, none once the row has stopped
+    assert stacks == [1] * (evaluations - 1)
+
+
+def test_polish_ends_when_every_row_is_singular(monkeypatch):
+    # both rows drop at the first step, so nothing is evaluated or solved again
+    stacks = _stack_sizes(monkeypatch)
+    system = _ConstantSystem([1e-6, 1e-6], jac=[0.0, 0.0])
+    assert critical._polish(system, system.points(), np.arange(2)).tolist() == [False] * 2
+    assert system.evaluations.tolist() == [1, 1]
+    assert stacks == [2]
 
 
 def test_polish_mixed_batch():
@@ -699,6 +723,8 @@ def test_tracker_solves_only_systems_it_uses(text, monkeypatch):
     euler_characteristic([parse_poly(text)], TrackerSettings(seed=0))
     assert spy.full and spy.unfinished    # the cases below do occur
     for solves in spy.tracks:
+        # neither the corrector nor the predictor solves an empty stack
+        assert all(len(b) for _, _, b in solves)
         # no row is solved after its MAX_NEWTON-th corrector evaluation
         assert sum(len(b) for evals, _, b in solves if evals == MAX_NEWTON) == 0
         # a rejected step retries with its predictor direction, so no
@@ -895,7 +921,48 @@ def test_stacked_evaluator_matches_each_draw(text, entries, monkeypatch):
         assert np.array_equal(scale[k], sk)
 
 
+@pytest.mark.parametrize("entries", [laurent.TABLE_ENTRIES, 1])
+def test_runs_apart_keep_the_bits_of_runs_together(entries, monkeypatch):
+    # the rows of one (draw, gamma, roots), split by another's: each block is
+    # a run with its own copy of the weights, and every row keeps the bits
+    # it gets when the blocks are joined
+    systems, _ = _draws([HEXAGON_TEXT], 2, seed=21)
+    rng = np.random.default_rng(22)
+    degrees = np.array(critical._total_degrees(systems[0]), dtype=np.float64)
+    gammas, roots = zip(*(critical._start_system(degrees, rng)[1:] for _ in range(2)))
+    gammas, roots = np.array(gammas), np.array(roots)
+    x = rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2))
+    t = rng.choice([0.0, 0.37, 1.0], size=9)
+    apart = np.array([0, 0, 0, 1, 1, 0, 0, 1, 0])
+    joined = np.argsort(apart, kind="stable")
+    monkeypatch.setattr(laurent, "TABLE_ENTRIES", entries)
+    got, want = (critical._Homotopy(systems, apart[k], gammas[apart[k]], degrees,
+                                    roots[apart[k]])
+                 for k in (np.arange(9), joined))
+    assert (got.run.max(), want.run.max()) == (4, 1)
+    for a, b in zip(got.evaluate(x, t, np.arange(9)),
+                    want.evaluate(x[joined], t[joined], np.arange(9))):
+        assert np.array_equal(a[joined], b)
+
+
 # -- reported solutions satisfy the rational equations ---------------------
+
+def test_add_solutions_takes_rows_in_rounded_order():
+    # x^2 - 1 and y^2 - 1 with s = (1, 1), nu = (1, 2) have the critical
+    # points (+-a, +-b), a^2 = 1/3 and b^2 = 1/2
+    polys = [parse_poly("x^2 - 1", 2), parse_poly("y^2 - 1", 2)]
+    spec = IntegrandSpec(polys, (1, 1), (1, 2))
+    a, b = 3 ** -0.5, 2 ** -0.5
+    rows = [(a, b), (-a, b), (a + 1e-10, -b), (-a, -b), (a, b + 1e-10)]
+    distinct = []
+    verified = critical._add_solutions(spec, np.array(rows, dtype=complex), distinct)
+    # (a + 1e-10, -b) ties with (a, b) to 8 decimals in x, so -b puts it
+    # first; (a, b + 1e-10) is within DEDUP_DISTANCE of (a, b), which it
+    # follows, and does not join
+    assert verified == 5
+    assert [point for point, _ in distinct] == [(-a, -b), (-a, b), (a + 1e-10, -b),
+                                                (a, b)]
+
 
 def test_solutions_satisfy_omega(hexagon_poly):
     spec = IntegrandSpec([hexagon_poly], (0.5 + 0.1j,), (0.3 - 0.2j, 0.7 + 0.4j))
