@@ -20,7 +20,7 @@ from functools import cached_property
 
 from . import polytope
 from ._lazy import np
-from .laurent import (IntegrandSpec, LaurentPoly, _monomials, omega_components,
+from .laurent import (IntegrandSpec, LaurentPoly, omega_components, power_rows,
                       power_table, slice_rows)
 
 # Fixed thresholds of the tracker, the endpoint polish and the solution filter.
@@ -102,20 +102,19 @@ class _Homotopy:
         """H, dH/dx, dH/dt and the scale at the batch rows `rows`, x (P, n) at t (P,).
 
         The scale is the sum of |term| over both parts of each H_i.  Per row
-        slice (`laurent.slice_rows` rows), its table read as (rows, n, w + 2),
+        slice of `laurent.power_rows`, its table read as (rows, n, w + 2),
         one vecdot with the rows' runs' weights gives every dH_i/dt; then the
         terms of F are scaled by t and those of G by 1 - t, and one vecdot
         gives every H_i and theta_k H_i, another the scale.  dH/dx is
         theta H / x, so column k is not finite at x_k = 0.  At t = 1 the
         start terms are scaled by 0, so H is F wherever x_i^{d_i} is finite.
+        x needs at least one row.
         """
         runs = self.run[rows]
         weights = (self.slopes, self.weights, self.moduli)
-        step = slice_rows(self.exps)
-        parts = [self._values(x[lo:lo + step], weights, runs[lo:lo + step],
-                              self._factor(t[lo:lo + step]))
-                 for lo in range(0, len(x), step)]
-        return tuple(map(np.concatenate, zip(*parts)))
+        parts = [self._values(x[part], mon, weights, runs[part], self._factor(t[part]))
+                 for part, mon in power_rows(x, self.exps)]
+        return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
     def bind(self, rows, t):
         """`evaluate` at the batch rows `rows` and their t (P,), as a function.
@@ -132,20 +131,21 @@ class _Homotopy:
         runs = self.run[rows]
         weights = tuple(w[runs] for w in (self.slopes, self.weights, self.moduli))
         factor = self._factor(t)
-        # one slice, so one table of the whole of x
-        return lambda x, k: self._values(x, weights, k, factor[k])
+        # one slice, so power_rows yields one table, of the whole of x
+        return lambda x, k: self._values(x, next(power_rows(x, self.exps))[1],
+                                         weights, k, factor[k])
 
     def _factor(self, t):
         """Each term's factor at t (P,), 1 - t for G's and t for F's."""
         s = t[:, None, None]
         return np.where(self.start, 1 - s, s)
 
-    def _values(self, x, weights, r, factor):
-        """`evaluate` at x, rows of one slice, from the weights of dH/dt, of
-        (H, theta H) and of the scale, gathered at r as they are used, and
-        the rows' t-factors."""
+    def _values(self, x, mon, weights, r, factor):
+        """`evaluate` at x, the rows of one slice, from their table `mon` of
+        `laurent.power_rows`, the weights of dH/dt, of (H, theta H) and of
+        the scale, gathered at r as they are used, and the rows' t-factors."""
         slopes, both, moduli = weights
-        mon = _monomials(x, self.exps).reshape(len(x), *moduli.shape[1:])
+        mon = mon.reshape(len(x), *moduli.shape[1:])
         slope = np.vecdot(slopes[r], mon)
         mon *= factor
         values = np.vecdot(both[r], mon[:, :, None])

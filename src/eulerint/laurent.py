@@ -228,19 +228,15 @@ def power_rows(points, exps):
     """
     step = slice_rows(exps)
     for lo in range(0, len(points), step):
-        yield slice(lo, lo + step), _monomials(points[lo:lo + step], exps)
-
-
-def _monomials(x, exps):
-    """The table of `power_rows` for the rows x, which fit in one slice."""
-    table = x[:, :1] ** exps[:, 0]
-    for k in range(1, exps.shape[1]):
-        # np.multiply, not `*=` or `*`: numpy runs a one-entry product in
-        # place as a reduction, and `*` multiplies into a large temporary
-        # with the operands swapped; either would make a row's last bit
-        # depend on the table's size
-        table = np.multiply(table, x[:, k:k + 1] ** exps[:, k])
-    return table
+        x = points[lo:lo + step]
+        table = x[:, :1] ** exps[:, 0]
+        for k in range(1, exps.shape[1]):
+            # np.multiply, not `*=` or `*`: numpy runs a one-entry product in
+            # place as a reduction, and `*` multiplies into a large temporary
+            # with the operands swapped; either would make a row's last bit
+            # depend on the table's size
+            table = np.multiply(table, x[:, k:k + 1] ** exps[:, k])
+        yield slice(lo, lo + step), table
 
 
 def power_table(polys):
