@@ -124,7 +124,8 @@ class _Homotopy:
         bits.  When `rows` fit in one row slice of `laurent.power_rows`, each
         row's weights and t-factors are gathered here once, so an evaluation
         of all of `rows` (k = slice(None)) gathers nothing; otherwise each
-        evaluation gathers them per slice, so memory stays bounded.
+        evaluation gathers them per slice, so memory stays bounded.  As for
+        `evaluate`, x needs at least one row.
         """
         if len(t) > slice_rows(self.exps):
             return lambda x, k: self.evaluate(x, t[k], rows[k])
