@@ -417,7 +417,7 @@ def cmd_gkz(obj: dict, args) -> dict:
                  "kappa_pairing": jnum(c.kappa_pairing),
                  "resonant": c.resonant}
                 for c in report.certificates],
-            "rank_bound": gkz.rank_bound(cfg),
+            "rank_bound": report.rank_bound,
             "seed": args.seed}
 
 

@@ -20,6 +20,7 @@ from functools import cached_property
 
 from . import polytope
 from ._lazy import np
+# omega_components is not called here; perfbench/tracing.py wraps this name
 from .laurent import (IntegrandSpec, LaurentPoly, omega_components, power_rows,
                       power_table, slice_rows)
 
@@ -645,11 +646,14 @@ def _add_solutions(spec, x, distinct):
     for fj, g in zip(spec.f, grads):
         on_torus &= ~(np.abs(g[:, 0]) < BOUNDARY_TOL * np.maximum(1.0, fj.magnitude(x)))
     x = x[on_torus]
-    scale = sum(abs(complex(sj)) * np.abs(g[on_torus, 1:])
-                / np.abs(g[on_torus, :1]) for sj, g in zip(spec.s, grads))
+    grads = [g[on_torus] for g in grads]
+    scale = sum(abs(complex(sj)) * np.abs(g[:, 1:]) / np.abs(g[:, :1])
+                for sj, g in zip(spec.s, grads))
     scale = scale + np.abs([complex(v) for v in spec.nu]) / np.abs(x)
-    resid = np.max(np.abs(omega_components(spec, x)) / np.maximum(1.0, scale),
-                   axis=1)
+    # omega_components' expression, on the gradients at hand
+    omega = sum(complex(sj) * g[:, 1:] / g[:, :1] for sj, g in zip(spec.s, grads))
+    omega = omega + np.array([complex(v) for v in spec.nu]) / x
+    resid = np.max(np.abs(omega) / np.maximum(1.0, scale), axis=1)
     kept = resid <= RESIDUAL_TOL
     x, resid = x[kept], resid[kept]
     # lexsort's last key is its first: (re, im) of each coordinate, reversed

@@ -106,6 +106,7 @@ class ResonanceReport:
     nonresonant: bool
     certificates: tuple
     lattice_rank: int
+    rank_bound: int             # `rank_bound`, from the facets' placing
 
 
 def is_nonresonant(cfg: CayleyConfig, tol: float = 1e-9) -> ResonanceReport:
@@ -115,14 +116,17 @@ def is_nonresonant(cfg: CayleyConfig, tol: float = 1e-9) -> ResonanceReport:
     u_F, kappa is resonant along that facet iff u_F . kappa lies in the
     subgroup of the integers generated by the pairings u_F . alpha_c.  Exact
     for rational kappa; distance tolerance `tol` for float entries.  A float
-    pairing that overflows raises ValueError.
+    pairing that overflows raises ValueError.  The facets and the rank bound,
+    which the holonomic rank equals when kappa is nonresonant, are read off
+    one placing of the columns.
     """
     cols = cfg.columns()
     rank = ila.rank([list(c) for c in cols])
     pts = polytope.LatticePointSet(cfg.nvars + cfg.npolys, cols)
     certs = []
     all_good = True
-    for u in polytope.facets(pts):
+    normals, volume = polytope.facets_and_volume(pts)
+    for u in normals:
         g = 0
         for c in cols:
             g = gcd(g, abs(sum(a * b for a, b in zip(u, c))))
@@ -133,7 +137,7 @@ def is_nonresonant(cfg: CayleyConfig, tol: float = 1e-9) -> ResonanceReport:
             kappa_pairing=pairing, resonant=resonant))
         all_good = all_good and not resonant
     return ResonanceReport(nonresonant=all_good, certificates=tuple(certs),
-                           lattice_rank=rank)
+                           lattice_rank=rank, rank_bound=volume)
 
 
 def _mul(a, b):

@@ -127,13 +127,20 @@ def facets(pts: LatticePointSet):
     Returns the primitive integer inner normals, sorted, with normal . p >= 0
     for every point.
     """
+    return facets_and_volume(pts)[0]
+
+
+def facets_and_volume(pts: LatticePointSet):
+    """`facets(pts)` and `normalized_volume(pts).normalized_volume`, read off
+    one placing of the points."""
     gens = [list(p) for p in pts.points]
     fixed = ila.kernel_basis(gens)
     if not gens or len(fixed) == pts.dim:
         raise ValueError("zero-dimensional cone")
+    volume, boundary = _place(gens)
     # the facets of the cone are the facets of conv({0} union gens) through 0
     normals = set()
-    for simplex in _place(gens)[1]:
+    for simplex in boundary:
         if simplex[0] == 0:
             # the origin's own row keeps the rows nonempty when r = d = 1
             rows = [[0] * pts.dim] + [gens[i - 1] for i in simplex[1:]]
@@ -141,4 +148,5 @@ def facets(pts: LatticePointSet):
             if any(sum(map(mul, u, g)) < 0 for g in gens):
                 u = [-x for x in u]
             normals.add(tuple(u))
-    return sorted(normals)
+    # one point has no differences, and normalized_volume gives it 0
+    return sorted(normals), volume if len(gens) > 1 else 0

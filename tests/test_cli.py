@@ -82,6 +82,44 @@ def test_gkz_hexagon(capsys):
     assert len(out["operators"]["euler"]) == 3
 
 
+@pytest.mark.parametrize("command", ["gkz", "vol", "chi"])
+def test_each_call_places_once(monkeypatch, capsys, command):
+    # gkz reads its facets and its rank bound off one placing; nothing is
+    # kept from one call for the next
+    place, calls = polytope._place, []
+
+    def spy(points):
+        calls.append(points)
+        return place(points)
+
+    monkeypatch.setattr(polytope, "_place", spy)
+    for made in (1, 2):
+        assert main([command, str(PROBLEMS / "hexagon.json")]) == 0
+        assert len(calls) == made
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("problem", [
+    *(json.loads((PROBLEMS / f"{name}.json").read_text())
+      for name in ("hexagon", "lines", "quadratic_operator", "two_points")),
+    # the flat support of ROADMAP "Re-checked": affine_dim 2, volume 1
+    {"f": [[[[1, 0, 2], 1], [[2, 0, 2], -5], [[0, 3, 3], 5]]]},
+    {"f": ["x^3*y + x*y^2 + 2*y + x + 1"]},
+    {"f": ["x^2 - 3*x + 2", "x + 5"]},
+    {"f": ["x*y*z + x^2 + y^2*z + z^3 + 1"]},
+    {"f": ["x^2 + x*y + y + 1", "x*y^2 + 2*x + 3"]}])
+def test_gkz_bound_and_facets_match_vol_and_polytope(tmp_path, capsys, problem):
+    path = _problem(tmp_path, problem)
+    code, vol = run(capsys, ["vol", path])
+    assert code == 0
+    code, out = run(capsys, ["gkz", path])
+    assert code == 0
+    assert out["rank_bound"] == vol["normalized_volume"]
+    points = polytope.cayley_support(cli.build_spec(problem))
+    assert [tuple(c["facet_normal"]) for c in out["certificates"]] == (
+        polytope.facets(points))
+
+
 # x + x^-1 - 3 is cleared by the shift x^1; both spellings have the two roots
 # of x^2 - 3x + 1 in C*
 @pytest.mark.parametrize("text, chi", [("x^2 - 3*x + 1", -2),

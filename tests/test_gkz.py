@@ -144,3 +144,9 @@ def test_hexagon_rank_bound():
 
 def test_two_point_rank_bound(two_point_spec):
     assert rank_bound(cayley_matrix(two_point_spec)) == 2
+
+
+def test_resonance_report_carries_the_rank_bound(two_point_spec):
+    for spec in (_hex_spec(), two_point_spec):
+        cfg = cayley_matrix(spec)
+        assert is_nonresonant(cfg).rank_bound == rank_bound(cfg)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from eulerint import intlinalg as ila
 from eulerint.laurent import IntegrandSpec
 from eulerint.polytope import (LatticePointSet, cayley_support, facets,
-                               normalized_volume)
+                               facets_and_volume, normalized_volume)
 
 
 # -- point sets ------------------------------------------------------------
@@ -243,6 +243,19 @@ def test_insertion_order_leaves_volume_and_facets_unchanged(case):
     assert after == before
     if any(any(p) for p in pts):
         assert facets(LatticePointSet(d, shuffled)) == facets(LatticePointSet(d, pts))
+
+
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+    st.just(d),
+    st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=8).filter(
+        lambda pts: any(any(p) for p in pts)))))
+@settings(max_examples=60, deadline=None)
+@example(case=(2, [(1, 1)]))     # one point: no differences, volume 0
+def test_one_placing_gives_the_facets_and_the_volume(case):
+    d, pts = case
+    ps = LatticePointSet(d, pts)
+    assert facets_and_volume(ps) == (
+        facets(ps), normalized_volume(ps).normalized_volume)
 
 
 def _hull_area(points):
