@@ -3,8 +3,7 @@
 
 Usage (from the repository root):
 
-    python3 scripts/payload_sweep.py > sweep.txt            # all 911 runs
-    python3 scripts/payload_sweep.py vol gkz > sweep.txt    # those commands
+    python3 scripts/payload_sweep.py > sweep.txt    # all 911 runs
 
 One line per run: the command, the input, the `--seed`, the exit code and
 the sha256 of what the command printed.  Running it on two trees and diffing
@@ -114,15 +113,11 @@ def exact_runs(tmp):
 RUNS = {"chi": chi_runs, "vol": exact_runs, "gkz": exact_runs}
 
 
-def main(argv) -> int:
-    commands = list(dict.fromkeys(argv)) or list(RUNS)
-    if not set(commands) <= set(RUNS):
-        print(f"usage: payload_sweep.py [{' | '.join(RUNS)} ...]", file=sys.stderr)
-        return 2
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        for command in commands:
+        for command, runs in RUNS.items():
             (where := Path(tmp) / command).mkdir()
-            for name, problem, seed in RUNS[command](where):
+            for name, problem, seed in runs(where):
                 buf = io.StringIO()
                 try:
                     with contextlib.redirect_stdout(buf):
@@ -137,4 +132,4 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
